@@ -255,8 +255,9 @@ def cmd_export(cfg: RunConfig) -> int:
         fileio.write_heatmap_pgm(cfg.out, target.field)
         print(f"heatmap: {cfg.out}")
     else:
-        pts = fileio.read_samples_csv(cfg.samples)
-        keep = pts[: cfg.n] if cfg.n else pts
+        if cfg.n < 0:
+            raise UsageError(f"row count must be nonnegative, got {cfg.n}")
+        keep = fileio.read_samples_csv(cfg.samples, max_rows=cfg.n or None)
         fileio.write_samples_csv(cfg.out, SampleBatch(keep, seed=0))
         print(f"scatter: {cfg.out} ({len(keep)} points)")
     return 0

@@ -213,15 +213,20 @@ def write_samples_csv(path: str | Path, batch: SampleBatch) -> None:
             fh.write(("%.17g,%.17g\n" * len(block)) % tuple(block.reshape(-1)))
 
 
-def read_samples_csv(path: str | Path) -> np.ndarray:
+def read_samples_csv(path: str | Path, max_rows: int | None = None) -> np.ndarray:
+    """Sample points from a CSV; with ``max_rows``, rows after that many are
+    not parsed."""
     with open(path) as fh:
         header = fh.readline().strip()
         if header != "x,y":
             raise FileFormatError(f"{path}: expected header 'x,y', got {header!r}")
-        body = fh.read()
-    if not body.strip():
-        return np.empty((0, 2))
-    data = np.loadtxt(body.splitlines(), delimiter=",", ndmin=2)
+        start = fh.tell()
+        while (line := fh.readline()) and not line.strip():
+            start = fh.tell()
+        if not line:
+            return np.empty((0, 2))
+        fh.seek(start)
+        data = np.loadtxt(fh, delimiter=",", ndmin=2, max_rows=max_rows)
     if data.shape[1] != 2:
         raise FileFormatError(f"{path}: expected two columns")
     return data

@@ -22,15 +22,25 @@ from .errors import GridMismatchError, InvalidInputError
 TWO_PI = 2.0 * np.pi
 
 
+# Largest |x| that one shift by 2*pi brings into [-pi, pi); kept below 3*pi
+# so that the shifted value cannot round onto the interval's open end.
+_SHIFT_BOUND = 9.42
+
+
 def wrap_angle(x: np.ndarray | float) -> np.ndarray | float:
     """Wrap arbitrary finite reals into [-pi, pi).
 
     Values already in range pass through bit-for-bit (the add-mod-subtract
     round trip would otherwise perturb them by an ulp, making wrapped and
-    unwrapped code paths disagree).  ``np.mod`` can round up to exactly
+    unwrapped code paths disagree).  Inputs whose extremes lie within one
+    period of the range (every point the transport loop and the sampler
+    wrap) take the conditional shift of :func:`_wrap_shift`; anything else,
+    NaN included, goes through ``np.mod``, which can round up to exactly
     2*pi for tiny negative inputs, so that case is folded back too.
     """
     arr = np.asarray(x, dtype=np.float64)
+    if arr.size and -_SHIFT_BOUND <= arr.min() and arr.max() <= _SHIFT_BOUND:
+        return _wrap_shift(arr)
     m = np.mod(arr + np.pi, TWO_PI)
     m = np.where(m >= TWO_PI, m - TWO_PI, m)
     return np.where((arr >= -np.pi) & (arr < np.pi), arr, m - np.pi)
@@ -39,11 +49,14 @@ def wrap_angle(x: np.ndarray | float) -> np.ndarray | float:
 def _wrap_shift(x: np.ndarray) -> np.ndarray:
     """Wrap values known to lie in (-3*pi, 3*pi) into [-pi, pi).
 
-    One conditional shift per side; much cheaper than ``np.mod`` on large
-    sample batches.  Callers must guarantee the bound.
+    One conditional shift per side, applied in place to a copy; much
+    cheaper than ``np.mod`` on large sample batches.  Callers must
+    guarantee the bound.
     """
-    out = np.where(x >= np.pi, x - TWO_PI, x)
-    return np.where(out < -np.pi, out + TWO_PI, out)
+    out = np.array(x, dtype=np.float64)
+    np.subtract(out, TWO_PI, out=out, where=out >= np.pi)
+    np.add(out, TWO_PI, out=out, where=out < -np.pi)
+    return out
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
@@ -156,16 +169,9 @@ class _Stencil:
 
     __slots__ = ("flat00", "flat10", "flat01", "flat11", "fx", "fy")
 
-    def __init__(self, grid: PeriodicGrid, px: np.ndarray, py: np.ndarray,
-                 already_wrapped: bool = False):
-        if already_wrapped:
-            xw = _wrap_shift(px)
-            yw = _wrap_shift(py)
-        else:
-            xw = wrap_angle(px)
-            yw = wrap_angle(py)
-        ix, self.fx = _index_frac(xw, grid.xs, grid.h_x, grid.n_x)
-        iy, self.fy = _index_frac(yw, grid.ys, grid.h_y, grid.n_y)
+    def __init__(self, grid: PeriodicGrid, px: np.ndarray, py: np.ndarray):
+        ix, self.fx = _index_frac(wrap_angle(px), grid.xs, grid.h_x, grid.n_x)
+        iy, self.fy = _index_frac(wrap_angle(py), grid.ys, grid.h_y, grid.n_y)
         n_y = grid.n_y
         iy1 = iy + 1
         iy1[iy1 == n_y] = 0
@@ -197,11 +203,9 @@ def _index_frac(c: np.ndarray, nodes: np.ndarray, h: float, n: int):
     t = (c + np.pi) * (1.0 / h)
     i0 = t.astype(np.int64)  # t >= 0, so truncation == floor
     np.clip(i0, 0, n - 1, out=i0)
-    i0 = np.where(c < nodes[i0], i0 - 1, i0)  # xs[0] == -pi, cannot underflow
-    nxt = i0 + 1
-    has_next = nxt < n
-    upper = nodes[np.where(has_next, nxt, 0)]
-    i0 = np.where(has_next & (c >= upper), nxt, i0)
+    i0 -= c < nodes[i0]  # nodes[0] == -pi, cannot underflow
+    upper = np.append(nodes, np.inf)  # the last node has no upper neighbour
+    i0 += c >= upper[i0 + 1]
     frac = (c - nodes[i0]) * (1.0 / h)
     np.clip(frac, 0.0, 1.0, out=frac)
     return i0, frac

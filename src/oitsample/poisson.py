@@ -68,13 +68,13 @@ def laplacian_spectral(f: ScalarField) -> ScalarField:
 def _solve_gradient(ws: PoissonWorkspace, s_values: np.ndarray):
     """Fused solve + gradient for the transport loop.
 
-    Returns (f, v_x, v_y) as raw arrays, computed from a single forward
-    transform of the source.
+    Returns the gradient (v_x, v_y) of the Poisson solution as raw arrays,
+    computed from a single forward transform of the source; the potential
+    itself is never transformed back.
     """
     if not np.all(np.isfinite(s_values)):
         raise InvalidInputError("source values must be finite")
     f_hat = np.fft.fft2(s_values) * ws.inv_symbol
-    f = np.fft.ifft2(f_hat).real
     v_x = np.fft.ifft2(1j * ws.deriv_kx[:, None] * f_hat).real
     v_y = np.fft.ifft2(1j * ws.deriv_ky[None, :] * f_hat).real
-    return f, v_x, v_y
+    return v_x, v_y

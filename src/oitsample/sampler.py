@@ -83,7 +83,7 @@ def draw_uniform(n: int, seed: int, start: int = 0) -> SampleBatch:
 def _transform_chunk(mapping: DiffeoMap, pts: np.ndarray, out: np.ndarray) -> None:
     px = np.ascontiguousarray(pts[:, 0])
     py = np.ascontiguousarray(pts[:, 1])
-    st = _Stencil(mapping.grid, px, py, already_wrapped=True)
+    st = _Stencil(mapping.grid, px, py)
     out[:, 0] = _wrap_shift(px + st.gather(mapping.disp.u_x.values))
     out[:, 1] = _wrap_shift(py + st.gather(mapping.disp.u_y.values))
 

@@ -276,7 +276,7 @@ def rejection_sample_oracle(target: Density, n: int, seed: int,
         draw = gen.random((block, 3))
         pts = -np.pi + TWO_PI * draw[:, :2]
         st = _Stencil(target.grid, np.ascontiguousarray(pts[:, 0]),
-                      np.ascontiguousarray(pts[:, 1]), already_wrapped=True)
+                      np.ascontiguousarray(pts[:, 1]))
         density_at = st.gather(target.field.values)
         hits = np.nonzero(draw[:, 2] * vmax < density_at)[0]
         if len(hits) > n - got:

@@ -192,6 +192,13 @@ class TestExport:
         assert kept.shape == (100, 2)
         assert np.array_equal(kept, read_samples_csv(pts)[:100])
 
+    def test_scatter_rejects_negative_count(self, tmp_path):
+        pts = tmp_path / "pts.csv"
+        pts.write_text("x,y\n0,0\n")
+        code = run("export", "--samples", str(pts), "--n", "-1",
+                   "--out", str(tmp_path / "sub.csv"))
+        assert code == 1
+
     def test_exactly_one_input_required(self, sine_map, tmp_path):
         code = run("export", "--map", str(sine_map), "--density", "uniform",
                    "--out", str(tmp_path / "x.csv"))

@@ -100,13 +100,27 @@ class TestSampleFiles:
     def test_csv_bad_header(self, tmp_path):
         p = tmp_path / "bad.csv"
         p.write_text("a,b\n1,2\n")
-        with pytest.raises(FileFormatError):
-            read_samples_csv(p)
+        for max_rows in (None, 1):
+            with pytest.raises(FileFormatError, match="expected header 'x,y', got 'a,b'"):
+                read_samples_csv(p, max_rows=max_rows)
+
+    @pytest.mark.parametrize("max_rows", [1, 777, 2000, 5000])
+    def test_csv_max_rows_reads_a_prefix(self, tmp_path, max_rows):
+        p = tmp_path / "pts.csv"
+        write_samples_csv(p, draw_uniform(2000, seed=6))
+        assert np.array_equal(read_samples_csv(p, max_rows=max_rows),
+                              read_samples_csv(p)[:max_rows])
 
     def test_empty_batch_round_trip(self, tmp_path):
         p = tmp_path / "empty.csv"
         write_samples_csv(p, draw_uniform(0, seed=0))
         assert read_samples_csv(p).shape == (0, 2)
+
+    @pytest.mark.parametrize("body, rows", [("\n \n", 0), ("\n\n0.5,-1\n", 1)])
+    def test_csv_blank_lines_before_data(self, tmp_path, body, rows):
+        p = tmp_path / "blank.csv"
+        p.write_text("x,y\n" + body)
+        assert read_samples_csv(p, max_rows=1).shape == (rows, 2)
 
 
 class TestOitmMaps:

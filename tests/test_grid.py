@@ -16,7 +16,10 @@ from oitsample import (
     jacobian_det,
     wrap_angle,
 )
+from oitsample.grid import _SHIFT_BOUND, _index_frac, _wrap_shift
 from conftest import smooth_test_map
+
+TWO_PI = 2.0 * np.pi
 
 
 def random_points(rng, n=200, span=10.0):
@@ -57,6 +60,126 @@ class TestWrap:
         x = rng.uniform(-np.pi, np.pi, 1000)
         x = x[x < np.pi]
         assert np.array_equal(wrap_angle(x), x)
+
+
+# The wrap and index kernels as first written, kept as the reference that the
+# faster ones must reproduce bit for bit.
+
+
+def reference_wrap_angle(x):
+    arr = np.asarray(x, dtype=np.float64)
+    m = np.mod(arr + np.pi, TWO_PI)
+    m = np.where(m >= TWO_PI, m - TWO_PI, m)
+    return np.where((arr >= -np.pi) & (arr < np.pi), arr, m - np.pi)
+
+
+def reference_wrap_shift(x):
+    out = np.where(x >= np.pi, x - TWO_PI, x)
+    return np.where(out < -np.pi, out + TWO_PI, out)
+
+
+def reference_index_frac(c, nodes, h, n):
+    t = (c + np.pi) * (1.0 / h)
+    i0 = t.astype(np.int64)
+    np.clip(i0, 0, n - 1, out=i0)
+    i0 = np.where(c < nodes[i0], i0 - 1, i0)
+    nxt = i0 + 1
+    has_next = nxt < n
+    upper = nodes[np.where(has_next, nxt, 0)]
+    i0 = np.where(has_next & (c >= upper), nxt, i0)
+    frac = (c - nodes[i0]) * (1.0 / h)
+    np.clip(frac, 0.0, 1.0, out=frac)
+    return i0, frac
+
+
+KERNEL_GRID = PeriodicGrid(256, 48)
+PI_EDGES = np.array([-np.pi, np.nextafter(np.pi, 0), np.pi, np.nextafter(np.pi, 4),
+                     np.nextafter(-np.pi, 0), np.nextafter(-np.pi, -4)])
+BOUND_INSIDE = np.array([_SHIFT_BOUND, -_SHIFT_BOUND, np.nextafter(_SHIFT_BOUND, 0),
+                         np.nextafter(-_SHIFT_BOUND, 0)])
+BOUND_OUTSIDE = np.array([np.nextafter(_SHIFT_BOUND, 10), np.nextafter(-_SHIFT_BOUND, -10),
+                          3 * np.pi, -3 * np.pi])
+
+
+def expected_wrap(x):
+    """The old shift inside the bound, the old ``np.mod`` wrap outside it."""
+    x = np.asarray(x, dtype=np.float64)
+    if x.size and np.abs(x).max() <= _SHIFT_BOUND:
+        return reference_wrap_shift(x)
+    return reference_wrap_angle(x)
+
+
+def kernel_cases():
+    """Input arrays by name, on both sides of the shift bound."""
+    rng = np.random.default_rng(20170425)
+    nodes = np.concatenate([KERNEL_GRID.xs, KERNEL_GRID.ys])
+    near_nodes = np.concatenate([np.nextafter(nodes, -4), np.nextafter(nodes, 4)])
+    shifted = np.concatenate([nodes + TWO_PI, nodes - TWO_PI])
+    shifted = shifted[np.abs(shifted) <= _SHIFT_BOUND]
+    return {
+        "nodes": nodes,
+        "nodes +- 1 ulp": near_nodes,
+        "nodes shifted a period": shifted,
+        "pi edges": PI_EDGES,
+        "just inside bound": BOUND_INSIDE,
+        "just outside bound": BOUND_OUTSIDE,
+        "one period each side": rng.uniform(-_SHIFT_BOUND, _SHIFT_BOUND, 4096),
+        "(-3pi, 3pi)": rng.uniform(-3 * np.pi, 3 * np.pi, 4096),
+        "(-50, 50)": rng.uniform(-50.0, 50.0, 4096),
+        "empty": np.empty(0),
+    }
+
+
+KERNEL_CASES = kernel_cases()
+by_case = pytest.mark.parametrize("x", KERNEL_CASES.values(), ids=KERNEL_CASES.keys())
+
+
+class TestKernelsMatchReference:
+    def test_cases_cover_both_paths(self):
+        assert np.abs(KERNEL_CASES["just inside bound"]).max() <= _SHIFT_BOUND
+        assert np.abs(KERNEL_CASES["just outside bound"]).min() > _SHIFT_BOUND
+
+    @by_case
+    def test_wrap_angle(self, x):
+        w = wrap_angle(x)
+        assert w.dtype == np.float64 and w.shape == x.shape
+        assert np.array_equal(w, expected_wrap(x))
+        assert np.all((w >= -np.pi) & (w < np.pi))
+
+    @by_case
+    def test_wrap_angle_per_scalar(self, x):
+        for v in x:
+            w = wrap_angle(float(v))
+            assert w.shape == () and w == expected_wrap(v)
+
+    def test_wrap_angle_non_finite_takes_mod_path(self):
+        x = np.array([0.5, np.nan, np.inf, -4.0])
+        with np.errstate(invalid="ignore"):
+            assert np.array_equal(wrap_angle(x), expected_wrap(x), equal_nan=True)
+
+    @by_case
+    def test_wrap_shift(self, x):
+        x = x[np.abs(x) < 3 * np.pi]
+        assert np.array_equal(_wrap_shift(x), reference_wrap_shift(x))
+
+    def test_wrap_shift_scalar_and_input_untouched(self):
+        x = np.array([4.0, -4.0, 0.5])
+        kept = x.copy()
+        assert np.array_equal(_wrap_shift(x), reference_wrap_shift(kept))
+        assert np.array_equal(x, kept)
+        assert _wrap_shift(np.float64(np.pi)) == -np.pi
+
+    @by_case
+    @pytest.mark.parametrize("axis", ["x", "y"])
+    def test_index_frac(self, x, axis):
+        g = KERNEL_GRID
+        nodes, h, n = (g.xs, g.h_x, g.n_x) if axis == "x" else (g.ys, g.h_y, g.n_y)
+        c = reference_wrap_angle(x)
+        i0, frac = _index_frac(c, nodes, h, n)
+        ref_i0, ref_frac = reference_index_frac(c, nodes, h, n)
+        assert i0.dtype == ref_i0.dtype
+        assert np.array_equal(i0, ref_i0)
+        assert np.array_equal(frac, ref_frac)
 
 
 class TestInterpScalar:
