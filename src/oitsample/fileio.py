@@ -33,6 +33,8 @@ OITM_MAGIC = b"OITM1\n"
 _U32 = np.dtype("<u4")
 _F64 = np.dtype("<f8")
 
+_OITF_BLOCK_ROWS = 1 << 20
+
 
 def _take(buf: bytes, offset: int, count: int, what: str) -> tuple[bytes, int]:
     end = offset + count
@@ -94,12 +96,19 @@ def read_field_oitf(path: str | Path) -> ScalarField | VectorField:
 
 
 def write_samples_oitf(path: str | Path, batch: SampleBatch) -> None:
+    n = batch.count
+    # each column goes out in blocks through one reusable buffer, so no
+    # full-length column copy is ever made
+    buf = np.empty(min(n, _OITF_BLOCK_ROWS), _F64)
     with open(path, "wb") as fh:
         fh.write(OITF_MAGIC)
-        fh.write(np.asarray([batch.count, 1], _U32).tobytes())
+        fh.write(np.asarray([n, 1], _U32).tobytes())
         fh.write(bytes([2]))
-        fh.write(np.ascontiguousarray(batch.points[:, 0], dtype=_F64).tobytes())
-        fh.write(np.ascontiguousarray(batch.points[:, 1], dtype=_F64).tobytes())
+        for col in (0, 1):
+            for s in range(0, n, _OITF_BLOCK_ROWS):
+                block = buf[:min(n - s, _OITF_BLOCK_ROWS)]
+                block[...] = batch.points[s:s + len(block), col]
+                fh.write(block)
 
 
 def read_samples_oitf(path: str | Path) -> np.ndarray:

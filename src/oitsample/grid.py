@@ -159,38 +159,62 @@ class VectorField:
 
 
 class _Stencil:
-    """Precomputed periodic bilinear indices and offsets for a point set.
+    """Precomputed periodic bilinear index and offsets for a point set.
 
     Building the stencil once and gathering several fields through it is the
-    main cost saver in the transport loop and the sampler.  Gathers use the
-    nested-lerp form ``v00 + f*(v10 - v00)``, which reproduces constants and
-    nodal values exactly.
+    main cost saver in the transport loop and the sampler.  ``base`` indexes
+    the lower-left corner of each point's cell in the field's periodic
+    ``(n_x+1) x (n_y+1)`` extension, so the other three corners sit at fixed
+    offsets and no seam needs fixing up.  Gathers use the nested-lerp form
+    ``v00 + f*(v10 - v00)``, which reproduces constants and nodal values
+    exactly.  The query arrays are never written to.
     """
 
-    __slots__ = ("flat00", "flat10", "flat01", "flat11", "fx", "fy")
+    __slots__ = ("base", "fx", "fy")
 
     def __init__(self, grid: PeriodicGrid, px: np.ndarray, py: np.ndarray):
-        ix, self.fx = _index_frac(wrap_angle(px), grid.xs, grid.h_x, grid.n_x)
-        iy, self.fy = _index_frac(wrap_angle(py), grid.ys, grid.h_y, grid.n_y)
-        n_y = grid.n_y
-        iy1 = iy + 1
-        iy1[iy1 == n_y] = 0
-        base = ix * n_y
-        base1 = base + n_y
-        base1[base1 == grid.n_x * n_y] = 0
-        self.flat00 = base + iy
-        self.flat10 = base1 + iy
-        self.flat01 = base + iy1
-        self.flat11 = base1 + iy1
+        ix, self.fx = _index_frac(_wrap_unless_in_range(px), grid.xs, grid.h_x, grid.n_x)
+        iy, self.fy = _index_frac(_wrap_unless_in_range(py), grid.ys, grid.h_y, grid.n_y)
+        ix *= grid.n_y + 1
+        ix += iy
+        self.base = ix
 
     def gather(self, values: np.ndarray) -> np.ndarray:
-        flat = values.reshape(-1)
-        lo = flat[self.flat00]
-        lo += self.fx * (flat[self.flat10] - lo)
-        hi = flat[self.flat01]
-        hi += self.fx * (flat[self.flat11] - hi)
-        lo += self.fy * (hi - lo)
+        n_x, n_y = values.shape
+        m = n_y + 1
+        f = np.empty((n_x + 1, m))
+        f[:n_x, :n_y] = values
+        f[:n_x, n_y] = values[:, 0]
+        f[n_x] = f[0]
+        f = f.reshape(-1)
+        # indices are in range by construction, and "clip" lets take() write
+        # straight into ``out`` instead of through a buffer
+        lo = f.take(self.base, mode="clip")
+        hi = f[1:].take(self.base, mode="clip")
+        d = f[m:].take(self.base, mode="clip")
+        d -= lo
+        d *= self.fx
+        lo += d
+        f[m + 1:].take(self.base, out=d, mode="clip")
+        d -= hi
+        d *= self.fx
+        hi += d
+        hi -= lo
+        hi *= self.fy
+        lo += hi
         return lo
+
+
+def _wrap_unless_in_range(c: np.ndarray) -> np.ndarray:
+    """``c`` itself when it already lies in [-pi, pi), else ``wrap_angle(c)``."""
+    if c.size and -np.pi <= c.min() and c.max() < np.pi:
+        return c
+    return wrap_angle(c)
+
+
+# On an n-node axis, _index_frac re-checks a point against the next node
+# when its offset lies within n*_FIX_BAND below 1; see its docstring.
+_FIX_BAND = 2.0**-40
 
 
 def _index_frac(c: np.ndarray, nodes: np.ndarray, h: float, n: int):
@@ -199,15 +223,40 @@ def _index_frac(c: np.ndarray, nodes: np.ndarray, h: float, n: int):
     The provisional index from division is corrected against the stored node
     coordinates so that a query at a node yields frac == 0 exactly; this is
     what makes interpolation nodally exact.
+
+    The correction only runs on points whose provisional offset lies outside
+    [0, 1 - n*_FIX_BAND).  Skipping it elsewhere is exact.  ``frac < 0``
+    holds precisely when ``c < nodes[i0]``: 1/h > 1/2, so no nonzero
+    difference rounds to zero.  Each node carries at most ~6.7e-16 of
+    rounding, so a node spacing falls short of h by at most ~1.34e-15 <
+    2*pi*2**-52 = n*h*2**-52; hence ``c >= nodes[i0 + 1]`` forces
+    ``frac >= 1 - n*2**-52 - 3*2**-53``.  The band is about 2**10 times wider.
     """
-    t = (c + np.pi) * (1.0 / h)
+    t = c + np.pi
+    t *= 1.0 / h
     i0 = t.astype(np.int64)  # t >= 0, so truncation == floor
-    np.clip(i0, 0, n - 1, out=i0)
-    i0 -= c < nodes[i0]  # nodes[0] == -pi, cannot underflow
+    # t's buffer becomes frac.  An index outside [0, n) comes from NaN or
+    # from a point within ulps of pi (i0 == n); "clip" looks up a node for it
+    # anyway, its frac then falls outside the fast range, and the exact path
+    # below clips the index itself.
+    frac = nodes.take(i0, out=t, mode="clip")
+    np.subtract(c, frac, out=frac)
+    frac *= 1.0 / h
+    if not frac.size:
+        return i0, frac
+    upper_band = 1.0 - n * _FIX_BAND
+    if frac.min() >= 0.0 and frac.max() < upper_band:
+        return i0, frac
+    fix = np.flatnonzero(~((frac >= 0.0) & (frac < upper_band)))
+    cf = c[fix]
+    i_f = np.clip(i0[fix], 0, n - 1)
+    i_f -= cf < nodes[i_f]  # nodes[0] == -pi, cannot underflow
     upper = np.append(nodes, np.inf)  # the last node has no upper neighbour
-    i0 += c >= upper[i0 + 1]
-    frac = (c - nodes[i0]) * (1.0 / h)
-    np.clip(frac, 0.0, 1.0, out=frac)
+    i_f += cf >= upper[i_f + 1]
+    frac_f = (cf - nodes[i_f]) * (1.0 / h)
+    np.clip(frac_f, 0.0, 1.0, out=frac_f)
+    i0[fix] = i_f
+    frac[fix] = frac_f
     return i0, frac
 
 
@@ -281,7 +330,22 @@ def gradient_spectral(f: ScalarField) -> VectorField:
 
 
 def _central_diff(values: np.ndarray, axis: int, spacing: float) -> np.ndarray:
-    return (np.roll(values, -1, axis=axis) - np.roll(values, 1, axis=axis)) / (2.0 * spacing)
+    """Periodic centred difference ``(v[i+1] - v[i-1]) / (2*spacing)`` along ``axis``.
+
+    The interior is one contiguous pass over the flattened field; along axis
+    1 that pass also writes wrong values into the first and last columns,
+    which the two seam lines then overwrite.
+    """
+    out = np.empty(values.shape)
+    step = values.shape[1] if axis == 0 else 1
+    v = values.reshape(-1)
+    np.subtract(v[2 * step:], v[:-2 * step], out=out.reshape(-1)[step:-step])
+    v = np.moveaxis(values, axis, 0)
+    o = np.moveaxis(out, axis, 0)
+    np.subtract(v[1], v[-1], out=o[0])
+    np.subtract(v[0], v[-2], out=o[-1])
+    out /= 2.0 * spacing
+    return out
 
 
 def _jacobian_det_arrays(grid: PeriodicGrid, dx: np.ndarray, dy: np.ndarray) -> np.ndarray:

@@ -12,6 +12,7 @@ from oitsample import (
     identity_map,
     normalize,
 )
+from oitsample import fileio
 from oitsample.fileio import (
     read_field_oitf,
     read_map_oitm,
@@ -85,6 +86,16 @@ class TestSampleFiles:
         p = tmp_path / "pts.oitf"
         write_samples_oitf(p, batch)
         assert np.array_equal(read_samples_oitf(p), batch.points)
+
+    @pytest.mark.parametrize("n", [0, 1, 8, 11])
+    def test_oitf_blocked_writes_match_whole_columns(self, tmp_path, monkeypatch, n):
+        monkeypatch.setattr(fileio, "_OITF_BLOCK_ROWS", 4)
+        batch = draw_uniform(n, seed=5)
+        p = tmp_path / "pts.oitf"
+        write_samples_oitf(p, batch)
+        cols = np.ascontiguousarray(batch.points.T, dtype="<f8")
+        header = b"OITF1\n" + np.asarray([n, 1], "<u4").tobytes() + bytes([2])
+        assert p.read_bytes() == header + cols.tobytes()
 
     def test_csv_round_trip_is_exact(self, tmp_path):
         batch = draw_uniform(2000, seed=6)

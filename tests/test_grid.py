@@ -16,7 +16,14 @@ from oitsample import (
     jacobian_det,
     wrap_angle,
 )
-from oitsample.grid import _SHIFT_BOUND, _index_frac, _wrap_shift
+from oitsample.grid import (
+    _FIX_BAND,
+    _SHIFT_BOUND,
+    _central_diff,
+    _index_frac,
+    _Stencil,
+    _wrap_shift,
+)
 from conftest import smooth_test_map
 
 TWO_PI = 2.0 * np.pi
@@ -60,6 +67,11 @@ class TestWrap:
         x = rng.uniform(-np.pi, np.pi, 1000)
         x = x[x < np.pi]
         assert np.array_equal(wrap_angle(x), x)
+
+    def test_in_range_input_gets_a_new_array(self):
+        x = np.linspace(-np.pi, 3.0, 50)
+        w = wrap_angle(x)
+        assert np.array_equal(w, x) and not np.shares_memory(w, x)
 
 
 # The wrap and index kernels as first written, kept as the reference that the
@@ -180,6 +192,148 @@ class TestKernelsMatchReference:
         assert i0.dtype == ref_i0.dtype
         assert np.array_equal(i0, ref_i0)
         assert np.array_equal(frac, ref_frac)
+
+
+class ReferenceStencil:
+    """The bilinear stencil as first written: four flat indices into the
+    unpadded field, with the seam wrapped by boolean-mask fix-ups."""
+
+    def __init__(self, grid, px, py):
+        ix, self.fx = reference_index_frac(expected_wrap(px), grid.xs, grid.h_x, grid.n_x)
+        iy, self.fy = reference_index_frac(expected_wrap(py), grid.ys, grid.h_y, grid.n_y)
+        n_y = grid.n_y
+        iy1 = iy + 1
+        iy1[iy1 == n_y] = 0
+        base = ix * n_y
+        base1 = base + n_y
+        base1[base1 == grid.n_x * n_y] = 0
+        self.flat00 = base + iy
+        self.flat10 = base1 + iy
+        self.flat01 = base + iy1
+        self.flat11 = base1 + iy1
+
+    def gather(self, values):
+        flat = values.reshape(-1)
+        lo = flat[self.flat00]
+        lo += self.fx * (flat[self.flat10] - lo)
+        hi = flat[self.flat01]
+        hi += self.fx * (flat[self.flat11] - hi)
+        lo += self.fy * (hi - lo)
+        return lo
+
+
+def reference_central_diff(values, axis, spacing):
+    return (np.roll(values, -1, axis=axis) - np.roll(values, 1, axis=axis)) / (2.0 * spacing)
+
+
+# 37x100 has an odd axis and unequal spacings; 4096x4 puts a long node table
+# on x, where the band below frac == 1 is widest.
+STENCIL_GRIDS = {"256x48": KERNEL_GRID, "37x100": PeriodicGrid(37, 100),
+                 "4096x4": PeriodicGrid(4096, 4)}
+
+
+def band_points(nodes, h, n):
+    """Points just below each next node, where the provisional offset lands
+    in the band that _index_frac re-checks."""
+    upper = np.append(nodes[1:], np.pi)
+    return np.concatenate([np.nextafter(upper, -4), np.nextafter(np.nextafter(upper, -4), -4),
+                           nodes + h * (1.0 - 0.5 * n * _FIX_BAND)])
+
+
+def stencil_cases(grid):
+    """Point sets (px, py) by name for one grid."""
+    rng = np.random.default_rng(20170426)
+    X, Y = grid.node_mesh()
+    xs_ulp = np.concatenate([grid.xs, np.nextafter(grid.xs, -4), np.nextafter(grid.xs, 4)])
+    ys_ulp = np.concatenate([grid.ys, np.nextafter(grid.ys, -4), np.nextafter(grid.ys, 4)])
+    nx_ulp, ny_ulp = np.meshgrid(xs_ulp, ys_ulp, indexing="ij")
+    last = np.array([-np.pi, np.nextafter(np.pi, 0)])
+    edge_x = np.concatenate([np.repeat(last, grid.n_y), np.tile(grid.xs, 2)])
+    edge_y = np.concatenate([np.tile(grid.ys, 2), np.repeat(last, grid.n_x)])
+    n = 1_000_000
+    bx = band_points(grid.xs, grid.h_x, grid.n_x)
+    by = band_points(grid.ys, grid.h_y, grid.n_y)
+    mixed_x = rng.uniform(-np.pi, np.pi, n)
+    mixed_y = rng.uniform(-np.pi, np.pi, n)
+    mixed_x[rng.choice(n, bx.size, replace=False)] = bx
+    mixed_y[rng.choice(n, by.size, replace=False)] = by
+    return {
+        "displaced nodes": ((X + 0.7 * np.sin(Y - 0.3)).reshape(-1),
+                            (Y - 0.9 * np.cos(2 * X)).reshape(-1)),
+        "nodes and nodes +- 1 ulp": (nx_ulp.reshape(-1), ny_ulp.reshape(-1)),
+        "-pi and last float below pi on the last row and column": (edge_x, edge_y),
+        "pi itself, which wraps to -pi": (np.concatenate([np.full(grid.n_y, np.pi), grid.xs]),
+                                          np.concatenate([grid.ys, np.full(grid.n_x, np.pi)])),
+        "band points in a random batch": (mixed_x, mixed_y),
+        "band points shifted a period": (bx - TWO_PI, np.resize(by, bx.size) + TWO_PI),
+    }
+
+
+def provisional_index_frac(c, nodes, h, n):
+    """Index and offset before any correction against the node table."""
+    i0 = np.minimum(((c + np.pi) * (1.0 / h)).astype(np.int64), n - 1)
+    return i0, (c - nodes[i0]) * (1.0 / h)
+
+
+class TestStencilMatchesReference:
+    @pytest.mark.parametrize("grid", STENCIL_GRIDS.values(), ids=STENCIL_GRIDS.keys())
+    def test_fractions_and_gathers(self, grid):
+        rng = np.random.default_rng(7)
+        values = rng.standard_normal(grid.shape)
+        for name, (px, py) in stencil_cases(grid).items():
+            st = _Stencil(grid, px, py)
+            ref = ReferenceStencil(grid, px, py)
+            assert np.array_equal(st.fx, ref.fx), name
+            assert np.array_equal(st.fy, ref.fy), name
+            assert np.array_equal(st.gather(values), ref.gather(values)), name
+
+    @pytest.mark.parametrize("grid", STENCIL_GRIDS.values(), ids=STENCIL_GRIDS.keys())
+    def test_band_points_take_the_correction(self, grid):
+        for nodes, h, n in ((grid.xs, grid.h_x, grid.n_x), (grid.ys, grid.h_y, grid.n_y)):
+            _, frac = provisional_index_frac(band_points(nodes, h, n), nodes, h, n)
+            assert np.any(frac >= 1.0 - n * _FIX_BAND)
+
+    @pytest.mark.parametrize("n", [4, 37, 48, 100, 256, 4096, 1 << 20])
+    def test_band_bound(self, n):
+        """A query at the next node always lands in the band."""
+        g = PeriodicGrid(n, 4)
+        assert np.abs(np.diff(g.xs) - g.h_x).max() <= 1.34e-15
+        i0, frac = provisional_index_frac(g.xs[1:], g.xs, g.h_x, n)
+        below = i0 < np.arange(1, n)
+        assert np.all(frac[below] >= 1.0 - n * 2.0**-52 - 3 * 2.0**-53)
+
+    @pytest.mark.parametrize("in_range", [True, False])
+    def test_query_points_untouched(self, in_range):
+        rng = np.random.default_rng(8)
+        span = np.pi if in_range else 3 * np.pi
+        px = rng.uniform(-span, span, 1000)
+        py = rng.uniform(-span, span, 1000)
+        kept = px.copy(), py.copy()
+        px.setflags(write=False)
+        py.setflags(write=False)
+        st = _Stencil(KERNEL_GRID, px, py)
+        st.gather(rng.standard_normal(KERNEL_GRID.shape))
+        assert np.array_equal(px, kept[0]) and np.array_equal(py, kept[1])
+
+    def test_nan_points_match_reference(self):
+        px = np.array([0.5, np.nan, -1.0])
+        py = np.array([np.nan, 0.25, 2.0])
+        values = np.random.default_rng(10).standard_normal(KERNEL_GRID.shape)
+        with np.errstate(invalid="ignore"):
+            st = _Stencil(KERNEL_GRID, px, py)
+            ref = ReferenceStencil(KERNEL_GRID, px, py)
+            assert np.array_equal(st.fx, ref.fx, equal_nan=True)
+            assert np.array_equal(st.fy, ref.fy, equal_nan=True)
+            assert np.array_equal(st.gather(values), ref.gather(values), equal_nan=True)
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize("axis", [0, 1])
+    def test_central_diff(self, axis, order):
+        g = STENCIL_GRIDS["37x100"]
+        v = np.asarray(np.random.default_rng(9).standard_normal(g.shape), order=order)
+        spacing = g.h_x if axis == 0 else g.h_y
+        assert np.array_equal(_central_diff(v, axis, spacing),
+                              reference_central_diff(v, axis, spacing))
 
 
 class TestInterpScalar:
