@@ -170,13 +170,16 @@ def cmd_sample(cfg: RunConfig) -> int:
     t0 = time.perf_counter()
     batch = sample_target(mapping, cfg.n, cfg.seed, workers=cfg.workers)
     sample_time = time.perf_counter() - t0
+    t0 = time.perf_counter()
     if cfg.format == "oitf":
         fileio.write_samples_oitf(cfg.out, batch)
     else:
         fileio.write_samples_csv(cfg.out, batch)
+    write_time = time.perf_counter() - t0
     rate = cfg.n / sample_time if sample_time > 0 else float("inf")
     print(f"samples: {cfg.n}")
     print(f"sampling_time_s: {sample_time:.3f}")
+    print(f"write_time_s: {write_time:.3f}")
     print(f"throughput_per_s: {rate:.3e}")
     print(f"out: {cfg.out}")
     return 0

@@ -18,6 +18,7 @@ each displacement component n_x*n_y float64 row-major.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -211,15 +212,145 @@ def read_map_oitm(path: str | Path) -> tuple[DiffeoMap, MapMetadata]:
 # CSV samples
 
 
+# "%.17g" of a float64 x is its 17 significant digits N * 10**(X-16),
+# rounded half-to-even, printed without trailing zeros.  With
+# 1e-4 <= |x| < 10 the exponent X is -4..0 and the text is fixed-point:
+# "d.ddd" for X = 0, "0.ddd" with -X-1 leading zeros otherwise.  Nearly
+# all sample coordinates lie in that range (about 160 rows of a million
+# two-bump samples hold one that does not), so those values are formatted
+# here with numpy arithmetic; rows holding any other value (zeros,
+# |x| < 1e-4, |x| >= 10, non-finite values) take Python's "%.17g".
+#
+# Each value is built in a slot of four uint64 words at fixed byte offsets:
+#   bytes 0-5   sign, "0." and leading zeros, right-aligned ("-0.000")
+#   byte  6     lead digit; byte 7 "." when X = 0 and digits follow
+#   bytes 8-23  the other 16 digits, trailing zeros blanked
+#   byte  24    "," or "\n"
+# Unused bytes are 0, and ASCII text has none, so dropping every zero byte
+# of a block of slots leaves exactly the rows' text.
+
+_CSV_BLOCK_ROWS = 1 << 12  # 64 KB per float64 temporary
+
+# 10**s for s = 0..22 (all exact in float64) and their Veltkamp halves
+_POW10 = np.array([float(10**s) for s in range(23)])
+_VELTKAMP = 134217729.0  # 2**27 + 1
+_POW10_HI = _POW10 * _VELTKAMP - (_POW10 * _VELTKAMP - _POW10)
+_POW10_LO = _POW10 - _POW10_HI
+
+
+def _group_tables() -> tuple[np.ndarray, np.ndarray]:
+    """The four ASCII digits of g = 0..9999, first digit in the lowest byte,
+    and the count of trailing zero digits (4 for g = 0)."""
+    g = np.arange(10000, dtype=np.uint64)
+    digits = sum((g // np.uint64(10**(3 - i)) % np.uint64(10) + np.uint64(ord("0")))
+                 << np.uint64(8 * i) for i in range(4))
+    zeros = sum((g % np.uint64(10**i) == 0).astype(np.int8) for i in range(1, 5))
+    return digits, zeros
+
+
+_GROUP_LO, _GROUP_TZ = _group_tables()
+_GROUP_HI = _GROUP_LO << np.uint64(32)
+# masks keeping the 16 - t leading digits of bytes 8-15 / 16-23, for t = 0..16
+_KEEP_1 = np.array([(1 << 8 * min(8, 16 - t)) - 1 for t in range(17)], np.uint64)
+_KEEP_2 = np.array([(1 << 8 * max(0, 8 - t)) - 1 for t in range(17)], np.uint64)
+
+
+def _lead_word(neg: int, k: int, d1: int, frac: int) -> int:
+    prefix = (b"-" if neg else b"") + (b"0." + b"0" * (k - 1) if k else b"")
+    tail = b"%d" % d1 + (b"." if frac and not k else b"\0")
+    return int.from_bytes(prefix.rjust(6, b"\0") + tail, "little")
+
+
+# bytes 0-7 of a slot, indexed by ((neg*5 + k)*10 + d1)*2 + (digits follow),
+# where k = -X is 0..4 and d1 the lead digit
+_LEAD = np.array([_lead_word(neg, k, d1, frac) for neg in (0, 1) for k in range(5)
+                  for d1 in range(10) for frac in (0, 1)], np.uint64)
+
+
+def _two_product(a: np.ndarray, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """hi + lo == a * 10**s exactly (Dekker's product; s <= 22, no underflow)."""
+    hi = a * _POW10[s]
+    c = a * _VELTKAMP
+    ah = c - (c - a)
+    al = a - ah
+    ph = _POW10_HI[s]
+    pl = _POW10_LO[s]
+    lo = ((ah * ph - hi) + ah * pl + al * ph) + al * pl
+    return hi, lo
+
+
+def _format_slots(v: np.ndarray, slots: np.ndarray) -> np.ndarray:
+    """Fill ``slots[:, :3]`` with the "%.17g" text of each value of ``v``.
+
+    Returns the mask of values in 1e-4 <= |x| < 10; the slots of the others
+    hold text of no meaning.
+    """
+    a = np.abs(v)
+    fast = (a >= 1e-4) & (a < 10.0)
+    a[~fast] = 1.0
+    # a first exponent guess, then an exact check that 10**16 <= a*10**(16-X) < 10**17
+    x10 = np.floor(np.log10(a)).astype(np.int64)
+    hi, lo = _two_product(a, 16 - x10)
+    low = (hi < 1e16) | ((hi == 1e16) & (lo < 0.0))
+    high = (hi > 1e17) | ((hi == 1e17) & (lo >= 0.0))
+    off = np.flatnonzero(low | high)
+    if off.size:  # log10 can miss by one next to a power of ten
+        x10[off] += high[off].astype(np.int64) - low[off].astype(np.int64)
+        hi[off], lo[off] = _two_product(a[off], 16 - x10[off])
+    # N = hi + lo rounded half-to-even; hi is an integer here.  N never
+    # rounds up to 10**17: the float64 nearest below each of 1e-3, 0.01,
+    # 0.1, 1 and 10 lies at least 8e-17 relative below it, far more than
+    # half a unit of the 17th digit (5e-18; the tests hold those values).
+    f = np.floor(lo)
+    n = hi.astype(np.int64) + f.astype(np.int64)
+    half = f + 0.5
+    n += (lo > half) | ((lo == half) & ((n & 1) == 1))
+    d1 = n // 10**16
+    r = n - d1 * 10**16
+    r_hi = r // 10**8
+    r_lo = r - r_hi * 10**8
+    g1 = r_hi // 10**4
+    g2 = r_hi - g1 * 10**4
+    g3 = r_lo // 10**4
+    g4 = r_lo - g3 * 10**4
+    # trailing zero digits of r: a group counts only when all later ones are 0
+    tz = _GROUP_TZ[g4]
+    tz += (tz == 4) * _GROUP_TZ[g3]
+    tz += (tz == 8) * _GROUP_TZ[g2]
+    tz += (tz == 12) * _GROUP_TZ[g1]
+    lead = (v < 0.0) * 100 - x10 * 20 + d1 * 2 + (tz < 16)
+    slots[:, 0] = _LEAD[lead]
+    slots[:, 1] = (_GROUP_LO[g1] | _GROUP_HI[g2]) & _KEEP_1[tz]
+    slots[:, 2] = (_GROUP_LO[g3] | _GROUP_HI[g4]) & _KEEP_2[tz]
+    return fast
+
+
+def _write_csv_rows(fh, pts: np.ndarray) -> None:
+    """Write each row of the (N, 2) float64 ``pts`` as b"%.17g,%.17g\n"."""
+    rows = min(len(pts), _CSV_BLOCK_ROWS)
+    slots = np.zeros((2 * rows, 4), "<u8")
+    slots[0::2, 3] = ord(",")
+    slots[1::2, 3] = ord("\n")
+    text = slots.reshape(rows, 8).view(np.uint8)
+    for s in range(0, len(pts), _CSV_BLOCK_ROWS):
+        block = pts[s:s + _CSV_BLOCK_ROWS]
+        m = len(block)
+        fast = _format_slots(block.reshape(-1), slots[:2 * m])
+        start = 0
+        for r in np.flatnonzero(~(fast[0::2] & fast[1::2])).tolist():
+            seg = text[start:r]
+            fh.write(seg[seg != 0])
+            fh.write(b"%.17g,%.17g\n" % (block[r, 0], block[r, 1]))
+            start = r + 1
+        seg = text[start:m]
+        fh.write(seg[seg != 0])
+
+
 def write_samples_csv(path: str | Path, batch: SampleBatch) -> None:
     """Header x,y then one %.17g pair per line (exact float64 round-trip)."""
-    chunk = 1 << 18
-    pts = batch.points
-    with open(path, "w", newline="\n") as fh:
-        fh.write("x,y\n")
-        for s in range(0, len(pts), chunk):
-            block = pts[s:s + chunk]
-            fh.write(("%.17g,%.17g\n" * len(block)) % tuple(block.reshape(-1)))
+    with open(path, "wb") as fh:
+        fh.write(b"x,y\n")
+        _write_csv_rows(fh, batch.points)
 
 
 def read_samples_csv(path: str | Path, max_rows: int | None = None) -> np.ndarray:
@@ -275,17 +406,28 @@ def write_warp_mesh_csv(path: str | Path, mapping: DiffeoMap, stride: int = 4) -
     dx = mapping.disp.u_x.values
     dy = mapping.disp.u_y.values
     two_pi = 2.0 * np.pi
-    with open(path, "w", newline="\n") as fh:
-        fh.write("direction,line_index,vertex_index,x,y\n")
+    # vertex v of a polyline sits on node v % n; only the closing vertex is
+    # shifted by a period, but the others still add 0.0, which turns a -0.0
+    # coordinate into 0.0
+    wrap_y = np.arange(grid.n_y + 1) % grid.n_y
+    wrap_x = np.arange(grid.n_x + 1) % grid.n_x
+    shift_y = np.zeros(grid.n_y + 1)
+    shift_y[-1] = two_pi
+    shift_x = np.zeros(grid.n_x + 1)
+    shift_x[-1] = two_pi
+    with open(path, "wb") as fh:
+        fh.write(b"direction,line_index,vertex_index,x,y\n")
         for i in range(0, grid.n_x, stride):
-            for j in range(grid.n_y + 1):
-                jj = j % grid.n_y
-                x = grid.xs[i] + dx[i, jj]
-                y = grid.ys[jj] + dy[i, jj] + (two_pi if j == grid.n_y else 0.0)
-                fh.write("x,%d,%d,%.17g,%.17g\n" % (i, j, x, y))
+            x = grid.xs[i] + dx[i, wrap_y]
+            y = grid.ys[wrap_y] + dy[i, wrap_y] + shift_y
+            fh.write(_polyline_rows(b"x", i, x, y))
         for j in range(0, grid.n_y, stride):
-            for i in range(grid.n_x + 1):
-                ii = i % grid.n_x
-                x = grid.xs[ii] + dx[ii, j] + (two_pi if i == grid.n_x else 0.0)
-                y = grid.ys[j] + dy[ii, j]
-                fh.write("y,%d,%d,%.17g,%.17g\n" % (j, i, x, y))
+            x = grid.xs[wrap_x] + dx[wrap_x, j] + shift_x
+            y = grid.ys[j] + dy[wrap_x, j]
+            fh.write(_polyline_rows(b"y", j, x, y))
+
+
+def _polyline_rows(direction: bytes, line: int, x: np.ndarray, y: np.ndarray) -> bytes:
+    fmt = b"%s,%d,%%d,%%.17g,%%.17g\n" % (direction, line)
+    cells = chain.from_iterable(zip(range(len(x)), x.tolist(), y.tolist()))
+    return (fmt * len(x)) % tuple(cells)

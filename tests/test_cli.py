@@ -96,6 +96,14 @@ class TestSample:
             assert code == 0
         assert a.read_bytes() == b.read_bytes()
 
+    @pytest.mark.parametrize("fmt", ["csv", "oitf"])
+    def test_reports_write_time_after_sampling_time(self, sine_map, tmp_path, capsys, fmt):
+        code = run("sample", "--map", str(sine_map), "--n", "100", "--seed", "1",
+                   "--out", str(tmp_path / "pts"), "--format", fmt)
+        assert code == 0
+        keys = [line.partition(":")[0] for line in capsys.readouterr().out.splitlines()]
+        assert keys[keys.index("sampling_time_s") + 1] == "write_time_s"
+
     def test_negative_n_is_usage_error(self, sine_map, tmp_path):
         code = run("sample", "--map", str(sine_map), "--n", "-5",
                    "--out", str(tmp_path / "x.csv"))

@@ -1,9 +1,12 @@
+from decimal import Decimal
+
 import numpy as np
 import pytest
 
 from oitsample import (
     FileFormatError,
     PeriodicGrid,
+    SampleBatch,
     ScalarField,
     TransportConfig,
     VectorField,
@@ -14,6 +17,7 @@ from oitsample import (
 )
 from oitsample import fileio
 from oitsample.fileio import (
+    _CSV_BLOCK_ROWS,
     read_field_oitf,
     read_map_oitm,
     read_samples_csv,
@@ -221,3 +225,166 @@ class TestFigureExports:
             else:
                 assert float(last[3]) == pytest.approx(float(first[3]) + 2 * np.pi, abs=1e-12)
                 assert float(last[4]) == pytest.approx(float(first[4]), abs=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# the scalar writers the vectorised ones replaced, kept as byte-level oracles
+
+
+def reference_write_samples_csv(path, batch):
+    chunk = 1 << 18
+    pts = batch.points
+    with open(path, "w", newline="\n") as fh:
+        fh.write("x,y\n")
+        for s in range(0, len(pts), chunk):
+            block = pts[s:s + chunk]
+            fh.write(("%.17g,%.17g\n" * len(block)) % tuple(block.reshape(-1)))
+
+
+def reference_write_warp_mesh_csv(path, mapping, stride=4):
+    grid = mapping.grid
+    dx = mapping.disp.u_x.values
+    dy = mapping.disp.u_y.values
+    two_pi = 2.0 * np.pi
+    with open(path, "w", newline="\n") as fh:
+        fh.write("direction,line_index,vertex_index,x,y\n")
+        for i in range(0, grid.n_x, stride):
+            for j in range(grid.n_y + 1):
+                jj = j % grid.n_y
+                x = grid.xs[i] + dx[i, jj]
+                y = grid.ys[jj] + dy[i, jj] + (two_pi if j == grid.n_y else 0.0)
+                fh.write("x,%d,%d,%.17g,%.17g\n" % (i, j, x, y))
+        for j in range(0, grid.n_y, stride):
+            for i in range(grid.n_x + 1):
+                ii = i % grid.n_x
+                x = grid.xs[ii] + dx[ii, j] + (two_pi if i == grid.n_x else 0.0)
+                y = grid.ys[j] + dy[ii, j]
+                fh.write("y,%d,%d,%.17g,%.17g\n" % (j, i, x, y))
+
+
+class _Points:
+    """A stand-in batch without SampleBatch's [-pi, pi) check, so the CSV
+    writer also meets values of every magnitude."""
+
+    def __init__(self, points):
+        self.points = np.ascontiguousarray(points, dtype=np.float64)
+
+
+def _ulps_around(x, count):
+    below = [x]
+    above = [x]
+    for _ in range(count):
+        below.append(np.nextafter(below[-1], -np.inf))
+        above.append(np.nextafter(above[-1], np.inf))
+    return below[1:] + [x] + above[1:]
+
+
+def _exact_ties(rng, per_n=300):
+    """j / 2**n with j odd, n = 17..21, in the decade where the value has 18
+    significant digits, the last a 5: an exact tie at the 17th digit."""
+    ties = []
+    for n in range(17, 22):
+        lo, hi = 10 ** (17 - n) * 2**n, 10 ** (18 - n) * 2**n
+        j = rng.integers(lo // 2, hi // 2, per_n) * 2 + 1
+        ties.extend((j / 2.0**n).tolist())
+    return ties
+
+
+def _carries(rng, count=100):
+    """Values whose 17-digit rounding carries through their 16th and 17th
+    digits, both 9s, so the printed text ends in stripped zeros."""
+    found = []
+    while len(found) < count:
+        x = float(rng.uniform(1.0, 10.0) * 10.0 ** rng.integers(-4, 1))
+        exact = Decimal(x)
+        if exact.as_tuple().digits[15:17] == (9, 9) and Decimal("%.17g" % x) > exact:
+            found.append(x)
+    return found
+
+
+def _stress_values(rng):
+    vals = []
+    for m in range(-4, 2):  # every power of ten from 1e-4 to 10, +-1..40 ulp
+        vals += _ulps_around(float(f"1e{m}"), 40)
+    vals += [np.nextafter(1e-4, 0.0), np.nextafter(10.0, 0.0),
+             np.pi, np.nextafter(np.pi, 0.0), 0.0, 5e-324]
+    vals += _exact_ties(rng)
+    vals += _carries(rng)
+    vals = np.asarray(vals)
+    return np.concatenate([vals, -vals])
+
+
+def _assert_csv_matches_reference(tmp_path, batch):
+    got = tmp_path / "got.csv"
+    want = tmp_path / "want.csv"
+    write_samples_csv(got, batch)
+    reference_write_samples_csv(want, batch)
+    assert got.read_bytes() == want.read_bytes()
+
+
+class TestCsvMatchesPercentFormat:
+    @pytest.mark.parametrize("n", [0, 1, _CSV_BLOCK_ROWS - 1, _CSV_BLOCK_ROWS,
+                                   _CSV_BLOCK_ROWS + 1, 3 * _CSV_BLOCK_ROWS + 7])
+    def test_batch_sizes(self, tmp_path, n):
+        _assert_csv_matches_reference(tmp_path, draw_uniform(n, seed=n))
+
+    def test_stress_values_in_order(self, tmp_path):
+        vals = _stress_values(np.random.default_rng(10))
+        _assert_csv_matches_reference(tmp_path, _Points(vals.reshape(-1, 2)))
+
+    def test_stress_values_shuffled_across_blocks(self, tmp_path):
+        rng = np.random.default_rng(11)
+        vals = _stress_values(rng)
+        pts = rng.uniform(-np.pi, np.pi, (3 * _CSV_BLOCK_ROWS + 7, 2))
+        pts.reshape(-1)[rng.choice(pts.size, len(vals), replace=False)] = vals
+        _assert_csv_matches_reference(tmp_path, _Points(pts))
+
+    def test_per_value_rows_at_block_edges(self, tmp_path):
+        pts = draw_uniform(3 * _CSV_BLOCK_ROWS + 7, seed=4).points.copy()
+        b = _CSV_BLOCK_ROWS
+        edges = [0, 1, b - 1, b, b + 1, 2 * b - 1, 2 * b, len(pts) - 2, len(pts) - 1]
+        for k, r in enumerate(edges):
+            pts[r, k % 2] = (0.0, -0.0, 1e-5, -3e-300)[k % 4]
+        pts[b + 1] = (-0.0, 0.0)
+        _assert_csv_matches_reference(tmp_path, SampleBatch(pts, seed=0))
+
+    def test_stress_values_cover_their_cases(self):
+        rng = np.random.default_rng(12)
+        ties = _exact_ties(rng, per_n=20)
+        for x in ties:
+            digits = Decimal(x).as_tuple().digits
+            assert len(digits) == 18 and digits[-1] == 5
+        for x in _carries(rng, 20):
+            assert len(("%.17g" % x).replace(".", "").strip("0")) <= 15
+        # the float64 just below each decade boundary comes closest to a
+        # rounding that reaches the next decade, and stays below it
+        for m in range(-3, 2):
+            below = float(f"1e{m}")
+            while Decimal(below) >= Decimal(10) ** m:
+                below = np.nextafter(below, 0.0)
+            assert below in _ulps_around(float(f"1e{m}"), 40)
+            assert Decimal("%.17g" % below) < Decimal(10) ** m
+
+    def test_out_of_range_values_use_percent_format(self, tmp_path):
+        vals = np.array([1e-5, 9.99e-5, 10.0, 12.5, 1e16, 1e17, 1e300, 1.7976931348623157e308,
+                         np.inf, np.nan, 2.2250738585072014e-308, 1e-310])
+        _assert_csv_matches_reference(tmp_path, _Points(np.stack([vals, -vals[::-1]], axis=1)))
+
+
+class TestMeshMatchesScalarWriter:
+    @pytest.mark.parametrize("stride", [1, 4, 5])
+    def test_identity(self, tmp_path, stride):
+        mapping = identity_map(PeriodicGrid(16, 24))
+        got = tmp_path / "got.csv"
+        want = tmp_path / "want.csv"
+        write_warp_mesh_csv(got, mapping, stride=stride)
+        reference_write_warp_mesh_csv(want, mapping, stride=stride)
+        assert got.read_bytes() == want.read_bytes()
+
+    @pytest.mark.parametrize("stride", [1, 4])
+    def test_small_build(self, tmp_path, small_build, stride):
+        got = tmp_path / "got.csv"
+        want = tmp_path / "want.csv"
+        write_warp_mesh_csv(got, small_build.map, stride=stride)
+        reference_write_warp_mesh_csv(want, small_build.map, stride=stride)
+        assert got.read_bytes() == want.read_bytes()
