@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+import typing
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
@@ -68,9 +69,11 @@ class RunConfig:
         return "\n".join(lines) + "\n"
 
 
-_INT_KEYS = {"grid", "steps", "seed", "n", "bins", "workers"}
-_FLOAT_KEYS = {"ratio"}
-_STR_KEYS = {"density", "out", "map", "samples", "format"}
+# key -> int, float or str, the non-None member of each field's annotation
+_KEY_TYPES = {
+    key: next(t for t in typing.get_args(hint) or (hint,) if t is not type(None))
+    for key, hint in typing.get_type_hints(RunConfig).items()
+}
 
 
 def parse_config_text(text: str) -> dict:
@@ -85,14 +88,9 @@ def parse_config_text(text: str) -> dict:
         value = value.strip()
         if not sep or not key:
             raise UsageError(f"config line {lineno}: expected key=value, got {raw!r}")
-        if key in _INT_KEYS:
-            values[key] = int(value)
-        elif key in _FLOAT_KEYS:
-            values[key] = float(value)
-        elif key in _STR_KEYS:
-            values[key] = value
-        else:
+        if key not in _KEY_TYPES:
             raise UsageError(f"config line {lineno}: unknown key {key!r}")
+        values[key] = _KEY_TYPES[key](value)
     return values
 
 

@@ -260,6 +260,30 @@ def _index_frac(c: np.ndarray, nodes: np.ndarray, h: float, n: int):
     return i0, frac
 
 
+def _point_stencil(grid: PeriodicGrid, points: np.ndarray) -> _Stencil:
+    """The stencil of every public point query, after its input checks.
+
+    ``points`` is one ``(2,)`` point or an ``(N, 2)`` array; any other shape
+    or a non-finite coordinate raises InvalidInputError.
+    """
+    pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
+    if pts.ndim != 2 or pts.shape[1] != 2:
+        raise InvalidInputError(f"points must have shape (N, 2) or (2,), got {np.shape(points)}")
+    if not np.all(np.isfinite(pts)):
+        raise InvalidInputError("point coordinates must be finite")
+    return _Stencil(grid, np.ascontiguousarray(pts[:, 0]), np.ascontiguousarray(pts[:, 1]))
+
+
+def _displaced_stencil(grid: PeriodicGrid, dx: np.ndarray, dy: np.ndarray) -> _Stencil:
+    """Stencil at the displaced nodes ``(X + dx, Y + dy)``.
+
+    Broadcasting the 1-D node coordinates gives the same sums as the node
+    mesh, bit for bit, without building the mesh.
+    """
+    return _Stencil(grid, (grid.xs[:, None] + dx).reshape(-1),
+                    (grid.ys[None, :] + dy).reshape(-1))
+
+
 def interp_scalar(field: ScalarField, points: np.ndarray) -> np.ndarray:
     """Periodic bilinear interpolation of ``field`` at arbitrary points.
 
@@ -273,26 +297,14 @@ def interp_scalar(field: ScalarField, points: np.ndarray) -> np.ndarray:
     np.ndarray of N interpolated values.  Exact at grid nodes and exact on
     constant fields.
     """
-    pts = np.asarray(points, dtype=np.float64)
-    single = pts.ndim == 1
-    pts = np.atleast_2d(pts)
-    if pts.shape[-1] != 2:
-        raise InvalidInputError("points must have two coordinates")
-    if not np.all(np.isfinite(pts)):
-        raise InvalidInputError("point coordinates must be finite")
-    st = _Stencil(field.grid, np.ascontiguousarray(pts[:, 0]),
-                  np.ascontiguousarray(pts[:, 1]))
+    st = _point_stencil(field.grid, points)
     out = st.gather(field.values)
-    return out[0] if single else out
+    return out[0] if np.ndim(points) == 1 else out
 
 
 def interp_vector(vf: VectorField, points: np.ndarray) -> np.ndarray:
     """Interpolate both components at once; returns shape (N, 2)."""
-    pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
-    if not np.all(np.isfinite(pts)):
-        raise InvalidInputError("point coordinates must be finite")
-    st = _Stencil(vf.grid, np.ascontiguousarray(pts[:, 0]),
-                  np.ascontiguousarray(pts[:, 1]))
+    st = _point_stencil(vf.grid, points)
     return np.stack([st.gather(vf.u_x.values), st.gather(vf.u_y.values)], axis=1)
 
 
@@ -300,25 +312,26 @@ def interp_vector(vf: VectorField, points: np.ndarray) -> np.ndarray:
 # spectral calculus
 
 
-def _deriv_wavenumbers(grid: PeriodicGrid) -> tuple[np.ndarray, np.ndarray]:
-    """Integer wavenumbers per axis with the Nyquist mode's derivative zeroed.
+def _wavenumbers(grid: PeriodicGrid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The grid's one wavenumber table: ``(|k|^2, kx, ky)``.
 
-    Zeroing the (unpaired) Nyquist mode keeps d/dx of a real field real.
+    ``|k|^2`` is the (negated) Laplacian symbol over all modes.  The 1-D
+    derivative tables ``kx``, ``ky`` have the unpaired Nyquist mode of an
+    even axis zeroed, which keeps d/dx of a real field real.
     """
     kx = np.fft.fftfreq(grid.n_x, d=grid.h_x) * TWO_PI
     ky = np.fft.fftfreq(grid.n_y, d=grid.h_y) * TWO_PI
+    k2 = kx[:, None] ** 2 + ky[None, :] ** 2
     if grid.n_x % 2 == 0:
-        kx = kx.copy()
         kx[grid.n_x // 2] = 0.0
     if grid.n_y % 2 == 0:
-        ky = ky.copy()
         ky[grid.n_y // 2] = 0.0
-    return kx, ky
+    return k2, kx, ky
 
 
 def gradient_spectral(f: ScalarField) -> VectorField:
     """Fourier-space gradient; exact for bandlimited fields."""
-    kx, ky = _deriv_wavenumbers(f.grid)
+    _, kx, ky = _wavenumbers(f.grid)
     fh = np.fft.fft2(f.values)
     ux = np.fft.ifft2(1j * kx[:, None] * fh).real
     uy = np.fft.ifft2(1j * ky[None, :] * fh).real
@@ -425,10 +438,7 @@ def _compose_disp_arrays(grid: PeriodicGrid,
                          outer_x: np.ndarray, outer_y: np.ndarray,
                          inner_x: np.ndarray, inner_y: np.ndarray):
     """Displacement of outer-after-inner: d(x) = d_in(x) + d_out(x + d_in(x))."""
-    X, Y = grid.node_mesh()
-    px = (X + inner_x).reshape(-1)
-    py = (Y + inner_y).reshape(-1)
-    st = _Stencil(grid, px, py)
+    st = _displaced_stencil(grid, inner_x, inner_y)
     cx = inner_x + st.gather(outer_x).reshape(grid.shape)
     cy = inner_y + st.gather(outer_y).reshape(grid.shape)
     return cx, cy

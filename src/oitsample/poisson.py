@@ -13,9 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import GridMismatchError, InvalidInputError
-from .grid import PeriodicGrid, ScalarField, _deriv_wavenumbers
-
-TWO_PI = 2.0 * np.pi
+from .grid import PeriodicGrid, ScalarField, _wavenumbers
 
 
 @dataclass(frozen=True)
@@ -33,19 +31,13 @@ class PoissonWorkspace:
     deriv_ky: np.ndarray = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
-        kx = np.fft.fftfreq(self.grid.n_x, d=self.grid.h_x) * TWO_PI
-        ky = np.fft.fftfreq(self.grid.n_y, d=self.grid.h_y) * TWO_PI
-        k2 = kx[:, None] ** 2 + ky[None, :] ** 2
+        k2, dkx, dky = _wavenumbers(self.grid)
         inv = np.zeros_like(k2)
         nz = k2 > 0.0
         inv[nz] = -1.0 / k2[nz]
-        inv.setflags(write=False)
-        object.__setattr__(self, "inv_symbol", inv)
-        dkx, dky = _deriv_wavenumbers(self.grid)
-        dkx.setflags(write=False)
-        dky.setflags(write=False)
-        object.__setattr__(self, "deriv_kx", dkx)
-        object.__setattr__(self, "deriv_ky", dky)
+        for name, table in (("inv_symbol", inv), ("deriv_kx", dkx), ("deriv_ky", dky)):
+            table.setflags(write=False)
+            object.__setattr__(self, name, table)
 
 
 def solve_poisson(ws: PoissonWorkspace, s: ScalarField) -> ScalarField:
@@ -59,9 +51,7 @@ def solve_poisson(ws: PoissonWorkspace, s: ScalarField) -> ScalarField:
 def laplacian_spectral(f: ScalarField) -> ScalarField:
     """Exact-symbol Laplacian, the inverse of :func:`solve_poisson` on
     zero-mean fields."""
-    kx = np.fft.fftfreq(f.grid.n_x, d=f.grid.h_x) * TWO_PI
-    ky = np.fft.fftfreq(f.grid.n_y, d=f.grid.h_y) * TWO_PI
-    k2 = kx[:, None] ** 2 + ky[None, :] ** 2
+    k2 = _wavenumbers(f.grid)[0]
     return ScalarField(f.grid, -np.fft.ifft2(k2 * np.fft.fft2(f.values)).real)
 
 

@@ -88,6 +88,31 @@ def _transform_chunk(mapping: DiffeoMap, pts: np.ndarray, out: np.ndarray) -> No
     out[:, 1] = _wrap_shift(py + st.gather(mapping.disp.u_y.values))
 
 
+def _map_chunks(mapping: DiffeoMap, n: int, seed: int, workers: int,
+                points: np.ndarray | None = None) -> SampleBatch:
+    """Push n points through the map in fixed chunks, on ``workers`` threads.
+
+    Chunk [s, e) is ``points[s:e]`` or, without ``points``, uniform samples
+    s..e-1 drawn only when the chunk runs.  ``draw_uniform`` and
+    ``_transform_chunk`` are looked up as module globals on every chunk.
+    """
+    out = np.empty((n, 2))
+
+    def run(span: tuple[int, int]) -> None:
+        s, e = span
+        chunk = draw_uniform(e - s, seed, start=s).points if points is None else points[s:e]
+        _transform_chunk(mapping, chunk, out[s:e])
+
+    spans = [(s, min(s + _CHUNK, n)) for s in range(0, n, _CHUNK)]
+    if workers > 1 and len(spans) > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            list(pool.map(run, spans))
+    else:
+        for span in spans:
+            run(span)
+    return SampleBatch(out, seed)
+
+
 def transform_samples(mapping: DiffeoMap, batch: SampleBatch,
                       workers: int = 1) -> SampleBatch:
     """Push every point through the map: y = wrap(x + d(x)).
@@ -96,19 +121,7 @@ def transform_samples(mapping: DiffeoMap, batch: SampleBatch,
     and the input batch is untouched.  ``workers`` threads split the batch
     into fixed chunks, which changes nothing in the output.
     """
-    n = batch.count
-    out = np.empty((n, 2))
-    spans = [(s, min(s + _CHUNK, n)) for s in range(0, n, _CHUNK)]
-    if workers > 1 and len(spans) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(
-                lambda se: _transform_chunk(mapping, batch.points[se[0]:se[1]], out[se[0]:se[1]]),
-                spans,
-            ))
-    else:
-        for s, e in spans:
-            _transform_chunk(mapping, batch.points[s:e], out[s:e])
-    return SampleBatch(out, batch.seed)
+    return _map_chunks(mapping, batch.count, batch.seed, workers, batch.points)
 
 
 def sample_target(mapping: DiffeoMap, n: int, seed: int,
@@ -120,18 +133,4 @@ def sample_target(mapping: DiffeoMap, n: int, seed: int,
     """
     if n < 0:
         raise InvalidInputError(f"sample count must be nonnegative, got {n}")
-    out = np.empty((n, 2))
-    spans = [(s, min(s + _CHUNK, n)) for s in range(0, n, _CHUNK)]
-
-    def run(span: tuple[int, int]) -> None:
-        s, e = span
-        chunk = draw_uniform(e - s, seed, start=s)
-        _transform_chunk(mapping, chunk.points, out[s:e])
-
-    if workers > 1 and len(spans) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(run, spans))
-    else:
-        for span in spans:
-            run(span)
-    return SampleBatch(out, seed)
+    return _map_chunks(mapping, n, seed, workers)

@@ -38,6 +38,7 @@ from .grid import (
     PeriodicGrid,
     VectorField,
     _central_diff,
+    _displaced_stencil,
     _jacobian_det_arrays,
     _Stencil,
     wrap_angle,
@@ -45,6 +46,8 @@ from .grid import (
 from .poisson import PoissonWorkspace, _solve_gradient
 
 _NEWTON_ITERS = 3
+# a build warns when a step moves some point by more than this many grid spacings
+_CFL_WARN_THRESHOLD = 0.5
 
 
 @dataclass(frozen=True)
@@ -60,7 +63,6 @@ class TransportConfig:
 
     steps: int
     grid: PeriodicGrid
-    cfl_warn_threshold: float = 0.5
     residual_tol: float = 0.05
     record_diagnostics: bool = False
 
@@ -98,10 +100,9 @@ def pushforward_residual(mapping: DiffeoMap, target: Density) -> float:
     if mapping.grid != target.grid:
         raise GridMismatchError("map and target grids differ")
     grid = mapping.grid
-    X, Y = grid.node_mesh()
     dx = mapping.disp.u_x.values
     dy = mapping.disp.u_y.values
-    st = _Stencil(grid, (X + dx).reshape(-1), (Y + dy).reshape(-1))
+    st = _displaced_stencil(grid, dx, dy)
     mu_at = st.gather(target.field.values).reshape(grid.shape)
     det = _jacobian_det_arrays(grid, dx, dy)
     u0 = uniform_density(grid).field.values[0, 0]
@@ -139,7 +140,7 @@ def build_transport_map(target: Density, cfg: TransportConfig) -> TransportResul
 
     for k in range(K):
         rate = log_density_rate(path, k / K)
-        st_fwd = _Stencil(grid, (X + fwd_x).reshape(-1), (Y + fwd_y).reshape(-1))
+        st_fwd = _displaced_stencil(grid, fwd_x, fwd_y)
         source = st_fwd.gather(rate.values).reshape(shape)
         poisson_mean[k] = source.mean()
         v_x, v_y = _solve_gradient(ws, source)
@@ -153,7 +154,7 @@ def build_transport_map(target: Density, cfg: TransportConfig) -> TransportResul
             kept.append(VectorField.from_arrays(grid, v_x, v_y))
 
         # inverse map: pointwise Euler step of the flow ODE
-        st_inv = _Stencil(grid, (X + inv_x).reshape(-1), (Y + inv_y).reshape(-1))
+        st_inv = _displaced_stencil(grid, inv_x, inv_y)
         inv_x = inv_x + eps * st_inv.gather(v_x).reshape(shape)
         inv_y = inv_y + eps * st_inv.gather(v_y).reshape(shape)
 
@@ -188,10 +189,10 @@ def build_transport_map(target: Density, cfg: TransportConfig) -> TransportResul
         if min_jac[k] <= 0.0:
             raise OrientationLossError(k, float(min_jac[k]))
 
-    exceeded = int(np.count_nonzero(cfl > cfg.cfl_warn_threshold))
+    exceeded = int(np.count_nonzero(cfl > _CFL_WARN_THRESHOLD))
     if exceeded:
         warnings.warn(
-            f"step displacement exceeded {cfg.cfl_warn_threshold} grid spacings "
+            f"step displacement exceeded {_CFL_WARN_THRESHOLD} grid spacings "
             f"on {exceeded} of {K} steps; consider more time steps",
             RuntimeWarning,
             stacklevel=2,

@@ -214,3 +214,32 @@ class TestExport:
 
     def test_missing_subcommand_usage(self):
         assert run() == 1
+
+
+class TestConfigKeyTypes:
+    # the key tables parse_config_text used before it read RunConfig's annotations
+    INT_KEYS = {"grid", "steps", "seed", "n", "bins", "workers"}
+    FLOAT_KEYS = {"ratio"}
+    STR_KEYS = {"density", "out", "map", "samples", "format"}
+
+    def test_every_key_keeps_its_type(self):
+        from dataclasses import fields
+
+        for keys, kind in ((self.INT_KEYS, int), (self.FLOAT_KEYS, float),
+                           (self.STR_KEYS, str)):
+            for key in keys:
+                value = parse_config_text(f"{key}=7\n")[key]
+                assert type(value) is kind and value == kind("7")
+        assert {f.name for f in fields(RunConfig)} == (
+            self.INT_KEYS | self.FLOAT_KEYS | self.STR_KEYS)
+
+    def test_unknown_key_message(self):
+        from oitsample.cli import UsageError
+        with pytest.raises(UsageError, match=r"^config line 2: unknown key 'nope'$"):
+            parse_config_text("seed=1\nnope=1\n")
+
+    def test_bad_int_value_is_usage_error(self, tmp_path):
+        conf = tmp_path / "bad.conf"
+        conf.write_text("grid=1.5\n")
+        assert run("build", "--config", str(conf), "--density", "uniform",
+                   "--out", str(tmp_path / "x.oitm")) == 1

@@ -584,3 +584,79 @@ class TestDiffeoMapInvariants:
         out = m.apply(np.array([[np.pi / 2, 0.0]]))
         assert out[0, 0] == pytest.approx(-np.pi / 2, abs=1e-15)
         assert np.all(out >= -np.pi) and np.all(out < np.pi)
+
+
+class TestPointEntry:
+    """interp_scalar, interp_vector and DiffeoMap.apply share one input check."""
+
+    GRID = PeriodicGrid(16, 16)
+
+    @staticmethod
+    def queries():
+        g = TestPointEntry.GRID
+        vf = VectorField(ScalarField.from_function(g, lambda x, y: np.sin(x) * np.cos(y)),
+                         ScalarField.from_function(g, lambda x, y: 0.2 * np.cos(x + y)))
+        mapping = identity_map(g)
+        return {
+            "interp_scalar": lambda pts: interp_scalar(vf.u_x, pts),
+            "interp_vector": lambda pts: interp_vector(vf, pts),
+            "apply": mapping.apply,
+        }
+
+    @pytest.mark.parametrize("name", ["interp_scalar", "interp_vector", "apply"])
+    @pytest.mark.parametrize("bad", [
+        np.zeros((3, 3)),
+        np.zeros((3, 1)),
+        np.zeros((2, 3)),
+        np.zeros(3),
+        np.zeros((2, 2, 2)),
+        np.array([[0.0, np.nan], [0.1, 0.2]]),
+        np.array([np.nan, 0.0]),
+        np.array([[np.inf, 0.0]]),
+    ], ids=["3col", "1col", "2x3", "3vec", "3d", "nan-row", "nan-point", "inf"])
+    def test_rejects_bad_points(self, name, bad):
+        with pytest.raises(InvalidInputError):
+            self.queries()[name](bad)
+
+    def test_single_point(self):
+        q = self.queries()
+        point = np.array([0.3, -1.2])
+        row = point[None, :]
+        assert np.ndim(q["interp_scalar"](point)) == 0
+        assert q["interp_scalar"](point) == q["interp_scalar"](row)[0]
+        assert np.array_equal(q["interp_vector"](point), q["interp_vector"](row))
+        assert q["interp_vector"](point).shape == (1, 2)
+        assert np.array_equal(q["apply"](point), row)
+
+    def test_empty_batch(self):
+        q = self.queries()
+        empty = np.empty((0, 2))
+        assert q["interp_scalar"](empty).shape == (0,)
+        assert q["interp_vector"](empty).shape == (0, 2)
+        assert q["apply"](empty).shape == (0, 2)
+
+    def test_apply_matches_interp_vector(self, rng):
+        g = PeriodicGrid(32, 32)
+        m = smooth_test_map(g, amp=0.3)
+        pts = random_points(rng, 300)
+        expected = wrap_angle(pts + interp_vector(m.disp, pts))
+        assert np.array_equal(m.apply(pts), expected)
+
+
+class TestDisplacedStencil:
+    """The displaced-node stencil equals one built from the node mesh, bit for bit."""
+
+    @pytest.mark.parametrize("shape", [(32, 48), (37, 20)])
+    def test_matches_mesh_stencil(self, rng, shape):
+        from oitsample.grid import _displaced_stencil
+
+        g = PeriodicGrid(*shape)
+        X, Y = g.node_mesh()
+        for scale in (0.0, 0.05, 3.0, 9.0):
+            dx = scale * rng.standard_normal(g.shape)
+            dy = scale * rng.standard_normal(g.shape)
+            got = _displaced_stencil(g, dx, dy)
+            ref = _Stencil(g, (X + dx).reshape(-1), (Y + dy).reshape(-1))
+            assert np.array_equal(got.base, ref.base)
+            assert np.array_equal(got.fx, ref.fx)
+            assert np.array_equal(got.fy, ref.fy)

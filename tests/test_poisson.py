@@ -95,3 +95,88 @@ class TestSolvePoisson:
         s = laplacian_spectral(zero_mean)
         f = solve_poisson(ws64, s)
         assert np.abs(f.values - zero_mean.values).max() <= 1e-10
+
+
+# The wavenumber formulas as they were before the grid kept one table, kept as
+# the reference that PoissonWorkspace, gradient_spectral and
+# laplacian_spectral must reproduce bit for bit.
+
+
+def reference_deriv_wavenumbers(grid):
+    kx = np.fft.fftfreq(grid.n_x, d=grid.h_x) * 2.0 * np.pi
+    ky = np.fft.fftfreq(grid.n_y, d=grid.h_y) * 2.0 * np.pi
+    if grid.n_x % 2 == 0:
+        kx = kx.copy()
+        kx[grid.n_x // 2] = 0.0
+    if grid.n_y % 2 == 0:
+        ky = ky.copy()
+        ky[grid.n_y // 2] = 0.0
+    return kx, ky
+
+
+def reference_k2(grid):
+    kx = np.fft.fftfreq(grid.n_x, d=grid.h_x) * 2.0 * np.pi
+    ky = np.fft.fftfreq(grid.n_y, d=grid.h_y) * 2.0 * np.pi
+    return kx[:, None] ** 2 + ky[None, :] ** 2
+
+
+def reference_inv_symbol(grid):
+    k2 = reference_k2(grid)
+    inv = np.zeros_like(k2)
+    nz = k2 > 0.0
+    inv[nz] = -1.0 / k2[nz]
+    return inv
+
+
+def reference_gradient(values, grid):
+    kx, ky = reference_deriv_wavenumbers(grid)
+    fh = np.fft.fft2(values)
+    return (np.fft.ifft2(1j * kx[:, None] * fh).real,
+            np.fft.ifft2(1j * ky[None, :] * fh).real)
+
+
+def reference_laplacian(values, grid):
+    return -np.fft.ifft2(reference_k2(grid) * np.fft.fft2(values)).real
+
+
+def reference_solve(values, grid):
+    return np.fft.ifft2(np.fft.fft2(values) * reference_inv_symbol(grid)).real
+
+
+def reference_solve_gradient(values, grid):
+    kx, ky = reference_deriv_wavenumbers(grid)
+    f_hat = np.fft.fft2(values) * reference_inv_symbol(grid)
+    return (np.fft.ifft2(1j * kx[:, None] * f_hat).real,
+            np.fft.ifft2(1j * ky[None, :] * f_hat).real)
+
+
+@pytest.mark.parametrize("shape", [(32, 48), (37, 20), (20, 37), (33, 33)])
+class TestWavenumberTableMatchesReference:
+    def test_workspace_tables(self, shape):
+        g = PeriodicGrid(*shape)
+        ws = PoissonWorkspace(g)
+        kx, ky = reference_deriv_wavenumbers(g)
+        assert np.array_equal(ws.inv_symbol, reference_inv_symbol(g))
+        assert np.array_equal(ws.deriv_kx, kx)
+        assert np.array_equal(ws.deriv_ky, ky)
+        assert not (ws.inv_symbol.flags.writeable or ws.deriv_kx.flags.writeable
+                    or ws.deriv_ky.flags.writeable)
+
+    def test_operators(self, shape, rng):
+        from oitsample import gradient_spectral
+        from oitsample.poisson import _solve_gradient
+
+        g = PeriodicGrid(*shape)
+        ws = PoissonWorkspace(g)
+        for values in (rng.standard_normal(g.shape), bandlimited_field(g, rng).values):
+            f = ScalarField(g, values)
+            gx, gy = reference_gradient(values, g)
+            grad = gradient_spectral(f)
+            assert np.array_equal(grad.u_x.values, gx)
+            assert np.array_equal(grad.u_y.values, gy)
+            assert np.array_equal(laplacian_spectral(f).values, reference_laplacian(values, g))
+            assert np.array_equal(solve_poisson(ws, f).values, reference_solve(values, g))
+            vx, vy = _solve_gradient(ws, values)
+            sx, sy = reference_solve_gradient(values, g)
+            assert np.array_equal(vx, sx)
+            assert np.array_equal(vy, sy)

@@ -166,3 +166,60 @@ class TestSampleBatchInvariants:
     def test_rejects_bad_shape(self):
         with pytest.raises(InvalidInputError):
             SampleBatch(np.zeros((3, 3)), seed=0)
+
+
+class TestOneDriver:
+    """Both public entry points run one chunk loop: one draw (sample_target
+    only) and one map evaluation per chunk, whatever the worker count."""
+
+    CHUNK = 1 << 20
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        import threading
+
+        import oitsample.sampler as sampler
+
+        assert sampler._CHUNK == self.CHUNK
+        log = {"draw": [], "transform": []}
+        lock = threading.Lock()
+        draw, transform = sampler.draw_uniform, sampler._transform_chunk
+
+        def counting_draw(n, seed, start=0):
+            with lock:
+                log["draw"].append((start, n))
+            return draw(n, seed, start=start)
+
+        def counting_transform(mapping, pts, out):
+            with lock:
+                log["transform"].append(len(pts))
+            transform(mapping, pts, out)
+
+        monkeypatch.setattr(sampler, "draw_uniform", counting_draw)
+        monkeypatch.setattr(sampler, "_transform_chunk", counting_transform)
+        return log
+
+    @classmethod
+    def expected_spans(cls, n):
+        return [(s, min(s + cls.CHUNK, n) - s) for s in range(0, n, cls.CHUNK)]
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    @pytest.mark.parametrize("n", [0, 1 << 20, 2 * (1 << 20) + 5])
+    def test_sample_target(self, calls, workers, n):
+        g = PeriodicGrid(16, 16)
+        out = sample_target(identity_map(g), n, seed=6, workers=workers)
+        spans = self.expected_spans(n)
+        assert sorted(calls["draw"]) == spans
+        assert sorted(calls["transform"]) == sorted(size for _, size in spans)
+        assert out.count == n and out.seed == 6
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    @pytest.mark.parametrize("n", [0, 1 << 20, 2 * (1 << 20) + 5])
+    def test_transform_samples(self, calls, workers, n):
+        g = PeriodicGrid(16, 16)
+        batch = SampleBatch(np.zeros((n, 2)), seed=8)
+        out = transform_samples(identity_map(g), batch, workers=workers)
+        assert calls["draw"] == []
+        assert sorted(calls["transform"]) == sorted(size for _, size in self.expected_spans(n))
+        assert out.count == n and out.seed == 8
+        assert np.array_equal(out.points, batch.points)
