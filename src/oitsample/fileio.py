@@ -8,7 +8,8 @@ A sample batch stored as OITF uses n_x = N, n_y = 1, components = 2
 
 OITM (map) layout:
     magic "OITM1\\n" | u32 n_x | u32 n_y | u32 steps | f64 angle
-    | f64 residual | u8 flags (bit0 residual-above-tol, bit1 cfl-warned)
+    | f64 residual | u8 flags (bit0 residual-above-tol; bit1 was a CFL
+      warning flag, still set in files from older writers and ignored)
     | u32 id_len | id_len bytes utf-8 density identifier
     | steps f64 cfl | steps f64 poisson_mean | steps f64 min_jacobian
     | forward displacement (x then y) | inverse displacement (x then y),
@@ -58,75 +59,74 @@ def _read_f64_array(buf: bytes, offset: int, count: int, what: str):
 # OITF fields
 
 
-def write_field_oitf(path: str | Path, field: ScalarField | VectorField) -> None:
-    if isinstance(field, ScalarField):
-        grid = field.grid
-        components = [field.values]
-    else:
-        grid = field.grid
-        components = [field.u_x.values, field.u_y.values]
+def _write_oitf(path: str | Path, n_x: int, n_y: int, columns: list[np.ndarray]) -> None:
+    """Header, then each column's n_x*n_y values in row-major order.
+
+    Every column goes out in blocks through one reused buffer, so no
+    full-length copy of a column is ever made.
+    """
+    count = n_x * n_y
+    buf = np.empty(min(count, _OITF_BLOCK_ROWS), _F64)
     with open(path, "wb") as fh:
         fh.write(OITF_MAGIC)
-        fh.write(np.asarray([grid.n_x, grid.n_y], _U32).tobytes())
-        fh.write(bytes([len(components)]))
-        for comp in components:
-            fh.write(np.ascontiguousarray(comp, dtype=_F64).tobytes())
+        fh.write(np.asarray([n_x, n_y], _U32).tobytes())
+        fh.write(bytes([len(columns)]))
+        for col in columns:
+            flat = col.reshape(-1)
+            for s in range(0, count, _OITF_BLOCK_ROWS):
+                block = buf[:min(count - s, _OITF_BLOCK_ROWS)]
+                block[...] = flat[s:s + len(block)]
+                fh.write(block)
 
 
-def read_field_oitf(path: str | Path) -> ScalarField | VectorField:
+def _read_oitf(path: str | Path) -> tuple[int, int, list[np.ndarray]]:
+    """n_x, n_y and the flat float64 columns of an OITF file."""
     buf = Path(path).read_bytes()
     magic, offset = _take(buf, 0, len(OITF_MAGIC), "magic")
     if magic != OITF_MAGIC:
-        raise FileFormatError(f"{path}: not an OITF field file")
+        raise FileFormatError(f"{path}: not an OITF file")
     n_x, offset = _read_u32(buf, offset, "n_x")
     n_y, offset = _read_u32(buf, offset, "n_y")
     raw, offset = _take(buf, offset, 1, "component count")
     comps = raw[0]
     if comps not in (1, 2):
         raise FileFormatError(f"{path}: component count {comps} not in (1, 2)")
-    grid = PeriodicGrid(n_x, n_y)
-    arrays = []
+    columns = []
     for c in range(comps):
-        vals, offset = _read_f64_array(buf, offset, n_x * n_y, f"component {c}")
-        arrays.append(vals.reshape(n_x, n_y))
+        col, offset = _read_f64_array(buf, offset, n_x * n_y, f"component {c}")
+        columns.append(col)
     if offset != len(buf):
         raise FileFormatError(f"{path}: {len(buf) - offset} trailing bytes")
-    if comps == 1:
+    return n_x, n_y, columns
+
+
+def write_field_oitf(path: str | Path, field: ScalarField | VectorField) -> None:
+    if isinstance(field, ScalarField):
+        columns = [field.values]
+    else:
+        columns = [field.u_x.values, field.u_y.values]
+    _write_oitf(path, field.grid.n_x, field.grid.n_y, columns)
+
+
+def read_field_oitf(path: str | Path) -> ScalarField | VectorField:
+    n_x, n_y, columns = _read_oitf(path)
+    grid = PeriodicGrid(n_x, n_y)
+    arrays = [col.reshape(n_x, n_y) for col in columns]
+    if len(arrays) == 1:
         return ScalarField(grid, arrays[0])
     return VectorField.from_arrays(grid, arrays[0], arrays[1])
 
 
 def write_samples_oitf(path: str | Path, batch: SampleBatch) -> None:
-    n = batch.count
-    # each column goes out in blocks through one reusable buffer, so no
-    # full-length column copy is ever made
-    buf = np.empty(min(n, _OITF_BLOCK_ROWS), _F64)
-    with open(path, "wb") as fh:
-        fh.write(OITF_MAGIC)
-        fh.write(np.asarray([n, 1], _U32).tobytes())
-        fh.write(bytes([2]))
-        for col in (0, 1):
-            for s in range(0, n, _OITF_BLOCK_ROWS):
-                block = buf[:min(n - s, _OITF_BLOCK_ROWS)]
-                block[...] = batch.points[s:s + len(block), col]
-                fh.write(block)
+    _write_oitf(path, batch.count, 1, [batch.points[:, 0], batch.points[:, 1]])
 
 
 def read_samples_oitf(path: str | Path) -> np.ndarray:
-    buf = Path(path).read_bytes()
-    magic, offset = _take(buf, 0, len(OITF_MAGIC), "magic")
-    if magic != OITF_MAGIC:
-        raise FileFormatError(f"{path}: not an OITF file")
-    n, offset = _read_u32(buf, offset, "count")
-    n_y, offset = _read_u32(buf, offset, "n_y")
-    raw, offset = _take(buf, offset, 1, "component count")
-    if n_y != 1 or raw[0] != 2:
-        raise FileFormatError(f"{path}: not a sample-batch OITF (n_y={n_y}, comps={raw[0]})")
-    xs, offset = _read_f64_array(buf, offset, n, "x coordinates")
-    ys, offset = _read_f64_array(buf, offset, n, "y coordinates")
-    if offset != len(buf):
-        raise FileFormatError(f"{path}: {len(buf) - offset} trailing bytes")
-    return np.stack([xs, ys], axis=1)
+    n, n_y, columns = _read_oitf(path)
+    if n_y != 1 or len(columns) != 2:
+        raise FileFormatError(
+            f"{path}: not a sample-batch OITF (n_y={n_y}, comps={len(columns)})")
+    return np.stack(columns, axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -140,7 +140,6 @@ class MapMetadata:
     residual: float
     density_id: str
     residual_above_tol: bool
-    cfl_warned: bool
     cfl: np.ndarray
     poisson_mean: np.ndarray
     min_jacobian: np.ndarray
@@ -148,7 +147,7 @@ class MapMetadata:
 
 def write_map_oitm(path: str | Path, result: TransportResult, density_id: str) -> None:
     grid = result.map.grid
-    flags = (1 if result.residual_above_tol else 0) | (2 if result.cfl_exceeded_steps else 0)
+    flags = 1 if result.residual_above_tol else 0
     ident = density_id.encode("utf-8")
     with open(path, "wb") as fh:
         fh.write(OITM_MAGIC)
@@ -200,7 +199,6 @@ def read_map_oitm(path: str | Path) -> tuple[DiffeoMap, MapMetadata]:
         residual=float(head[1]),
         density_id=ident_raw.decode("utf-8"),
         residual_above_tol=bool(flags & 1),
-        cfl_warned=bool(flags & 2),
         cfl=diags[0],
         poisson_mean=diags[1],
         min_jacobian=diags[2],

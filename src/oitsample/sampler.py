@@ -37,7 +37,8 @@ class SampleBatch:
         pts = np.asarray(self.points, dtype=np.float64)
         if pts.ndim != 2 or pts.shape[1] != 2:
             raise InvalidInputError(f"points must be (N, 2), got {pts.shape}")
-        if pts.size and (pts.min() < -np.pi or pts.max() >= np.pi):
+        # written so that a NaN, for which every comparison is False, fails
+        if pts.size and not (-np.pi <= pts.min() and pts.max() < np.pi):
             raise InvalidInputError("sample coordinates must lie in [-pi, pi)")
         pts = np.ascontiguousarray(pts)
         pts.setflags(write=False)
@@ -96,6 +97,8 @@ def _map_chunks(mapping: DiffeoMap, n: int, seed: int, workers: int,
     s..e-1 drawn only when the chunk runs.  ``draw_uniform`` and
     ``_transform_chunk`` are looked up as module globals on every chunk.
     """
+    if workers < 1:
+        raise InvalidInputError(f"worker count must be >= 1, got {workers}")
     out = np.empty((n, 2))
 
     def run(span: tuple[int, int]) -> None:

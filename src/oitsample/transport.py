@@ -46,8 +46,6 @@ from .grid import (
 from .poisson import PoissonWorkspace, _solve_gradient
 
 _NEWTON_ITERS = 3
-# a build warns when a step moves some point by more than this many grid spacings
-_CFL_WARN_THRESHOLD = 0.5
 
 
 @dataclass(frozen=True)
@@ -87,7 +85,6 @@ class TransportResult:
     poisson_mean: np.ndarray
     min_jacobian: np.ndarray
     residual_above_tol: bool
-    cfl_exceeded_steps: int
     velocity_fields: tuple[VectorField, ...] | None = None
 
 
@@ -189,15 +186,6 @@ def build_transport_map(target: Density, cfg: TransportConfig) -> TransportResul
         if min_jac[k] <= 0.0:
             raise OrientationLossError(k, float(min_jac[k]))
 
-    exceeded = int(np.count_nonzero(cfl > _CFL_WARN_THRESHOLD))
-    if exceeded:
-        warnings.warn(
-            f"step displacement exceeded {_CFL_WARN_THRESHOLD} grid spacings "
-            f"on {exceeded} of {K} steps; consider more time steps",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-
     mapping = DiffeoMap(
         grid,
         VectorField.from_arrays(grid, fwd_x, fwd_y),
@@ -219,6 +207,5 @@ def build_transport_map(target: Density, cfg: TransportConfig) -> TransportResul
         poisson_mean=poisson_mean,
         min_jacobian=min_jac,
         residual_above_tol=above,
-        cfl_exceeded_steps=exceeded,
         velocity_fields=tuple(kept) if cfg.record_diagnostics else None,
     )

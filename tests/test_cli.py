@@ -129,6 +129,13 @@ class TestSample:
         from oitsample.fileio import read_samples_oitf
         assert read_samples_oitf(out).shape == (100, 2)
 
+    def test_zero_workers_is_config_error(self, sine_map, tmp_path):
+        out = tmp_path / "x.csv"
+        code = run("sample", "--map", str(sine_map), "--n", "10",
+                   "--out", str(out), "--workers", "0")
+        assert code == 1
+        assert not out.exists()
+
     def test_workers_do_not_change_bytes(self, sine_map, tmp_path):
         a = tmp_path / "w1.csv"
         b = tmp_path / "w4.csv"
@@ -199,6 +206,14 @@ class TestExport:
         kept = read_samples_csv(sub)
         assert kept.shape == (100, 2)
         assert np.array_equal(kept, read_samples_csv(pts)[:100])
+
+    def test_scatter_rejects_nan_rows(self, tmp_path):
+        pts = tmp_path / "pts.csv"
+        pts.write_text("x,y\n0.5,0.1\nnan,0.1\n")
+        sub = tmp_path / "sub.csv"
+        code = run("export", "--samples", str(pts), "--out", str(sub))
+        assert code == 1
+        assert not sub.exists()
 
     def test_scatter_rejects_negative_count(self, tmp_path):
         pts = tmp_path / "pts.csv"

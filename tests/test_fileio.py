@@ -1,3 +1,4 @@
+import dataclasses
 from decimal import Decimal
 
 import numpy as np
@@ -83,6 +84,19 @@ class TestOitfFields:
         with pytest.raises(FileFormatError):
             read_field_oitf(p)
 
+    @pytest.mark.parametrize("vector", [False, True])
+    def test_blocked_writes_match_whole_columns(self, tmp_path, monkeypatch, rng, vector):
+        monkeypatch.setattr(fileio, "_OITF_BLOCK_ROWS", 4)
+        g = PeriodicGrid(5, 7)  # 35 values: several blocks and a partial one
+        cols = [rng.standard_normal(g.shape) for _ in range(2 if vector else 1)]
+        field = (VectorField.from_arrays(g, *cols) if vector
+                 else ScalarField(g, cols[0]))
+        p = tmp_path / "field.oitf"
+        write_field_oitf(p, field)
+        header = b"OITF1\n" + np.asarray([5, 7], "<u4").tobytes() + bytes([len(cols)])
+        assert p.read_bytes() == header + b"".join(
+            np.ascontiguousarray(c, dtype="<f8").tobytes() for c in cols)
+
 
 class TestSampleFiles:
     def test_oitf_round_trip(self, tmp_path):
@@ -100,6 +114,12 @@ class TestSampleFiles:
         cols = np.ascontiguousarray(batch.points.T, dtype="<f8")
         header = b"OITF1\n" + np.asarray([n, 1], "<u4").tobytes() + bytes([2])
         assert p.read_bytes() == header + cols.tobytes()
+
+    def test_oitf_reader_rejects_a_field_file(self, tmp_path):
+        p = tmp_path / "field.oitf"
+        write_field_oitf(p, ScalarField.constant(PeriodicGrid(8, 8), 1.0))
+        with pytest.raises(FileFormatError):
+            read_samples_oitf(p)
 
     def test_csv_round_trip_is_exact(self, tmp_path):
         batch = draw_uniform(2000, seed=6)
@@ -153,6 +173,23 @@ class TestOitmMaps:
         assert meta.residual == small_build.residual
         assert np.array_equal(meta.cfl, small_build.cfl)
         assert np.array_equal(meta.min_jacobian, small_build.min_jacobian)
+
+    def test_flag_bit1_from_older_writers_is_ignored(self, tmp_path, small_build):
+        # bit1 of the flag byte (offset 34) was once set by a CFL warning
+        p = tmp_path / "map.oitm"
+        write_map_oitm(p, small_build, "sine-test")
+        data = bytearray(p.read_bytes())
+        assert data[34] == 0
+        old = tmp_path / "old.oitm"
+        data[34] |= 2
+        old.write_bytes(bytes(data))
+        mapping, meta = read_map_oitm(p)
+        old_mapping, old_meta = read_map_oitm(old)
+        for a, b in ((mapping.disp, old_mapping.disp), (mapping.inv_disp, old_mapping.inv_disp)):
+            assert np.array_equal(a.u_x.values, b.u_x.values)
+            assert np.array_equal(a.u_y.values, b.u_y.values)
+        for f in dataclasses.fields(meta):
+            assert np.array_equal(getattr(old_meta, f.name), getattr(meta, f.name))
 
     def test_bad_magic(self, tmp_path):
         p = tmp_path / "bad.oitm"

@@ -167,6 +167,26 @@ class TestSampleBatchInvariants:
         with pytest.raises(InvalidInputError):
             SampleBatch(np.zeros((3, 3)), seed=0)
 
+    @pytest.mark.parametrize("col", [0, 1])
+    def test_rejects_nan(self, col):
+        pts = np.zeros((4, 2))
+        pts[2, col] = np.nan
+        with pytest.raises(InvalidInputError):
+            SampleBatch(pts, seed=0)
+
+
+class TestWorkerCount:
+    @pytest.mark.parametrize("workers", [0, -1])
+    def test_sample_target_rejects(self, workers):
+        with pytest.raises(InvalidInputError):
+            sample_target(identity_map(PeriodicGrid(8, 8)), 10, seed=0, workers=workers)
+
+    @pytest.mark.parametrize("workers", [0, -1])
+    def test_transform_samples_rejects(self, workers):
+        batch = draw_uniform(10, seed=0)
+        with pytest.raises(InvalidInputError):
+            transform_samples(identity_map(PeriodicGrid(8, 8)), batch, workers=workers)
+
 
 class TestOneDriver:
     """Both public entry points run one chunk loop: one draw (sample_target

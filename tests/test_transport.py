@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -133,6 +135,17 @@ class TestDiagnosticsAndErrors:
             result = build_transport_map(
                 target, TransportConfig(steps=12, grid=g, residual_tol=1e-6))
         assert result.residual_above_tol
+
+    def test_large_steps_build_without_warning(self):
+        # 7 of the 8 steps move some node by more than half a grid spacing;
+        # the per-step CFL is recorded, and only a residual above tolerance warns
+        g = PeriodicGrid(32, 32)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = build_transport_map(make_density("sine-perturbation:0.85", g),
+                                         TransportConfig(steps=8, grid=g))
+        assert result.cfl.max() > 0.5
+        assert not result.residual_above_tol
 
     def test_determinism(self):
         g = PeriodicGrid(48, 48)
