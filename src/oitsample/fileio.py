@@ -32,27 +32,62 @@ from .transport import TransportResult
 OITF_MAGIC = b"OITF1\n"
 OITM_MAGIC = b"OITM1\n"
 
-_U32 = np.dtype("<u4")
+# The fixed-size file headers, packed; the writers and readers share them.
+_OITF_HEAD = np.dtype([("magic", "S6"), ("n_x", "<u4"), ("n_y", "<u4"), ("comps", "u1")])
+_OITM_HEAD = np.dtype([("magic", "S6"), ("n_x", "<u4"), ("n_y", "<u4"), ("steps", "<u4"),
+                       ("angle", "<f8"), ("residual", "<f8"), ("flags", "u1"),
+                       ("id_len", "<u4")])
 _F64 = np.dtype("<f8")
 
 _OITF_BLOCK_ROWS = 1 << 20
 
 
-def _take(buf: bytes, offset: int, count: int, what: str) -> tuple[bytes, int]:
-    end = offset + count
+def _take(buf: bytes, offset: int, dtype: np.dtype, count: int,
+          what: str) -> tuple[np.ndarray, int]:
+    """``count`` values of ``dtype`` at ``offset`` (a read-only view), and
+    the offset just past them."""
+    end = offset + dtype.itemsize * count
     if end > len(buf):
         raise FileFormatError(f"truncated file while reading {what}")
-    return buf[offset:end], end
+    return np.frombuffer(buf, dtype, count, offset), end
 
 
-def _read_u32(buf: bytes, offset: int, what: str) -> tuple[int, int]:
-    raw, offset = _take(buf, offset, 4, what)
-    return int(np.frombuffer(raw, _U32)[0]), offset
+def _read_head(path: str | Path, buf: bytes, layout: np.dtype,
+               magic: bytes) -> tuple[dict, int]:
+    """The header's fields as Python scalars (so n_x * n_y cannot wrap in
+    uint32), and the offset after it."""
+    raw, offset = _take(buf, 0, layout, 1, "header")
+    if raw["magic"][0] != magic:
+        raise FileFormatError(f"{path}: not an {magic[:4].decode()} file")
+    return {name: raw[name][0].item() for name in layout.names}, offset
 
 
-def _read_f64_array(buf: bytes, offset: int, count: int, what: str):
-    raw, offset = _take(buf, offset, 8 * count, what)
-    return np.frombuffer(raw, _F64).astype(np.float64), offset
+def _read_columns(path: str | Path, buf: bytes, offset: int,
+                  counts: dict[str, int]) -> dict[str, np.ndarray]:
+    """The rest of the file: for each name in order, a fresh float64 column
+    of its count of values."""
+    columns = {}
+    for name, count in counts.items():
+        col, offset = _take(buf, offset, _F64, count, name)
+        columns[name] = col.astype(np.float64)
+    if offset != len(buf):
+        raise FileFormatError(f"{path}: {len(buf) - offset} trailing bytes")
+    return columns
+
+
+def _write_columns(fh, columns: list[np.ndarray]) -> None:
+    """Each column's values as float64, in row-major order.
+
+    Every column goes out in blocks through one reused buffer, so no
+    full-length copy of a column is ever made.
+    """
+    buf = np.empty(min(max(col.size for col in columns), _OITF_BLOCK_ROWS), _F64)
+    for col in columns:
+        flat = col.reshape(-1)
+        for s in range(0, flat.size, _OITF_BLOCK_ROWS):
+            block = buf[:min(flat.size - s, _OITF_BLOCK_ROWS)]
+            block[...] = flat[s:s + len(block)]
+            fh.write(block)
 
 
 # ---------------------------------------------------------------------------
@@ -60,44 +95,22 @@ def _read_f64_array(buf: bytes, offset: int, count: int, what: str):
 
 
 def _write_oitf(path: str | Path, n_x: int, n_y: int, columns: list[np.ndarray]) -> None:
-    """Header, then each column's n_x*n_y values in row-major order.
-
-    Every column goes out in blocks through one reused buffer, so no
-    full-length copy of a column is ever made.
-    """
-    count = n_x * n_y
-    buf = np.empty(min(count, _OITF_BLOCK_ROWS), _F64)
+    """Header, then each column's n_x*n_y values in row-major order."""
     with open(path, "wb") as fh:
-        fh.write(OITF_MAGIC)
-        fh.write(np.asarray([n_x, n_y], _U32).tobytes())
-        fh.write(bytes([len(columns)]))
-        for col in columns:
-            flat = col.reshape(-1)
-            for s in range(0, count, _OITF_BLOCK_ROWS):
-                block = buf[:min(count - s, _OITF_BLOCK_ROWS)]
-                block[...] = flat[s:s + len(block)]
-                fh.write(block)
+        fh.write(np.array((OITF_MAGIC, n_x, n_y, len(columns)), _OITF_HEAD).tobytes())
+        _write_columns(fh, columns)
 
 
 def _read_oitf(path: str | Path) -> tuple[int, int, list[np.ndarray]]:
     """n_x, n_y and the flat float64 columns of an OITF file."""
     buf = Path(path).read_bytes()
-    magic, offset = _take(buf, 0, len(OITF_MAGIC), "magic")
-    if magic != OITF_MAGIC:
-        raise FileFormatError(f"{path}: not an OITF file")
-    n_x, offset = _read_u32(buf, offset, "n_x")
-    n_y, offset = _read_u32(buf, offset, "n_y")
-    raw, offset = _take(buf, offset, 1, "component count")
-    comps = raw[0]
+    head, offset = _read_head(path, buf, _OITF_HEAD, OITF_MAGIC)
+    n_x, n_y, comps = head["n_x"], head["n_y"], head["comps"]
     if comps not in (1, 2):
         raise FileFormatError(f"{path}: component count {comps} not in (1, 2)")
-    columns = []
-    for c in range(comps):
-        col, offset = _read_f64_array(buf, offset, n_x * n_y, f"component {c}")
-        columns.append(col)
-    if offset != len(buf):
-        raise FileFormatError(f"{path}: {len(buf) - offset} trailing bytes")
-    return n_x, n_y, columns
+    columns = _read_columns(path, buf, offset,
+                            {f"component {c}": n_x * n_y for c in range(comps)})
+    return n_x, n_y, list(columns.values())
 
 
 def write_field_oitf(path: str | Path, field: ScalarField | VectorField) -> None:
@@ -133,6 +146,11 @@ def read_samples_oitf(path: str | Path) -> np.ndarray:
 # OITM maps
 
 
+# per-step diagnostics, named as in TransportResult and MapMetadata
+_OITM_DIAGS = ("cfl", "poisson_mean", "min_jacobian")
+_OITM_DISP = ("fwd_x", "fwd_y", "inv_x", "inv_y")
+
+
 @dataclass(frozen=True)
 class MapMetadata:
     steps: int
@@ -147,61 +165,43 @@ class MapMetadata:
 
 def write_map_oitm(path: str | Path, result: TransportResult, density_id: str) -> None:
     grid = result.map.grid
-    flags = 1 if result.residual_above_tol else 0
     ident = density_id.encode("utf-8")
+    head = (OITM_MAGIC, grid.n_x, grid.n_y, len(result.cfl), result.angle,
+            result.residual, 1 if result.residual_above_tol else 0, len(ident))
+    disp = result.map.disp
+    inv = result.map.inv_disp
     with open(path, "wb") as fh:
-        fh.write(OITM_MAGIC)
-        fh.write(np.asarray([grid.n_x, grid.n_y, len(result.cfl)], _U32).tobytes())
-        fh.write(np.asarray([result.angle, result.residual], _F64).tobytes())
-        fh.write(bytes([flags]))
-        fh.write(np.asarray([len(ident)], _U32).tobytes())
+        fh.write(np.array(head, _OITM_HEAD).tobytes())
         fh.write(ident)
-        for arr in (result.cfl, result.poisson_mean, result.min_jacobian):
-            fh.write(np.ascontiguousarray(arr, dtype=_F64).tobytes())
-        disp = result.map.disp
-        inv = result.map.inv_disp
-        for comp in (disp.u_x, disp.u_y, inv.u_x, inv.u_y):
-            fh.write(np.ascontiguousarray(comp.values, dtype=_F64).tobytes())
+        _write_columns(fh, [getattr(result, name) for name in _OITM_DIAGS] + [
+            c.values for c in (disp.u_x, disp.u_y, inv.u_x, inv.u_y)])
 
 
 def read_map_oitm(path: str | Path) -> tuple[DiffeoMap, MapMetadata]:
     buf = Path(path).read_bytes()
-    magic, offset = _take(buf, 0, len(OITM_MAGIC), "magic")
-    if magic != OITM_MAGIC:
-        raise FileFormatError(f"{path}: not an OITM map file")
-    n_x, offset = _read_u32(buf, offset, "n_x")
-    n_y, offset = _read_u32(buf, offset, "n_y")
-    steps, offset = _read_u32(buf, offset, "steps")
-    head, offset = _read_f64_array(buf, offset, 2, "angle/residual")
-    raw, offset = _take(buf, offset, 1, "flags")
-    flags = raw[0]
-    id_len, offset = _read_u32(buf, offset, "identifier length")
-    ident_raw, offset = _take(buf, offset, id_len, "identifier")
-    diags = []
-    for name in ("cfl", "poisson_mean", "min_jacobian"):
-        arr, offset = _read_f64_array(buf, offset, steps, name)
-        diags.append(arr)
-    comps = []
-    for name in ("fwd_x", "fwd_y", "inv_x", "inv_y"):
-        arr, offset = _read_f64_array(buf, offset, n_x * n_y, name)
-        comps.append(arr.reshape(n_x, n_y))
-    if offset != len(buf):
-        raise FileFormatError(f"{path}: {len(buf) - offset} trailing bytes")
+    head, offset = _read_head(path, buf, _OITM_HEAD, OITM_MAGIC)
+    ident, offset = _take(buf, offset, np.dtype("u1"), head["id_len"], "identifier")
+    try:
+        density_id = ident.tobytes().decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise FileFormatError(f"{path}: density identifier is not UTF-8 ({exc})") from exc
+    n_x, n_y, steps = head["n_x"], head["n_y"], head["steps"]
+    columns = _read_columns(path, buf, offset, {**dict.fromkeys(_OITM_DIAGS, steps),
+                                                **dict.fromkeys(_OITM_DISP, n_x * n_y)})
     grid = PeriodicGrid(n_x, n_y)
+    fwd_x, fwd_y, inv_x, inv_y = (columns[name].reshape(n_x, n_y) for name in _OITM_DISP)
     mapping = DiffeoMap(
         grid,
-        VectorField.from_arrays(grid, comps[0], comps[1]),
-        VectorField.from_arrays(grid, comps[2], comps[3]),
+        VectorField.from_arrays(grid, fwd_x, fwd_y),
+        VectorField.from_arrays(grid, inv_x, inv_y),
     )
     meta = MapMetadata(
         steps=steps,
-        angle=float(head[0]),
-        residual=float(head[1]),
-        density_id=ident_raw.decode("utf-8"),
-        residual_above_tol=bool(flags & 1),
-        cfl=diags[0],
-        poisson_mean=diags[1],
-        min_jacobian=diags[2],
+        angle=head["angle"],
+        residual=head["residual"],
+        density_id=density_id,
+        residual_above_tol=bool(head["flags"] & 1),
+        **{name: columns[name] for name in _OITM_DIAGS},
     )
     return mapping, meta
 
@@ -355,16 +355,21 @@ def read_samples_csv(path: str | Path, max_rows: int | None = None) -> np.ndarra
     """Sample points from a CSV; with ``max_rows``, rows after that many are
     not parsed."""
     with open(path) as fh:
-        header = fh.readline().strip()
-        if header != "x,y":
-            raise FileFormatError(f"{path}: expected header 'x,y', got {header!r}")
-        start = fh.tell()
-        while (line := fh.readline()) and not line.strip():
+        try:
+            header = fh.readline().strip()
+            if header != "x,y":
+                raise FileFormatError(f"{path}: expected header 'x,y', got {header!r}")
             start = fh.tell()
-        if not line:
-            return np.empty((0, 2))
-        fh.seek(start)
-        data = np.loadtxt(fh, delimiter=",", ndmin=2, max_rows=max_rows)
+            while (line := fh.readline()) and not line.strip():
+                start = fh.tell()
+            if not line:
+                return np.empty((0, 2))
+            fh.seek(start)
+            data = np.loadtxt(fh, delimiter=",", ndmin=2, max_rows=max_rows)
+        except FileFormatError:
+            raise
+        except ValueError as exc:  # a field that is not a number, or undecodable text
+            raise FileFormatError(f"{path}: unreadable sample CSV ({exc})") from exc
     if data.shape[1] != 2:
         raise FileFormatError(f"{path}: expected two columns")
     return data

@@ -14,9 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInputError
-from .grid import DiffeoMap, _Stencil, _wrap_shift
-
-TWO_PI = 2.0 * np.pi
+from .grid import TWO_PI, DiffeoMap, _Stencil, _wrap_shift
 
 # Philox key word separating this stream from the rejection oracle's
 _STREAM_UNIFORM = 0x756E6966  # "unif"
@@ -49,19 +47,18 @@ class SampleBatch:
         return self.points.shape[0]
 
 
-def _raw_words(seed: int, word_start: int, n_words: int) -> np.ndarray:
-    """Words [word_start, word_start + n_words) of the keyed Philox stream.
+def _uniform_stream(seed: int, stream: int, start: int, n: int) -> np.ndarray:
+    """Uniforms [start, start + n) of the Philox stream keyed by (seed, stream).
 
-    The generator emits 4 words per counter block, so the fetch is aligned
-    down to a block boundary and the lead-in is sliced off.
+    Uniform i is ``(word_i >> 11) * 2**-53`` of raw 64-bit word i.  The
+    generator emits 4 words per counter block, so the counter advances by
+    whole blocks and the lead-in words are discarded.
     """
-    block0, lead = divmod(word_start, 4)
-    bg = np.random.Philox(key=[seed & _MASK64, _STREAM_UNIFORM])
-    if block0:
-        bg.advance(block0)
-    n_blocks = -(-(lead + n_words) // 4)
-    words = bg.random_raw(n_blocks * 4)
-    return words[lead:lead + n_words]
+    block0, lead = divmod(start, 4)
+    bg = np.random.Philox(key=[seed & _MASK64, stream])
+    bg.advance(block0)
+    bg.random_raw(lead)
+    return np.random.Generator(bg).random(n)
 
 
 def draw_uniform(n: int, seed: int, start: int = 0) -> SampleBatch:
@@ -74,11 +71,10 @@ def draw_uniform(n: int, seed: int, start: int = 0) -> SampleBatch:
         raise InvalidInputError(f"sample count must be nonnegative, got {n}")
     if start < 0:
         raise InvalidInputError(f"start index must be nonnegative, got {start}")
-    if n == 0:
-        return SampleBatch(np.empty((0, 2)), seed)
-    words = _raw_words(seed, 2 * start, 2 * n)
-    unit = (words >> np.uint64(11)) * (1.0 / (1 << 53))
-    return SampleBatch((-np.pi + TWO_PI * unit).reshape(n, 2), seed)
+    pts = _uniform_stream(seed, _STREAM_UNIFORM, 2 * start, 2 * n)
+    pts *= TWO_PI
+    pts -= np.pi
+    return SampleBatch(pts.reshape(n, 2), seed)
 
 
 def _transform_chunk(mapping: DiffeoMap, pts: np.ndarray, out: np.ndarray) -> None:

@@ -102,7 +102,7 @@ def pushforward_residual(mapping: DiffeoMap, target: Density) -> float:
     st = _displaced_stencil(grid, dx, dy)
     mu_at = st.gather(target.field.values).reshape(grid.shape)
     det = _jacobian_det_arrays(grid, dx, dy)
-    u0 = uniform_density(grid).field.values[0, 0]
+    u0 = 1.0 / (grid.n_x * grid.n_y * grid.cell_volume)  # the uniform density
     return float(np.mean(np.abs(det * mu_at - u0)) / u0)
 
 
@@ -156,9 +156,11 @@ def build_transport_map(target: Density, cfg: TransportConfig) -> TransportResul
         inv_y = inv_y + eps * st_inv.gather(v_y).reshape(shape)
 
         # forward map: Euler-composed predictor ...
-        st_pre = _Stencil(grid, (X - eps * v_x).reshape(-1), (Y - eps * v_y).reshape(-1))
-        y_x = flat_x - eps * v_x.reshape(-1) + st_pre.gather(fwd_x)
-        y_y = flat_y - eps * v_y.reshape(-1) + st_pre.gather(fwd_y)
+        y_x = (X - eps * v_x).reshape(-1)
+        y_y = (Y - eps * v_y).reshape(-1)
+        st_pre = _Stencil(grid, y_x, y_y)
+        y_x += st_pre.gather(fwd_x)
+        y_y += st_pre.gather(fwd_y)
 
         # ... then Newton-projected onto the inverse: solve phi^-1(y) = x
         g_xx = _central_diff(inv_x, 0, grid.h_x)

@@ -19,13 +19,10 @@ import numpy as np
 
 from .errors import DegenerateInputError, InvalidInputError
 from .geodesic import Density
-from .grid import _Stencil
-from .sampler import SampleBatch
-
-TWO_PI = 2.0 * np.pi
+from .grid import TWO_PI, _Stencil
+from .sampler import SampleBatch, _uniform_stream
 
 _STREAM_ORACLE = 0x6F726163  # "orac"; keeps oracle draws off the sampler stream
-_MASK64 = (1 << 64) - 1
 
 _MIN_EXPECTED = 5.0
 
@@ -267,19 +264,18 @@ def rejection_sample_oracle(target: Density, n: int, seed: int,
     if n < 0:
         raise InvalidInputError(f"sample count must be nonnegative, got {n}")
     vmax = float(target.field.values.max())
-    gen = np.random.Generator(np.random.Philox(key=[seed & _MASK64, _STREAM_ORACLE]))
     accepted: list[np.ndarray] = []
     got = 0
-    proposed = 0
+    proposed = 0  # until the last block, every proposal drawn; each takes 3 uniforms
     while got < n:
         block = max(4 * (n - got), 1 << 16)
-        draw = gen.random((block, 3))
+        draw = _uniform_stream(seed, _STREAM_ORACLE, 3 * proposed, 3 * block).reshape(block, 3)
         pts = -np.pi + TWO_PI * draw[:, :2]
         st = _Stencil(target.grid, np.ascontiguousarray(pts[:, 0]),
                       np.ascontiguousarray(pts[:, 1]))
         density_at = st.gather(target.field.values)
         hits = np.nonzero(draw[:, 2] * vmax < density_at)[0]
-        if len(hits) > n - got:
+        if len(hits) >= n - got:
             hits = hits[: n - got]
             proposed += int(hits[-1]) + 1  # only proposals up to the last one used
         else:

@@ -258,3 +258,33 @@ class TestConfigKeyTypes:
         conf.write_text("grid=1.5\n")
         assert run("build", "--config", str(conf), "--density", "uniform",
                    "--out", str(tmp_path / "x.oitm")) == 1
+
+
+class TestMalformedInputFiles:
+    """A file that fails to parse ends as one error line and exit code 1."""
+
+    def check(self, capsys, *args):
+        assert run(*args) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "Traceback" not in err
+
+    def test_map_identifier_not_utf8(self, sine_map, tmp_path, capsys):
+        data = bytearray(sine_map.read_bytes())
+        data[39] = 0xFF
+        bad = tmp_path / "bad.oitm"
+        bad.write_bytes(bytes(data))
+        self.check(capsys, "sample", "--map", str(bad), "--n", "10",
+                   "--out", str(tmp_path / "s.csv"))
+
+    @pytest.mark.parametrize("body", [b"x,y\n0.3,abc\n", b"x,y\n0.3,0.1\n\xff,0.2\n"])
+    def test_scatter_of_unparsable_csv(self, tmp_path, capsys, body):
+        pts = tmp_path / "pts.csv"
+        pts.write_bytes(body)
+        self.check(capsys, "export", "--samples", str(pts), "--out", str(tmp_path / "sub.csv"))
+
+    def test_truncated_map(self, sine_map, tmp_path, capsys):
+        bad = tmp_path / "short.oitm"
+        bad.write_bytes(sine_map.read_bytes()[:-8])
+        self.check(capsys, "validate", "--map", str(bad), "--density", "sine-perturbation:0.4",
+                   "--n", "1000", "--bins", "8")

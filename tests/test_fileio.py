@@ -425,3 +425,138 @@ class TestMeshMatchesScalarWriter:
         write_warp_mesh_csv(got, small_build.map, stride=stride)
         reference_write_warp_mesh_csv(want, small_build.map, stride=stride)
         assert got.read_bytes() == want.read_bytes()
+
+
+# ---------------------------------------------------------------------------
+# OITM through the shared binary layer, against the separate OITM codec it
+# replaced
+
+
+def reference_write_map_oitm(path, result, density_id):
+    """The OITM writer that wrote each field with its own tobytes call."""
+    grid = result.map.grid
+    ident = density_id.encode("utf-8")
+    with open(path, "wb") as fh:
+        fh.write(b"OITM1\n")
+        fh.write(np.asarray([grid.n_x, grid.n_y, len(result.cfl)], "<u4").tobytes())
+        fh.write(np.asarray([result.angle, result.residual], "<f8").tobytes())
+        fh.write(bytes([1 if result.residual_above_tol else 0]))
+        fh.write(np.asarray([len(ident)], "<u4").tobytes())
+        fh.write(ident)
+        for arr in (result.cfl, result.poisson_mean, result.min_jacobian):
+            fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+        for vf in (result.map.disp, result.map.inv_disp):
+            for comp in (vf.u_x, vf.u_y):
+                fh.write(np.ascontiguousarray(comp.values, dtype="<f8").tobytes())
+
+
+def reference_read_map_oitm(path):
+    """The OITM reader that parsed each field with its own u32/f64 reads.
+
+    Returns the four displacement arrays and the metadata fields as a dict.
+    """
+    buf = path.read_bytes()
+    offset = 6
+    assert buf[:offset] == b"OITM1\n"
+
+    def u32():
+        nonlocal offset
+        offset += 4
+        return int(np.frombuffer(buf[offset - 4:offset], "<u4")[0])
+
+    def f64(count):
+        nonlocal offset
+        offset += 8 * count
+        return np.frombuffer(buf[offset - 8 * count:offset], "<f8").astype(np.float64)
+
+    n_x, n_y, steps = u32(), u32(), u32()
+    head = f64(2)
+    flags = buf[offset]
+    offset += 1
+    id_len = u32()
+    ident = buf[offset:offset + id_len].decode("utf-8")
+    offset += id_len
+    diags = [f64(steps) for _ in range(3)]
+    comps = [f64(n_x * n_y).reshape(n_x, n_y) for _ in range(4)]
+    assert offset == len(buf)
+    meta = dict(steps=steps, angle=float(head[0]), residual=float(head[1]),
+                density_id=ident, residual_above_tol=bool(flags & 1),
+                cfl=diags[0], poisson_mean=diags[1], min_jacobian=diags[2])
+    return comps, meta
+
+
+@pytest.fixture(scope="module")
+def one_step_build():
+    g = PeriodicGrid(16, 16)
+    target = normalize(ScalarField.from_function(g, lambda x, y: 1.0 + 0.3 * np.cos(y)))
+    return build_transport_map(target, TransportConfig(steps=1, grid=g))
+
+
+class TestOitmMatchesSeparateCodec:
+    CASES = [("small_build", "sine-test"), ("one_step_build", "cos-1"),
+             ("small_build", "dichte-ü-密度-\U0001f30a")]
+
+    @pytest.mark.parametrize("build, ident", CASES)
+    def test_bytes_and_metadata(self, tmp_path, request, build, ident):
+        result = request.getfixturevalue(build)
+        new, ref = tmp_path / "new.oitm", tmp_path / "ref.oitm"
+        write_map_oitm(new, result, ident)
+        reference_write_map_oitm(ref, result, ident)
+        assert new.read_bytes() == ref.read_bytes()
+        mapping, meta = read_map_oitm(new)
+        comps, ref_meta = reference_read_map_oitm(ref)
+        got = [mapping.disp.u_x, mapping.disp.u_y, mapping.inv_disp.u_x, mapping.inv_disp.u_y]
+        for a, b in zip(got, comps):
+            assert np.array_equal(a.values, b)
+        assert [f.name for f in dataclasses.fields(meta)] == list(ref_meta)
+        for name, value in ref_meta.items():
+            assert type(getattr(meta, name)) is type(value)
+            assert np.array_equal(getattr(meta, name), value)
+
+    def test_residual_flag_round_trips(self, tmp_path, small_build):
+        flagged = dataclasses.replace(small_build, residual_above_tol=True)
+        new, ref = tmp_path / "new.oitm", tmp_path / "ref.oitm"
+        write_map_oitm(new, flagged, "x")
+        reference_write_map_oitm(ref, flagged, "x")
+        assert new.read_bytes() == ref.read_bytes()
+        assert read_map_oitm(new)[1].residual_above_tol is True
+
+    def test_every_truncation_is_a_format_error(self, tmp_path, one_step_build):
+        p = tmp_path / "map.oitm"
+        write_map_oitm(p, one_step_build, "cos-1")
+        data = p.read_bytes()
+        # header, identifier, diagnostics and each displacement component
+        for cut in (0, 5, 6, 20, 38, 39, 41, 42, 50, 66, len(data) - 8, len(data) - 1):
+            p.write_bytes(data[:cut])
+            with pytest.raises(FileFormatError):
+                read_map_oitm(p)
+
+    def test_grid_size_does_not_wrap_in_uint32(self, tmp_path):
+        # 65536 * 65536 is 0 in uint32: a reader multiplying the raw header
+        # values would expect no displacement data and accept this file
+        p = tmp_path / "huge.oitm"
+        p.write_bytes(b"OITM1\n" + np.asarray([65536, 65536, 0], "<u4").tobytes()
+                      + np.zeros(2, "<f8").tobytes() + b"\x00"
+                      + np.zeros(1, "<u4").tobytes())
+        with pytest.raises(FileFormatError, match="truncated"):
+            read_map_oitm(p)
+
+    def test_identifier_that_is_not_utf8(self, tmp_path, small_build):
+        p = tmp_path / "map.oitm"
+        write_map_oitm(p, small_build, "abc")
+        data = bytearray(p.read_bytes())
+        assert data[39:42] == b"abc"
+        data[40] = 0xFF
+        p.write_bytes(bytes(data))
+        with pytest.raises(FileFormatError, match="identifier"):
+            read_map_oitm(p)
+
+
+class TestMalformedCsv:
+    @pytest.mark.parametrize("body", [b"x,y\n0.3,abc\n", b"x,y\n0.3,0.1\n\xff,0.2\n",
+                                      b"\xff,y\n0.3,0.1\n", b"x,y\n0.3,0.1,0.2\n"])
+    def test_format_error_names_the_path(self, tmp_path, body):
+        p = tmp_path / "bad.csv"
+        p.write_bytes(body)
+        with pytest.raises(FileFormatError, match="bad.csv"):
+            read_samples_csv(p)

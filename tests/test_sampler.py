@@ -243,3 +243,55 @@ class TestOneDriver:
         assert sorted(calls["transform"]) == sorted(size for _, size in self.expected_spans(n))
         assert out.count == n and out.seed == 8
         assert np.array_equal(out.points, batch.points)
+
+
+# ---------------------------------------------------------------------------
+# the keyed uniform stream, against the raw-word formula it replaced
+
+
+def reference_raw_words(seed, stream, word_start, n_words):
+    """Raw Philox words [word_start, word_start + n_words), fetched in whole
+    4-word counter blocks and sliced."""
+    block0, lead = divmod(word_start, 4)
+    bg = np.random.Philox(key=[seed & ((1 << 64) - 1), stream])
+    if block0:
+        bg.advance(block0)
+    n_blocks = -(-(lead + n_words) // 4)
+    return bg.random_raw(n_blocks * 4)[lead:lead + n_words]
+
+
+def reference_draw_uniform(n, seed, start=0):
+    from oitsample.sampler import _STREAM_UNIFORM
+
+    words = reference_raw_words(seed, _STREAM_UNIFORM, 2 * start, 2 * n)
+    unit = (words >> np.uint64(11)) * (1.0 / (1 << 53))
+    return (-np.pi + 2.0 * np.pi * unit).reshape(n, 2)
+
+
+class TestUniformStream:
+    @pytest.mark.parametrize("start", [0, 1, 2, 3, 4, 5, 6, 7, 13, 4 * 1000 + 2])
+    @pytest.mark.parametrize("n", [0, 1, 3, 4, 9])
+    def test_equals_raw_word_formula(self, start, n):
+        from oitsample.sampler import _uniform_stream
+
+        for seed, stream in ((0, 1), (7, 0x756E6966), (2**62 + 9, 0x6F726163), (2**64 + 5, 3)):
+            words = reference_raw_words(seed, stream, start, n)
+            expected = (words >> np.uint64(11)) * (1.0 / (1 << 53))
+            got = _uniform_stream(seed, stream, start, n)
+            assert got.dtype == np.float64 and got.shape == (n,)
+            assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
+
+    @pytest.mark.parametrize("start", [(1 << 20) - 5, (1 << 20) - 4, (1 << 20) + 3])
+    def test_across_a_two_to_the_twenty_boundary(self, start):
+        from oitsample.sampler import _uniform_stream
+
+        words = reference_raw_words(11, 0x756E6966, start, 10)
+        expected = (words >> np.uint64(11)) * (1.0 / (1 << 53))
+        assert np.array_equal(_uniform_stream(11, 0x756E6966, start, 10), expected)
+
+    @pytest.mark.parametrize("start", [0, 1, 7, 1 << 20])
+    @pytest.mark.parametrize("n", [1, 2, 1001])
+    def test_draw_uniform_is_bit_identical(self, start, n):
+        got = draw_uniform(n, seed=3, start=start).points
+        expected = reference_draw_uniform(n, seed=3, start=start)
+        assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))

@@ -228,3 +228,82 @@ class TestRejectionOracle:
         for lo, hi in zip(devs[1:], devs[:-1]):
             ratio = hi / lo  # expect ~sqrt(10) per decade, within a factor 2
             assert np.sqrt(10) / 2 <= ratio <= 2 * np.sqrt(10)
+
+
+# ---------------------------------------------------------------------------
+# the oracle on the shared uniform stream, against its own-Generator form
+
+
+def reference_rejection_sample_oracle(target, n, seed):
+    """The oracle drawing its proposals from one long-lived Generator, with
+    the proposal count as it was counted before the exact-fill fix."""
+    from oitsample.grid import _Stencil
+    from oitsample.validate import _STREAM_ORACLE
+
+    vmax = float(target.field.values.max())
+    gen = np.random.Generator(np.random.Philox(key=[seed & ((1 << 64) - 1), _STREAM_ORACLE]))
+    accepted, got, proposed = [], 0, 0
+    while got < n:
+        block = max(4 * (n - got), 1 << 16)
+        draw = gen.random((block, 3))
+        pts = -np.pi + 2.0 * np.pi * draw[:, :2]
+        st = _Stencil(target.grid, np.ascontiguousarray(pts[:, 0]),
+                      np.ascontiguousarray(pts[:, 1]))
+        hits = np.nonzero(draw[:, 2] * vmax < st.gather(target.field.values))[0]
+        if len(hits) > n - got:
+            hits = hits[: n - got]
+            proposed += int(hits[-1]) + 1
+        else:
+            proposed += block
+        accepted.append(pts[hits])
+        got += len(hits)
+    points = np.concatenate(accepted) if accepted else np.empty((0, 2))
+    return points, {"proposed": proposed, "accepted": got,
+                    "rate": got / proposed if proposed else 1.0}
+
+
+def first_block_accepts(target, seed):
+    """Indices of the accepted proposals among the first 2**16 drawn."""
+    from oitsample.grid import _Stencil
+    from oitsample.validate import _STREAM_ORACLE
+
+    gen = np.random.Generator(np.random.Philox(key=[seed, _STREAM_ORACLE]))
+    draw = gen.random((1 << 16, 3))
+    pts = -np.pi + 2.0 * np.pi * draw[:, :2]
+    st = _Stencil(target.grid, np.ascontiguousarray(pts[:, 0]),
+                  np.ascontiguousarray(pts[:, 1]))
+    vmax = float(target.field.values.max())
+    return np.nonzero(draw[:, 2] * vmax < st.gather(target.field.values))[0]
+
+
+class TestOracleStream:
+    @pytest.fixture(scope="class")
+    def two_bump(self):
+        return make_density("two-bump", PeriodicGrid(64, 64))
+
+    # n = 0, n = 1, one block, several blocks (about 8% of proposals accept)
+    @pytest.mark.parametrize("n, seed", [(0, 3), (1, 3), (1000, 4), (20_000, 5)])
+    def test_matches_generator_form(self, two_bump, n, seed):
+        batch, stats = rejection_sample_oracle(two_bump, n, seed=seed, with_stats=True)
+        points, ref_stats = reference_rejection_sample_oracle(two_bump, n, seed)
+        assert np.array_equal(batch.points, points)
+        assert stats == ref_stats
+
+    def test_uniform_target_matches_generator_form(self):
+        target = uniform_density(PeriodicGrid(32, 32))
+        batch, stats = rejection_sample_oracle(target, 50_000, seed=3, with_stats=True)
+        points, ref_stats = reference_rejection_sample_oracle(target, 50_000, 3)
+        assert np.array_equal(batch.points, points)
+        assert stats == ref_stats
+
+    def test_proposals_stop_at_the_last_accept_when_a_block_fills_exactly(self, two_bump):
+        hits = first_block_accepts(two_bump, seed=3)
+        n = len(hits)  # every accept of the first block is needed
+        assert 4 * n <= 1 << 16 and hits[-1] + 1 < 1 << 16
+        batch, stats = rejection_sample_oracle(two_bump, n, seed=3, with_stats=True)
+        assert stats["proposed"] == hits[-1] + 1
+        assert stats["accepted"] == n
+        points, _ = reference_rejection_sample_oracle(two_bump, n, 3)
+        assert np.array_equal(batch.points, points)
+        short = rejection_sample_oracle(two_bump, n - 1, seed=3, with_stats=True)[1]
+        assert short["proposed"] == hits[-2] + 1
