@@ -42,13 +42,13 @@ _F64 = np.dtype("<f8")
 _OITF_BLOCK_ROWS = 1 << 20
 
 
-def _take(buf: bytes, offset: int, dtype: np.dtype, count: int,
-          what: str) -> tuple[np.ndarray, int]:
-    """``count`` values of ``dtype`` at ``offset`` (a read-only view), and
-    the offset just past them."""
+def _take(path: str | Path, buf: bytes, offset: int, dtype: np.dtype,
+          count: int, what: str) -> tuple[np.ndarray, int]:
+    """``count`` values of ``dtype`` at ``offset`` of ``path``'s bytes (a
+    read-only view), and the offset just past them."""
     end = offset + dtype.itemsize * count
     if end > len(buf):
-        raise FileFormatError(f"truncated file while reading {what}")
+        raise FileFormatError(f"{path}: truncated file while reading {what}")
     return np.frombuffer(buf, dtype, count, offset), end
 
 
@@ -56,7 +56,7 @@ def _read_head(path: str | Path, buf: bytes, layout: np.dtype,
                magic: bytes) -> tuple[dict, int]:
     """The header's fields as Python scalars (so n_x * n_y cannot wrap in
     uint32), and the offset after it."""
-    raw, offset = _take(buf, 0, layout, 1, "header")
+    raw, offset = _take(path, buf, 0, layout, 1, "header")
     if raw["magic"][0] != magic:
         raise FileFormatError(f"{path}: not an {magic[:4].decode()} file")
     return {name: raw[name][0].item() for name in layout.names}, offset
@@ -68,7 +68,7 @@ def _read_columns(path: str | Path, buf: bytes, offset: int,
     of its count of values."""
     columns = {}
     for name, count in counts.items():
-        col, offset = _take(buf, offset, _F64, count, name)
+        col, offset = _take(path, buf, offset, _F64, count, name)
         columns[name] = col.astype(np.float64)
     if offset != len(buf):
         raise FileFormatError(f"{path}: {len(buf) - offset} trailing bytes")
@@ -180,7 +180,7 @@ def write_map_oitm(path: str | Path, result: TransportResult, density_id: str) -
 def read_map_oitm(path: str | Path) -> tuple[DiffeoMap, MapMetadata]:
     buf = Path(path).read_bytes()
     head, offset = _read_head(path, buf, _OITM_HEAD, OITM_MAGIC)
-    ident, offset = _take(buf, offset, np.dtype("u1"), head["id_len"], "identifier")
+    ident, offset = _take(path, buf, offset, np.dtype("u1"), head["id_len"], "identifier")
     try:
         density_id = ident.tobytes().decode("utf-8")
     except UnicodeDecodeError as exc:

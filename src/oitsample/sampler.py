@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInputError
-from .grid import TWO_PI, DiffeoMap, _Stencil, _wrap_shift
+from .grid import _POINT_BLOCK, TWO_PI, DiffeoMap, _Stencil, _wrap_shift
 
 # Philox key word separating this stream from the rejection oracle's
 _STREAM_UNIFORM = 0x756E6966  # "unif"
@@ -52,10 +52,13 @@ def _uniform_stream(seed: int, stream: int, start: int, n: int) -> np.ndarray:
 
     Uniform i is ``(word_i >> 11) * 2**-53`` of raw 64-bit word i.  The
     generator emits 4 words per counter block, so the counter advances by
-    whole blocks and the lead-in words are discarded.
+    whole blocks and the lead-in words are discarded.  The key is a uint64
+    array: numpy converts a list holding a word of 2**63 or more through
+    float64, which would drop the low bits of such seeds (and so of every
+    negative seed).
     """
     block0, lead = divmod(start, 4)
-    bg = np.random.Philox(key=[seed & _MASK64, stream])
+    bg = np.random.Philox(key=np.array([seed & _MASK64, stream], np.uint64))
     bg.advance(block0)
     bg.random_raw(lead)
     return np.random.Generator(bg).random(n)
@@ -78,11 +81,16 @@ def draw_uniform(n: int, seed: int, start: int = 0) -> SampleBatch:
 
 
 def _transform_chunk(mapping: DiffeoMap, pts: np.ndarray, out: np.ndarray) -> None:
-    px = np.ascontiguousarray(pts[:, 0])
-    py = np.ascontiguousarray(pts[:, 1])
-    st = _Stencil(mapping.grid, px, py)
-    out[:, 0] = _wrap_shift(px + st.gather(mapping.disp.u_x.values))
-    out[:, 1] = _wrap_shift(py + st.gather(mapping.disp.u_y.values))
+    """``out = wrap(pts + d(pts))``, in cache-sized blocks of rows."""
+    ux = mapping.disp.u_x.values
+    uy = mapping.disp.u_y.values
+    for s in range(0, len(pts), _POINT_BLOCK):
+        rows = slice(s, s + _POINT_BLOCK)
+        px = np.ascontiguousarray(pts[rows, 0])
+        py = np.ascontiguousarray(pts[rows, 1])
+        st = _Stencil(mapping.grid, px, py)
+        out[rows, 0] = _wrap_shift(px + st.gather(ux))
+        out[rows, 1] = _wrap_shift(py + st.gather(uy))
 
 
 def _map_chunks(mapping: DiffeoMap, n: int, seed: int, workers: int,

@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import DegenerateInputError, InvalidInputError
 from .geodesic import Density
-from .grid import TWO_PI, _Stencil
+from .grid import _POINT_BLOCK, TWO_PI, _Stencil
 from .sampler import SampleBatch, _uniform_stream
 
 _STREAM_ORACLE = 0x6F726163  # "orac"; keeps oracle draws off the sampler stream
@@ -249,6 +249,23 @@ def two_sample_chi_squared(a: BinnedHistogram, b: BinnedHistogram):
 # exact ground-truth sampler
 
 
+def _accepted_rows(target: Density, vmax: float, draw: np.ndarray) -> np.ndarray:
+    """Rows of a ``(block, 3)`` proposal draw that pass the accept test, in order.
+
+    Row ``(u, v, w)`` proposes the point ``-pi + 2*pi*(u, v)`` and accepts
+    it when ``w * vmax`` lies below the density there.  The rows go through
+    the density in cache-sized blocks.
+    """
+    hits = []
+    for s in range(0, len(draw), _POINT_BLOCK):
+        rows = draw[s:s + _POINT_BLOCK]
+        px = -np.pi + TWO_PI * rows[:, 0]
+        py = -np.pi + TWO_PI * rows[:, 1]
+        density_at = _Stencil(target.grid, px, py).gather(target.field.values)
+        hits.append(s + np.flatnonzero(rows[:, 2] * vmax < density_at))
+    return np.concatenate(hits)
+
+
 def rejection_sample_oracle(target: Density, n: int, seed: int,
                             with_stats: bool = False):
     """Exact i.i.d. samples from the interpolated target density.
@@ -270,17 +287,13 @@ def rejection_sample_oracle(target: Density, n: int, seed: int,
     while got < n:
         block = max(4 * (n - got), 1 << 16)
         draw = _uniform_stream(seed, _STREAM_ORACLE, 3 * proposed, 3 * block).reshape(block, 3)
-        pts = -np.pi + TWO_PI * draw[:, :2]
-        st = _Stencil(target.grid, np.ascontiguousarray(pts[:, 0]),
-                      np.ascontiguousarray(pts[:, 1]))
-        density_at = st.gather(target.field.values)
-        hits = np.nonzero(draw[:, 2] * vmax < density_at)[0]
+        hits = _accepted_rows(target, vmax, draw)
         if len(hits) >= n - got:
             hits = hits[: n - got]
             proposed += int(hits[-1]) + 1  # only proposals up to the last one used
         else:
             proposed += block
-        accepted.append(pts[hits])
+        accepted.append(-np.pi + TWO_PI * draw[hits, :2])
         got += len(hits)
     points = np.concatenate(accepted) if accepted else np.empty((0, 2))
     rate = got / proposed if proposed else 1.0

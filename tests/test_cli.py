@@ -268,6 +268,7 @@ class TestMalformedInputFiles:
         err = capsys.readouterr().err
         assert err.startswith("error: ")
         assert "Traceback" not in err
+        return err
 
     def test_map_identifier_not_utf8(self, sine_map, tmp_path, capsys):
         data = bytearray(sine_map.read_bytes())
@@ -286,5 +287,6 @@ class TestMalformedInputFiles:
     def test_truncated_map(self, sine_map, tmp_path, capsys):
         bad = tmp_path / "short.oitm"
         bad.write_bytes(sine_map.read_bytes()[:-8])
-        self.check(capsys, "validate", "--map", str(bad), "--density", "sine-perturbation:0.4",
-                   "--n", "1000", "--bins", "8")
+        err = self.check(capsys, "validate", "--map", str(bad),
+                         "--density", "sine-perturbation:0.4", "--n", "1000", "--bins", "8")
+        assert str(bad) in err and "truncated" in err

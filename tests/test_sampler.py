@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,8 @@ from oitsample import (
     sample_target,
     transform_samples,
 )
+from oitsample.grid import _POINT_BLOCK
+from oitsample.sampler import _CHUNK
 
 
 class TestDrawUniform:
@@ -253,7 +257,7 @@ def reference_raw_words(seed, stream, word_start, n_words):
     """Raw Philox words [word_start, word_start + n_words), fetched in whole
     4-word counter blocks and sliced."""
     block0, lead = divmod(word_start, 4)
-    bg = np.random.Philox(key=[seed & ((1 << 64) - 1), stream])
+    bg = np.random.Philox(key=np.array([seed & ((1 << 64) - 1), stream], np.uint64))
     if block0:
         bg.advance(block0)
     n_blocks = -(-(lead + n_words) // 4)
@@ -274,7 +278,8 @@ class TestUniformStream:
     def test_equals_raw_word_formula(self, start, n):
         from oitsample.sampler import _uniform_stream
 
-        for seed, stream in ((0, 1), (7, 0x756E6966), (2**62 + 9, 0x6F726163), (2**64 + 5, 3)):
+        for seed, stream in ((0, 1), (7, 0x756E6966), (2**62 + 9, 0x6F726163), (2**64 + 5, 3),
+                             (-1, 0x756E6966), (2**63 + 1, 0x6F726163)):
             words = reference_raw_words(seed, stream, start, n)
             expected = (words >> np.uint64(11)) * (1.0 / (1 << 53))
             got = _uniform_stream(seed, stream, start, n)
@@ -295,3 +300,81 @@ class TestUniformStream:
         got = draw_uniform(n, seed=3, start=start).points
         expected = reference_draw_uniform(n, seed=3, start=start)
         assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
+
+
+class TestSeedKey:
+    """Every 64-bit key word is used in full: numpy would convert a list key
+    holding a word of 2**63 or more through float64."""
+
+    SEEDS = (0, 1, -1, -2, 2**63, 2**63 + 1, 2**63 + 2)
+
+    def test_seeds_give_distinct_draws_without_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            draws = [draw_uniform(4, seed=seed).points for seed in self.SEEDS]
+        for i in range(len(draws)):
+            for j in range(i):
+                assert not np.array_equal(draws[i], draws[j]), (self.SEEDS[i], self.SEEDS[j])
+
+
+# ---------------------------------------------------------------------------
+# cache-blocked map evaluation, against the one-pass evaluation it replaced
+
+
+def reference_transform_chunk(mapping, pts, out):
+    """The map evaluation as one unblocked pass over every point."""
+    from oitsample.grid import _Stencil, _wrap_shift
+
+    px = np.ascontiguousarray(pts[:, 0])
+    py = np.ascontiguousarray(pts[:, 1])
+    st = _Stencil(mapping.grid, px, py)
+    out[:, 0] = _wrap_shift(px + st.gather(mapping.disp.u_x.values))
+    out[:, 1] = _wrap_shift(py + st.gather(mapping.disp.u_y.values))
+
+
+def reference_map(mapping, pts):
+    out = np.empty(pts.shape)
+    reference_transform_chunk(mapping, pts, out)
+    return out
+
+
+@pytest.fixture(scope="module")
+def wavy_map():
+    """A random smooth displacement on a non-square grid, shifted so that
+    a fifth to a third of the points wrap on each axis."""
+    g = PeriodicGrid(64, 48)
+    gen = np.random.Generator(np.random.Philox(key=np.array([2027, 5], np.uint64)))
+    X, Y = g.node_mesh()
+
+    def component(shift):
+        v = np.full(g.shape, shift)
+        for kx in range(3):
+            for ky in range(3):
+                v += 0.04 * gen.standard_normal() * np.sin(kx * X + ky * Y + gen.uniform(0, 6.3))
+        return v
+
+    return DiffeoMap(g, VectorField.from_arrays(g, component(2.0), component(-1.3)))
+
+
+class TestBlockedEvaluation:
+    SIZES = [_POINT_BLOCK - 1, _POINT_BLOCK, _POINT_BLOCK + 1, 3 * _POINT_BLOCK + 7, _CHUNK + 17]
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    @pytest.mark.parametrize("n", SIZES)
+    def test_sample_target(self, wavy_map, n, workers):
+        got = sample_target(wavy_map, n, seed=31, workers=workers).points
+        expected = reference_map(wavy_map, draw_uniform(n, seed=31).points)
+        assert np.array_equal(got, expected)
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    @pytest.mark.parametrize("n", SIZES)
+    def test_transform_samples(self, wavy_map, n, workers):
+        batch = draw_uniform(n, seed=32)
+        got = transform_samples(wavy_map, batch, workers=workers).points
+        assert np.array_equal(got, reference_map(wavy_map, batch.points))
+
+    def test_map_is_not_constant_and_wraps(self, wavy_map):
+        pts = draw_uniform(_POINT_BLOCK, seed=33).points
+        step = reference_map(wavy_map, pts) - pts
+        assert np.ptp(wavy_map.disp.u_x.values) > 0.1 and np.ptp(wavy_map.disp.u_y.values) > 0.1
+        assert (np.abs(step) > np.pi).any(axis=0).all()

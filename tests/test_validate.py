@@ -307,3 +307,13 @@ class TestOracleStream:
         assert np.array_equal(batch.points, points)
         short = rejection_sample_oracle(two_bump, n - 1, seed=3, with_stats=True)[1]
         assert short["proposed"] == hits[-2] + 1
+
+    def test_proposal_block_not_a_multiple_of_the_point_block(self, two_bump):
+        from oitsample.grid import _POINT_BLOCK
+
+        n = 17_001  # the first proposal block, 4n = 2 * 2**15 + 2468 rows
+        assert (4 * n) % _POINT_BLOCK and 4 * n > 2 * _POINT_BLOCK
+        batch, stats = rejection_sample_oracle(two_bump, n, seed=7, with_stats=True)
+        points, ref_stats = reference_rejection_sample_oracle(two_bump, n, 7)
+        assert np.array_equal(batch.points, points)
+        assert stats == ref_stats
