@@ -318,10 +318,7 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
         cfg = _effective_config(args)
         return _COMMANDS[args.command](cfg)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (InvalidInputError, OSError) as exc:
+    except (UsageError, InvalidInputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (OrientationLossError, NumericalBlowupError) as exc:

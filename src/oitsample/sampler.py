@@ -8,6 +8,7 @@ sequence bit for bit: chunk i simply starts the counter at its own offset.
 
 from __future__ import annotations
 
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -19,9 +20,7 @@ from .grid import _POINT_BLOCK, TWO_PI, DiffeoMap, _Stencil, _wrap_shift
 # Philox key word separating this stream from the rejection oracle's
 _STREAM_UNIFORM = 0x756E6966  # "unif"
 
-_MASK64 = (1 << 64) - 1
-
-_CHUNK = 1 << 20
+_MASK64 = 2**64 - 1
 
 
 @dataclass(frozen=True)
@@ -81,25 +80,23 @@ def draw_uniform(n: int, seed: int, start: int = 0) -> SampleBatch:
 
 
 def _transform_chunk(mapping: DiffeoMap, pts: np.ndarray, out: np.ndarray) -> None:
-    """``out = wrap(pts + d(pts))``, in cache-sized blocks of rows."""
-    ux = mapping.disp.u_x.values
-    uy = mapping.disp.u_y.values
-    for s in range(0, len(pts), _POINT_BLOCK):
-        rows = slice(s, s + _POINT_BLOCK)
-        px = np.ascontiguousarray(pts[rows, 0])
-        py = np.ascontiguousarray(pts[rows, 1])
-        st = _Stencil(mapping.grid, px, py)
-        out[rows, 0] = _wrap_shift(px + st.gather(ux))
-        out[rows, 1] = _wrap_shift(py + st.gather(uy))
+    """``out = wrap(pts + d(pts))`` for one chunk of points."""
+    px = np.ascontiguousarray(pts[:, 0])
+    py = np.ascontiguousarray(pts[:, 1])
+    st = _Stencil(mapping.grid, px, py)
+    out[:, 0] = _wrap_shift(px + st.gather(mapping.disp.u_x.values))
+    out[:, 1] = _wrap_shift(py + st.gather(mapping.disp.u_y.values))
 
 
 def _map_chunks(mapping: DiffeoMap, n: int, seed: int, workers: int,
                 points: np.ndarray | None = None) -> SampleBatch:
-    """Push n points through the map in fixed chunks, on ``workers`` threads.
+    """Push n points through the map in ``_POINT_BLOCK``-point chunks.
 
     Chunk [s, e) is ``points[s:e]`` or, without ``points``, uniform samples
-    s..e-1 drawn only when the chunk runs.  ``draw_uniform`` and
-    ``_transform_chunk`` are looked up as module globals on every chunk.
+    s..e-1 drawn only when the chunk runs.  Each chunk is one thread task,
+    one ``draw_uniform`` call and one ``_transform_chunk`` call; both are
+    looked up as module globals.  The pool holds ``workers`` threads, capped
+    at the core count; the output depends on neither.
     """
     if workers < 1:
         raise InvalidInputError(f"worker count must be >= 1, got {workers}")
@@ -110,7 +107,8 @@ def _map_chunks(mapping: DiffeoMap, n: int, seed: int, workers: int,
         chunk = draw_uniform(e - s, seed, start=s).points if points is None else points[s:e]
         _transform_chunk(mapping, chunk, out[s:e])
 
-    spans = [(s, min(s + _CHUNK, n)) for s in range(0, n, _CHUNK)]
+    spans = [(s, min(s + _POINT_BLOCK, n)) for s in range(0, n, _POINT_BLOCK)]
+    workers = min(workers, os.cpu_count() or 1)
     if workers > 1 and len(spans) > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             list(pool.map(run, spans))

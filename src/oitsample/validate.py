@@ -249,23 +249,6 @@ def two_sample_chi_squared(a: BinnedHistogram, b: BinnedHistogram):
 # exact ground-truth sampler
 
 
-def _accepted_rows(target: Density, vmax: float, draw: np.ndarray) -> np.ndarray:
-    """Rows of a ``(block, 3)`` proposal draw that pass the accept test, in order.
-
-    Row ``(u, v, w)`` proposes the point ``-pi + 2*pi*(u, v)`` and accepts
-    it when ``w * vmax`` lies below the density there.  The rows go through
-    the density in cache-sized blocks.
-    """
-    hits = []
-    for s in range(0, len(draw), _POINT_BLOCK):
-        rows = draw[s:s + _POINT_BLOCK]
-        px = -np.pi + TWO_PI * rows[:, 0]
-        py = -np.pi + TWO_PI * rows[:, 1]
-        density_at = _Stencil(target.grid, px, py).gather(target.field.values)
-        hits.append(s + np.flatnonzero(rows[:, 2] * vmax < density_at))
-    return np.concatenate(hits)
-
-
 def rejection_sample_oracle(target: Density, n: int, seed: int,
                             with_stats: bool = False):
     """Exact i.i.d. samples from the interpolated target density.
@@ -273,7 +256,11 @@ def rejection_sample_oracle(target: Density, n: int, seed: int,
     Proposes uniformly on the torus and accepts with probability
     mu(x)/max(mu); bilinear interpolation never exceeds the nodal maximum,
     so the envelope is sound.  Fully determined by the seed (a dedicated
-    counter-based stream, independent of ``draw_uniform``'s).
+    counter-based stream, independent of ``draw_uniform``'s).  Proposals
+    are drawn and evaluated ``_POINT_BLOCK`` at a time: row ``(u, v, w)``
+    proposes ``-pi + 2*pi*(u, v)`` and accepts it when ``w * max(mu)`` lies
+    below the density there.  Accepts are kept in stream order, so the
+    block size changes neither the points nor the proposal count.
 
     With ``with_stats`` the return value is (batch, stats) where stats
     reports proposal counts and the measured acceptance rate.
@@ -283,17 +270,19 @@ def rejection_sample_oracle(target: Density, n: int, seed: int,
     vmax = float(target.field.values.max())
     accepted: list[np.ndarray] = []
     got = 0
-    proposed = 0  # until the last block, every proposal drawn; each takes 3 uniforms
+    proposed = 0  # proposals drawn, up to the last one used; each takes 3 uniforms
     while got < n:
-        block = max(4 * (n - got), 1 << 16)
-        draw = _uniform_stream(seed, _STREAM_ORACLE, 3 * proposed, 3 * block).reshape(block, 3)
-        hits = _accepted_rows(target, vmax, draw)
-        if len(hits) >= n - got:
-            hits = hits[: n - got]
-            proposed += int(hits[-1]) + 1  # only proposals up to the last one used
+        rows = _uniform_stream(seed, _STREAM_ORACLE, 3 * proposed,
+                               3 * _POINT_BLOCK).reshape(_POINT_BLOCK, 3)
+        px = -np.pi + TWO_PI * rows[:, 0]
+        py = -np.pi + TWO_PI * rows[:, 1]
+        density_at = _Stencil(target.grid, px, py).gather(target.field.values)
+        hits = np.flatnonzero(rows[:, 2] * vmax < density_at)[: n - got]
+        if got + len(hits) == n:
+            proposed += int(hits[-1]) + 1
         else:
-            proposed += block
-        accepted.append(-np.pi + TWO_PI * draw[hits, :2])
+            proposed += _POINT_BLOCK
+        accepted.append(np.column_stack((px[hits], py[hits])))
         got += len(hits)
     points = np.concatenate(accepted) if accepted else np.empty((0, 2))
     rate = got / proposed if proposed else 1.0

@@ -17,7 +17,6 @@ from oitsample import (
     transform_samples,
 )
 from oitsample.grid import _POINT_BLOCK
-from oitsample.sampler import _CHUNK
 
 
 class TestDrawUniform:
@@ -191,12 +190,37 @@ class TestWorkerCount:
         with pytest.raises(InvalidInputError):
             transform_samples(identity_map(PeriodicGrid(8, 8)), batch, workers=workers)
 
+    def test_pool_is_capped_at_the_core_count(self, monkeypatch):
+        """Every chunk is submitted at once, so an uncapped pool would start
+        one thread per chunk up to ``workers``."""
+        import os
+        from concurrent.futures import ThreadPoolExecutor
+
+        import oitsample.sampler as sampler
+
+        sizes = []
+
+        class RecordingPool(ThreadPoolExecutor):
+            def __init__(self, max_workers=None, **kwargs):
+                sizes.append(max_workers)
+                super().__init__(max_workers=max_workers, **kwargs)
+
+        g = PeriodicGrid(16, 16)
+        n = 3 * _POINT_BLOCK + 7
+        serial = sample_target(identity_map(g), n, seed=4, workers=1).points
+        monkeypatch.setattr(sampler, "ThreadPoolExecutor", RecordingPool)
+        wide = sample_target(identity_map(g), n, seed=4, workers=64).points
+        assert all(size <= (os.cpu_count() or 1) for size in sizes)
+        assert len(sizes) == (1 if (os.cpu_count() or 1) > 1 else 0)
+        assert wide.tobytes() == serial.tobytes()
+
 
 class TestOneDriver:
     """Both public entry points run one chunk loop: one draw (sample_target
-    only) and one map evaluation per chunk, whatever the worker count."""
+    only) and one map evaluation per chunk, whatever the worker count.  The
+    chunk is the package's one point block, so the n below span 32-65 chunks."""
 
-    CHUNK = 1 << 20
+    CHUNK = 1 << 15
 
     @pytest.fixture
     def calls(self, monkeypatch):
@@ -204,7 +228,7 @@ class TestOneDriver:
 
         import oitsample.sampler as sampler
 
-        assert sampler._CHUNK == self.CHUNK
+        assert _POINT_BLOCK == self.CHUNK
         log = {"draw": [], "transform": []}
         lock = threading.Lock()
         draw, transform = sampler.draw_uniform, sampler._transform_chunk
@@ -357,7 +381,7 @@ def wavy_map():
 
 
 class TestBlockedEvaluation:
-    SIZES = [_POINT_BLOCK - 1, _POINT_BLOCK, _POINT_BLOCK + 1, 3 * _POINT_BLOCK + 7, _CHUNK + 17]
+    SIZES = [_POINT_BLOCK - 1, _POINT_BLOCK, _POINT_BLOCK + 1, 3 * _POINT_BLOCK + 7, (1 << 20) + 17]
 
     @pytest.mark.parametrize("workers", [1, 3])
     @pytest.mark.parametrize("n", SIZES)

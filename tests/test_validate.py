@@ -281,8 +281,9 @@ class TestOracleStream:
     def two_bump(self):
         return make_density("two-bump", PeriodicGrid(64, 64))
 
-    # n = 0, n = 1, one block, several blocks (about 8% of proposals accept)
-    @pytest.mark.parametrize("n, seed", [(0, 3), (1, 3), (1000, 4), (20_000, 5)])
+    # n = 0, n = 1, one block, several blocks (about 8% of proposals accept);
+    # at n = 1e5 the reference's first block, 4n rows, spans about 12 point blocks
+    @pytest.mark.parametrize("n, seed", [(0, 3), (1, 3), (1000, 4), (20_000, 5), (100_000, 8)])
     def test_matches_generator_form(self, two_bump, n, seed):
         batch, stats = rejection_sample_oracle(two_bump, n, seed=seed, with_stats=True)
         points, ref_stats = reference_rejection_sample_oracle(two_bump, n, seed)
@@ -311,7 +312,7 @@ class TestOracleStream:
     def test_proposal_block_not_a_multiple_of_the_point_block(self, two_bump):
         from oitsample.grid import _POINT_BLOCK
 
-        n = 17_001  # the first proposal block, 4n = 2 * 2**15 + 2468 rows
+        n = 17_001  # the reference's first proposal block, 4n = 2 * 2**15 + 2468 rows
         assert (4 * n) % _POINT_BLOCK and 4 * n > 2 * _POINT_BLOCK
         batch, stats = rejection_sample_oracle(two_bump, n, seed=7, with_stats=True)
         points, ref_stats = reference_rejection_sample_oracle(two_bump, n, 7)
