@@ -42,7 +42,7 @@ from .grid import (
     wrap_angle,
 )
 from .poisson import PoissonWorkspace, laplacian_spectral, solve_poisson
-from .sampler import SampleBatch, draw_uniform, sample_target, transform_samples
+from .sampler import SampleBatch, draw_uniform, sample_target
 from .transport import (
     TransportConfig,
     TransportResult,
@@ -105,7 +105,6 @@ __all__ = [
     "sample_target",
     "set_dynamic_range",
     "solve_poisson",
-    "transform_samples",
     "two_sample_chi_squared",
     "uniform_density",
     "wrap_angle",

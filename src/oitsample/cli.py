@@ -4,8 +4,9 @@ Commands are deterministic given their effective configuration (seeds
 included).  Exit codes: 0 success, 1 usage or configuration error,
 2 numerical failure, 3 validation failure.
 
-Configuration is plain ``key=value`` text; a ``--config`` file supplies
-values that explicit flags override.
+Each command has one flag per setting it reads.  Configuration is plain
+``key=value`` text; a ``--config`` file may hold any key, so that one file
+serves a whole build, sample, validate run, and explicit flags override it.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ class UsageError(Exception):
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Effective settings of one command; round-trips through key=value text."""
+    """Effective settings of one command: defaults, then a config file, then flags."""
 
     density: str | None = None
     ratio: float | None = None
@@ -59,14 +60,6 @@ class RunConfig:
     samples: str | None = None
     format: str = "csv"
     workers: int = 1
-
-    def to_text(self) -> str:
-        lines = []
-        for f in sorted(fields(self), key=lambda f: f.name):
-            value = getattr(self, f.name)
-            if value is not None:
-                lines.append(f"{f.name}={value}")
-        return "\n".join(lines) + "\n"
 
 
 # key -> int, float or str, the non-None member of each field's annotation
@@ -96,7 +89,7 @@ def parse_config_text(text: str) -> dict:
 
 def _effective_config(args: argparse.Namespace) -> RunConfig:
     cfg = RunConfig()
-    if getattr(args, "config", None):
+    if args.config:
         path = Path(args.config)
         if not path.exists():
             raise UsageError(f"config file {path} does not exist")
@@ -273,20 +266,33 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _add_common(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--config", help="key=value config file; flags override it")
-    sub.add_argument("--density", help="built-in density name (optionally name:param) or OITF file")
-    sub.add_argument("--ratio", type=float, help="shift density to this max/min ratio")
-    sub.add_argument("--grid", type=int, help="grid nodes per axis (default 256)")
-    sub.add_argument("--steps", type=int, help="time steps K (default 100)")
-    sub.add_argument("--seed", type=int, help="RNG seed (default 0)")
-    sub.add_argument("--n", type=int, help="sample count (default 100000)")
-    sub.add_argument("--bins", type=int, help="validation bins per axis (default 32)")
-    sub.add_argument("--out", help="output path")
-    sub.add_argument("--map", help="OITM map file")
-    sub.add_argument("--samples", help="sample CSV (export input / validate per-bin output)")
-    sub.add_argument("--format", choices=("csv", "oitf"), help="sample output format")
-    sub.add_argument("--workers", type=int, help="worker threads for sampling (default 1)")
+# command -> (function, help, the RunConfig keys it reads, which are its flags)
+_COMMANDS = {
+    "build": (cmd_build, "construct a transport map and save it as OITM",
+              ("density", "ratio", "grid", "steps", "out")),
+    "sample": (cmd_sample, "draw samples through a prebuilt map",
+               ("map", "n", "seed", "format", "workers", "out")),
+    "validate": (cmd_validate, "chi-squared checks of map samples against the target",
+                 ("map", "density", "ratio", "n", "seed", "bins", "workers", "out",
+                  "samples")),
+    "export": (cmd_export, "figure-ready artifacts: heatmap PGM, warp-mesh CSV, scatter CSV",
+               ("map", "density", "ratio", "grid", "samples", "n", "out")),
+}
+
+_HELP = {
+    "density": "built-in density name (optionally name:param) or OITF file",
+    "ratio": "shift density to this max/min ratio",
+    "grid": "grid nodes per axis (default 256)",
+    "steps": "time steps K (default 100)",
+    "seed": "RNG seed (default 0)",
+    "n": "sample count (default 100000)",
+    "bins": "validation bins per axis (default 32)",
+    "out": "output path",
+    "map": "OITM map file",
+    "samples": "sample CSV (export input / validate per-bin output)",
+    "format": "sample output format, csv or oitf (default csv)",
+    "workers": "worker threads for sampling (default 1)",
+}
 
 
 def build_parser() -> _Parser:
@@ -294,22 +300,12 @@ def build_parser() -> _Parser:
                      description="Draw seeded random samples from a density on the "
                                  "flat torus through a measure-transport warp.")
     subs = parser.add_subparsers(dest="command", required=True)
-    for name, doc in (
-        ("build", "construct a transport map and save it as OITM"),
-        ("sample", "draw samples through a prebuilt map"),
-        ("validate", "chi-squared checks of map samples against the target"),
-        ("export", "figure-ready artifacts: heatmap PGM, warp-mesh CSV, scatter CSV"),
-    ):
-        _add_common(subs.add_parser(name, help=doc))
+    for name, (_, doc, keys) in _COMMANDS.items():
+        sub = subs.add_parser(name, help=doc)
+        sub.add_argument("--config", help="key=value config file, any key; flags override it")
+        for key in keys:
+            sub.add_argument(f"--{key}", type=_KEY_TYPES[key], help=_HELP[key])
     return parser
-
-
-_COMMANDS = {
-    "build": cmd_build,
-    "sample": cmd_sample,
-    "validate": cmd_validate,
-    "export": cmd_export,
-}
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -317,7 +313,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         cfg = _effective_config(args)
-        return _COMMANDS[args.command](cfg)
+        return _COMMANDS[args.command][0](cfg)
     except (UsageError, InvalidInputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

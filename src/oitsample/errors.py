@@ -18,7 +18,11 @@ class DegenerateInputError(InvalidInputError):
 
 
 class FileFormatError(InvalidInputError):
-    """A field/map/sample file failed its magic or length checks."""
+    """A field, map or sample file is malformed; the message names the file.
+
+    Raised for a bad magic, length or encoding, and for content that fails
+    the grid, field or map checks (a non-finite value, a folded map).
+    """
 
 
 class OrientationLossError(RuntimeError):

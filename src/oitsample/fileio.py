@@ -24,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import FileFormatError
+from .errors import FileFormatError, InvalidInputError
 from .grid import DiffeoMap, PeriodicGrid, ScalarField, VectorField
 from .sampler import SampleBatch
 from .transport import TransportResult
@@ -123,11 +123,14 @@ def write_field_oitf(path: str | Path, field: ScalarField | VectorField) -> None
 
 def read_field_oitf(path: str | Path) -> ScalarField | VectorField:
     n_x, n_y, columns = _read_oitf(path)
-    grid = PeriodicGrid(n_x, n_y)
     arrays = [col.reshape(n_x, n_y) for col in columns]
-    if len(arrays) == 1:
-        return ScalarField(grid, arrays[0])
-    return VectorField.from_arrays(grid, arrays[0], arrays[1])
+    try:
+        grid = PeriodicGrid(n_x, n_y)
+        if len(arrays) == 1:
+            return ScalarField(grid, arrays[0])
+        return VectorField.from_arrays(grid, arrays[0], arrays[1])
+    except InvalidInputError as exc:  # a bad grid size or a non-finite value
+        raise FileFormatError(f"{path}: {exc}") from exc
 
 
 def write_samples_oitf(path: str | Path, batch: SampleBatch) -> None:
@@ -188,13 +191,16 @@ def read_map_oitm(path: str | Path) -> tuple[DiffeoMap, MapMetadata]:
     n_x, n_y, steps = head["n_x"], head["n_y"], head["steps"]
     columns = _read_columns(path, buf, offset, {**dict.fromkeys(_OITM_DIAGS, steps),
                                                 **dict.fromkeys(_OITM_DISP, n_x * n_y)})
-    grid = PeriodicGrid(n_x, n_y)
     fwd_x, fwd_y, inv_x, inv_y = (columns[name].reshape(n_x, n_y) for name in _OITM_DISP)
-    mapping = DiffeoMap(
-        grid,
-        VectorField.from_arrays(grid, fwd_x, fwd_y),
-        VectorField.from_arrays(grid, inv_x, inv_y),
-    )
+    try:
+        grid = PeriodicGrid(n_x, n_y)
+        mapping = DiffeoMap(
+            grid,
+            VectorField.from_arrays(grid, fwd_x, fwd_y),
+            VectorField.from_arrays(grid, inv_x, inv_y),
+        )
+    except InvalidInputError as exc:  # a bad grid size, value or map
+        raise FileFormatError(f"{path}: {exc}") from exc
     meta = MapMetadata(
         steps=steps,
         angle=head["angle"],

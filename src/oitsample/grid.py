@@ -417,12 +417,14 @@ class DiffeoMap:
                 )
 
     def _round_trip_error(self) -> float:
-        X, Y = self.grid.node_mesh()
-        fx = X + self.disp.u_x.values
-        fy = Y + self.disp.u_y.values
-        st = _Stencil(self.grid, fx.reshape(-1), fy.reshape(-1))
-        bx = fx.reshape(-1) + st.gather(self.inv_disp.u_x.values) - X.reshape(-1)
-        by = fy.reshape(-1) + st.gather(self.inv_disp.u_y.values) - Y.reshape(-1)
+        """Largest node error of phi^-1(phi(x)) - x = wrap(d + d_inv o phi)."""
+        dx = self.disp.u_x.values
+        dy = self.disp.u_y.values
+        st = _displaced_stencil(self.grid, dx, dy)
+        bx = st.gather(self.inv_disp.u_x.values)
+        bx += dx.reshape(-1)  # in place: no second grid-sized array per component
+        by = st.gather(self.inv_disp.u_y.values)
+        by += dy.reshape(-1)
         return float(np.hypot(wrap_angle(bx), wrap_angle(by)).max())
 
     def apply(self, points: np.ndarray) -> np.ndarray:
@@ -432,10 +434,10 @@ class DiffeoMap:
         return wrap_angle(moved)
 
 
-def identity_map(grid: PeriodicGrid, with_inverse: bool = True) -> DiffeoMap:
+def identity_map(grid: PeriodicGrid) -> DiffeoMap:
     zero = ScalarField.constant(grid, 0.0)
     disp = VectorField(zero, zero)
-    return DiffeoMap(grid, disp, disp if with_inverse else None)
+    return DiffeoMap(grid, disp, disp)
 
 
 def jacobian_det(mapping: DiffeoMap) -> ScalarField:

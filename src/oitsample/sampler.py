@@ -88,15 +88,14 @@ def _transform_chunk(mapping: DiffeoMap, pts: np.ndarray, out: np.ndarray) -> No
     out[:, 1] = _wrap_shift(py + st.gather(mapping.disp.u_y.values))
 
 
-def _map_chunks(mapping: DiffeoMap, n: int, seed: int, workers: int,
-                points: np.ndarray | None = None) -> SampleBatch:
-    """Push n points through the map in ``_POINT_BLOCK``-point chunks.
+def _map_chunks(mapping: DiffeoMap, n: int, seed: int, workers: int) -> SampleBatch:
+    """Push uniform samples 0..n-1 through the map in ``_POINT_BLOCK``-point chunks.
 
-    Chunk [s, e) is ``points[s:e]`` or, without ``points``, uniform samples
-    s..e-1 drawn only when the chunk runs.  Each chunk is one thread task,
-    one ``draw_uniform`` call and one ``_transform_chunk`` call; both are
-    looked up as module globals.  The pool holds ``workers`` threads, capped
-    at the core count; the output depends on neither.
+    Chunk [s, e) draws uniform samples s..e-1 only when it runs.  Each chunk
+    is one thread task, one ``draw_uniform`` call and one
+    ``_transform_chunk`` call; both are looked up as module globals.  The
+    pool holds ``workers`` threads, capped at the core count; the output
+    depends on neither.
     """
     if workers < 1:
         raise InvalidInputError(f"worker count must be >= 1, got {workers}")
@@ -104,8 +103,7 @@ def _map_chunks(mapping: DiffeoMap, n: int, seed: int, workers: int,
 
     def run(span: tuple[int, int]) -> None:
         s, e = span
-        chunk = draw_uniform(e - s, seed, start=s).points if points is None else points[s:e]
-        _transform_chunk(mapping, chunk, out[s:e])
+        _transform_chunk(mapping, draw_uniform(e - s, seed, start=s).points, out[s:e])
 
     spans = [(s, min(s + _POINT_BLOCK, n)) for s in range(0, n, _POINT_BLOCK)]
     workers = min(workers, os.cpu_count() or 1)
@@ -116,17 +114,6 @@ def _map_chunks(mapping: DiffeoMap, n: int, seed: int, workers: int,
         for span in spans:
             run(span)
     return SampleBatch(out, seed)
-
-
-def transform_samples(mapping: DiffeoMap, batch: SampleBatch,
-                      workers: int = 1) -> SampleBatch:
-    """Push every point through the map: y = wrap(x + d(x)).
-
-    Displacement components are bilinearly interpolated; order is preserved
-    and the input batch is untouched.  ``workers`` threads split the batch
-    into fixed chunks, which changes nothing in the output.
-    """
-    return _map_chunks(mapping, batch.count, batch.seed, workers, batch.points)
 
 
 def sample_target(mapping: DiffeoMap, n: int, seed: int,

@@ -53,16 +53,13 @@ class TransportConfig:
     """Build parameters: K time steps of size 1/K on a fixed grid.
 
     ``residual_tol`` is the pushforward-residual level above which the
-    result is flagged (with a warning, never silently).  The scalar
-    per-step diagnostics are always recorded; ``record_diagnostics``
-    additionally retains every step's velocity field, which is memory-heavy
-    on production grids and meant for tests.
+    result is flagged (with a warning, never silently).  Every build
+    records the scalar per-step diagnostics of ``TransportResult``.
     """
 
     steps: int
     grid: PeriodicGrid
     residual_tol: float = 0.05
-    record_diagnostics: bool = False
 
     def __post_init__(self) -> None:
         if self.steps < 1:
@@ -85,7 +82,6 @@ class TransportResult:
     poisson_mean: np.ndarray
     min_jacobian: np.ndarray
     residual_above_tol: bool
-    velocity_fields: tuple[VectorField, ...] | None = None
 
 
 def pushforward_residual(mapping: DiffeoMap, target: Density) -> float:
@@ -133,7 +129,6 @@ def build_transport_map(target: Density, cfg: TransportConfig) -> TransportResul
     cfl = np.zeros(K)
     poisson_mean = np.zeros(K)
     min_jac = np.zeros(K)
-    kept: list[VectorField] = []
 
     for k in range(K):
         rate = log_density_rate(path, k / K)
@@ -147,8 +142,6 @@ def build_transport_map(target: Density, cfg: TransportConfig) -> TransportResul
             eps * np.abs(v_x).max() / grid.h_x,
             eps * np.abs(v_y).max() / grid.h_y,
         )
-        if cfg.record_diagnostics:
-            kept.append(VectorField.from_arrays(grid, v_x, v_y))
 
         # inverse map: pointwise Euler step of the flow ODE
         st_inv = _displaced_stencil(grid, inv_x, inv_y)
@@ -209,5 +202,4 @@ def build_transport_map(target: Density, cfg: TransportConfig) -> TransportResul
         poisson_mean=poisson_mean,
         min_jacobian=min_jac,
         residual_above_tol=above,
-        velocity_fields=tuple(kept) if cfg.record_diagnostics else None,
     )

@@ -1,7 +1,11 @@
+import ast
+import inspect
+import textwrap
+
 import numpy as np
 import pytest
 
-from oitsample.cli import RunConfig, main, parse_config_text
+from oitsample.cli import _COMMANDS, _KEY_TYPES, RunConfig, build_parser, main, parse_config_text
 from oitsample.fileio import read_map_oitm, read_samples_csv, write_field_oitf
 from oitsample import PeriodicGrid, ScalarField
 
@@ -21,14 +25,6 @@ def sine_map(tmp_path_factory):
 
 
 class TestConfig:
-    def test_round_trip_is_idempotent(self):
-        cfg = RunConfig(density="two-bump", ratio=100.0, grid=128, steps=50,
-                        seed=3, n=1234, bins=16, out="a.csv", map="m.oitm")
-        text = cfg.to_text()
-        rebuilt = RunConfig(**parse_config_text(text))
-        assert rebuilt == cfg
-        assert rebuilt.to_text() == text
-
     def test_parse_rejects_unknown_keys(self):
         from oitsample.cli import UsageError
         with pytest.raises(UsageError):
@@ -290,3 +286,60 @@ class TestMalformedInputFiles:
         err = self.check(capsys, "validate", "--map", str(bad),
                          "--density", "sine-perturbation:0.4", "--n", "1000", "--bins", "8")
         assert str(bad) in err and "truncated" in err
+
+    def test_map_with_nan_value(self, sine_map, tmp_path, capsys):
+        data = bytearray(sine_map.read_bytes())
+        data[-8:] = np.float64(np.nan).tobytes()  # the last inverse y value
+        bad = tmp_path / "nan.oitm"
+        bad.write_bytes(bytes(data))
+        err = self.check(capsys, "sample", "--map", str(bad), "--n", "10",
+                         "--out", str(tmp_path / "s.csv"))
+        assert str(bad) in err and "finite" in err
+
+    def test_density_field_with_nan_value(self, tmp_path, capsys):
+        field_path = tmp_path / "target.oitf"
+        write_field_oitf(field_path, ScalarField.constant(PeriodicGrid(32, 32), 1.0))
+        data = bytearray(field_path.read_bytes())
+        data[-8:] = np.float64(np.nan).tobytes()
+        field_path.write_bytes(bytes(data))
+        err = self.check(capsys, "build", "--density", str(field_path), "--grid", "32",
+                         "--steps", "2", "--out", str(tmp_path / "m.oitm"))
+        assert str(field_path) in err and "finite" in err
+
+
+def cfg_reads(func):
+    """The RunConfig keys a command function reads: its ``cfg.<key>``
+    attributes, plus density and ratio when it calls _resolve_density."""
+    tree = ast.parse(textwrap.dedent(inspect.getsource(func)))
+    keys = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name) and node.value.id == "cfg"}
+    if any(isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+           and node.func.id == "_resolve_density" for node in ast.walk(tree)):
+        keys |= {"density", "ratio"}
+    return keys
+
+
+class TestCommandFlags:
+    """Each command takes --config and one flag per setting it reads."""
+
+    @pytest.mark.parametrize("name", sorted(_COMMANDS))
+    def test_flags_are_the_keys_the_command_reads(self, name):
+        func, _, keys = _COMMANDS[name]
+        assert len(set(keys)) == len(keys)
+        assert cfg_reads(func) == set(keys)
+
+    def test_flag_slot_count(self):
+        subs = next(a for a in build_parser()._actions if a.dest == "command")
+        flags = {name: {opt for action in sub._actions for opt in action.option_strings
+                        if opt not in ("-h", "--help")}
+                 for name, sub in subs.choices.items()}
+        assert flags == {name: {"--config"} | {f"--{key}" for key in keys}
+                         for name, (_, _, keys) in _COMMANDS.items()}
+        assert sum(len(f) for f in flags.values()) == 31
+
+    @pytest.mark.parametrize("name,key", [
+        (name, key) for name, (_, _, keys) in _COMMANDS.items()
+        for key in _KEY_TYPES if key not in keys])
+    def test_unread_flag_is_usage_error(self, name, key, capsys):
+        assert run(name, f"--{key}", "1") == 1
+        assert f"unrecognized arguments: --{key} 1" in capsys.readouterr().err

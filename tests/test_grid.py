@@ -490,14 +490,14 @@ class TestCompose:
     def test_right_identity(self, rng):
         g = PeriodicGrid(32, 32)
         phi = smooth_test_map(g, amp=0.2)
-        out = compose(phi, identity_map(g, with_inverse=False))
+        out = compose(phi, identity_map(g))
         assert np.array_equal(out.disp.u_x.values, phi.disp.u_x.values)
         assert np.array_equal(out.disp.u_y.values, phi.disp.u_y.values)
 
     def test_left_identity(self):
         g = PeriodicGrid(32, 32)
         psi = smooth_test_map(g, amp=0.2, phase=0.7)
-        out = compose(identity_map(g, with_inverse=False), psi)
+        out = compose(identity_map(g), psi)
         assert np.array_equal(out.disp.u_x.values, psi.disp.u_x.values)
         assert np.array_equal(out.disp.u_y.values, psi.disp.u_y.values)
 

@@ -14,9 +14,16 @@ from oitsample import (
     identity_map,
     interp_scalar,
     sample_target,
-    transform_samples,
 )
 from oitsample.grid import _POINT_BLOCK
+from oitsample.sampler import _transform_chunk
+
+
+def transform(mapping, batch):
+    """The sampler's map evaluation of one chunk, applied to a whole batch."""
+    out = np.empty(batch.points.shape)
+    _transform_chunk(mapping, batch.points, out)
+    return SampleBatch(out, batch.seed)
 
 
 class TestDrawUniform:
@@ -59,10 +66,12 @@ class TestDrawUniform:
 
 
 class TestTransformSamples:
+    """The map evaluation each sampler chunk runs: y = wrap(x + d(x))."""
+
     def test_identity_map_returns_input(self):
         g = PeriodicGrid(16, 16)
         batch = draw_uniform(500, seed=5)
-        out = transform_samples(identity_map(g), batch)
+        out = transform(identity_map(g), batch)
         assert np.array_equal(out.points, batch.points)
 
     def test_half_turn_translation_wraps(self):
@@ -70,7 +79,7 @@ class TestTransformSamples:
         mapping = DiffeoMap(g, VectorField(ScalarField.constant(g, np.pi),
                                            ScalarField.constant(g, 0.0)))
         batch = SampleBatch(np.array([[np.pi / 2, 0.0]]), seed=0)
-        out = transform_samples(mapping, batch)
+        out = transform(mapping, batch)
         assert out.points[0, 0] == pytest.approx(-np.pi / 2, abs=1e-15)
         assert out.points[0, 1] == 0.0
 
@@ -80,7 +89,7 @@ class TestTransformSamples:
                                            ScalarField.constant(g, -2 * np.pi + 1e-9)))
         edge = np.nextafter(np.pi, -1)
         batch = SampleBatch(np.array([[-np.pi, -np.pi], [edge, edge], [0.0, 0.0]]), seed=0)
-        out = transform_samples(mapping, batch)
+        out = transform(mapping, batch)
         assert np.all(out.points >= -np.pi)
         assert np.all(out.points < np.pi)
 
@@ -91,7 +100,7 @@ class TestTransformSamples:
         mapping = smooth_test_map(g, amp=0.3)
         disp = mapping.disp
         batch = draw_uniform(100, seed=9)
-        out = transform_samples(mapping, batch)
+        out = transform(mapping, batch)
         dx = interp_scalar(disp.u_x, batch.points)
         dy = interp_scalar(disp.u_y, batch.points)
         expected_x = batch.points[:, 0] + dx
@@ -109,18 +118,9 @@ class TestTransformSamples:
                                            ScalarField.constant(g, 0.0)))
         batch = draw_uniform(50, seed=2)
         before = batch.points.copy()
-        out = transform_samples(mapping, batch)
+        out = transform(mapping, batch)
         assert np.array_equal(batch.points, before)
         assert np.array_equal(out.points[:, 1], batch.points[:, 1])
-
-    def test_workers_do_not_change_output(self):
-        g = PeriodicGrid(32, 32)
-        mapping = DiffeoMap(g, VectorField(ScalarField.constant(g, 0.4),
-                                           ScalarField.constant(g, 0.7)))
-        big = draw_uniform(3 * (1 << 20) + 123, seed=8)
-        serial = transform_samples(mapping, big, workers=1)
-        threaded = transform_samples(mapping, big, workers=4)
-        assert np.array_equal(serial.points, threaded.points)
 
 
 class TestSampleTarget:
@@ -142,7 +142,7 @@ class TestSampleTarget:
         mapping = DiffeoMap(g, VectorField(ScalarField.constant(g, 0.25),
                                            ScalarField.constant(g, -0.5)))
         direct = sample_target(mapping, 10_000, seed=14)
-        manual = transform_samples(mapping, draw_uniform(10_000, seed=14))
+        manual = transform(mapping, draw_uniform(10_000, seed=14))
         assert np.array_equal(direct.points, manual.points)
 
     def test_chunk_boundaries_invisible(self):
@@ -184,12 +184,6 @@ class TestWorkerCount:
         with pytest.raises(InvalidInputError):
             sample_target(identity_map(PeriodicGrid(8, 8)), 10, seed=0, workers=workers)
 
-    @pytest.mark.parametrize("workers", [0, -1])
-    def test_transform_samples_rejects(self, workers):
-        batch = draw_uniform(10, seed=0)
-        with pytest.raises(InvalidInputError):
-            transform_samples(identity_map(PeriodicGrid(8, 8)), batch, workers=workers)
-
     def test_pool_is_capped_at_the_core_count(self, monkeypatch):
         """Every chunk is submitted at once, so an uncapped pool would start
         one thread per chunk up to ``workers``."""
@@ -216,9 +210,9 @@ class TestWorkerCount:
 
 
 class TestOneDriver:
-    """Both public entry points run one chunk loop: one draw (sample_target
-    only) and one map evaluation per chunk, whatever the worker count.  The
-    chunk is the package's one point block, so the n below span 32-65 chunks."""
+    """sample_target runs one chunk loop: one draw and one map evaluation per
+    chunk, whatever the worker count.  The chunk is the package's one point
+    block, so the n below span 32-65 chunks."""
 
     CHUNK = 1 << 15
 
@@ -260,17 +254,6 @@ class TestOneDriver:
         assert sorted(calls["draw"]) == spans
         assert sorted(calls["transform"]) == sorted(size for _, size in spans)
         assert out.count == n and out.seed == 6
-
-    @pytest.mark.parametrize("workers", [1, 3])
-    @pytest.mark.parametrize("n", [0, 1 << 20, 2 * (1 << 20) + 5])
-    def test_transform_samples(self, calls, workers, n):
-        g = PeriodicGrid(16, 16)
-        batch = SampleBatch(np.zeros((n, 2)), seed=8)
-        out = transform_samples(identity_map(g), batch, workers=workers)
-        assert calls["draw"] == []
-        assert sorted(calls["transform"]) == sorted(size for _, size in self.expected_spans(n))
-        assert out.count == n and out.seed == 8
-        assert np.array_equal(out.points, batch.points)
 
 
 # ---------------------------------------------------------------------------
@@ -389,13 +372,6 @@ class TestBlockedEvaluation:
         got = sample_target(wavy_map, n, seed=31, workers=workers).points
         expected = reference_map(wavy_map, draw_uniform(n, seed=31).points)
         assert np.array_equal(got, expected)
-
-    @pytest.mark.parametrize("workers", [1, 3])
-    @pytest.mark.parametrize("n", SIZES)
-    def test_transform_samples(self, wavy_map, n, workers):
-        batch = draw_uniform(n, seed=32)
-        got = transform_samples(wavy_map, batch, workers=workers).points
-        assert np.array_equal(got, reference_map(wavy_map, batch.points))
 
     def test_map_is_not_constant_and_wraps(self, wavy_map):
         pts = draw_uniform(_POINT_BLOCK, seed=33).points
