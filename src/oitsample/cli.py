@@ -4,9 +4,9 @@ Commands are deterministic given their effective configuration (seeds
 included).  Exit codes: 0 success, 1 usage or configuration error,
 2 numerical failure, 3 validation failure.
 
-Each command has one flag per setting it reads.  Configuration is plain
-``key=value`` text; a ``--config`` file may hold any key, so that one file
-serves a whole build, sample, validate run, and explicit flags override it.
+Each command has one flag per setting it reads, spelled in full.  A
+``--config`` file of ``key=value`` lines may hold any key but ``out`` and
+``samples``, so one file serves a whole build, sample, validate run; flags override it.
 """
 
 from __future__ import annotations
@@ -83,6 +83,8 @@ def parse_config_text(text: str) -> dict:
             raise UsageError(f"config line {lineno}: expected key=value, got {raw!r}")
         if key not in _KEY_TYPES:
             raise UsageError(f"config line {lineno}: unknown key {key!r}")
+        if key in ("out", "samples"):  # one command's file; shared, the next would overwrite it
+            raise UsageError(f"config line {lineno}: pass --{key} as a flag")
         values[key] = _KEY_TYPES[key](value)
     return values
 
@@ -131,8 +133,6 @@ def _resolve_density(cfg: RunConfig, grid: PeriodicGrid) -> tuple[Density, str]:
 def cmd_build(cfg: RunConfig) -> int:
     if not cfg.out:
         raise UsageError("build requires --out for the map file")
-    if cfg.steps < 1:
-        raise UsageError(f"step count must be >= 1, got {cfg.steps}")
     grid = PeriodicGrid(cfg.grid, cfg.grid)
     target, ident = _resolve_density(cfg, grid)
     t0 = time.perf_counter()
@@ -153,8 +153,6 @@ def cmd_sample(cfg: RunConfig) -> int:
         raise UsageError("sample requires --map")
     if not cfg.out:
         raise UsageError("sample requires --out")
-    if cfg.n < 0:
-        raise UsageError(f"sample count must be nonnegative, got {cfg.n}")
     if cfg.format not in ("csv", "oitf"):
         raise UsageError(f"format must be csv or oitf, got {cfg.format!r}")
     mapping, _meta = fileio.read_map_oitm(cfg.map)
@@ -241,7 +239,7 @@ def cmd_export(cfg: RunConfig) -> int:
     kind = chosen[0]
     if kind == "map":
         mapping, _meta = fileio.read_map_oitm(cfg.map)
-        fileio.write_warp_mesh_csv(cfg.out, mapping, stride=4)
+        fileio.write_warp_mesh_csv(cfg.out, mapping)
         print(f"mesh: {cfg.out}")
     elif kind == "density":
         grid = PeriodicGrid(cfg.grid, cfg.grid)
@@ -252,7 +250,7 @@ def cmd_export(cfg: RunConfig) -> int:
         if cfg.n < 0:
             raise UsageError(f"row count must be nonnegative, got {cfg.n}")
         keep = fileio.read_samples_csv(cfg.samples, max_rows=cfg.n or None)
-        fileio.write_samples_csv(cfg.out, SampleBatch(keep, seed=0))
+        fileio.write_samples_csv(cfg.out, SampleBatch(keep))
         print(f"scatter: {cfg.out} ({len(keep)} points)")
     return 0
 
@@ -262,6 +260,9 @@ def cmd_export(cfg: RunConfig) -> int:
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, **kwargs):  # flags in full only; each command's parser is one too
+        super().__init__(allow_abbrev=False, **kwargs)
+
     def error(self, message):  # exit code 1 for usage problems, not argparse's 2
         raise UsageError(message)
 
@@ -302,7 +303,7 @@ def build_parser() -> _Parser:
     subs = parser.add_subparsers(dest="command", required=True)
     for name, (_, doc, keys) in _COMMANDS.items():
         sub = subs.add_parser(name, help=doc)
-        sub.add_argument("--config", help="key=value config file, any key; flags override it")
+        sub.add_argument("--config", help="key=value file, any key but out, samples; flags win")
         for key in keys:
             sub.add_argument(f"--{key}", type=_KEY_TYPES[key], help=_HELP[key])
     return parser

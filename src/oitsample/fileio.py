@@ -404,8 +404,8 @@ def write_heatmap_pgm(path: str | Path, field: ScalarField) -> None:
         fh.write(np.ascontiguousarray(img).tobytes())
 
 
-def write_warp_mesh_csv(path: str | Path, mapping: DiffeoMap, stride: int = 4) -> None:
-    """Polylines of every ``stride``-th grid line pushed through the map.
+def write_warp_mesh_csv(path: str | Path, mapping: DiffeoMap) -> None:
+    """Polylines of every 4th grid line pushed through the map.
 
     Positions are node + displacement, left unwrapped so each polyline is
     plottable as-is; the closing vertex repeats the first one shifted by a
@@ -426,11 +426,11 @@ def write_warp_mesh_csv(path: str | Path, mapping: DiffeoMap, stride: int = 4) -
     shift_x[-1] = two_pi
     with open(path, "wb") as fh:
         fh.write(b"direction,line_index,vertex_index,x,y\n")
-        for i in range(0, grid.n_x, stride):
+        for i in range(0, grid.n_x, 4):
             x = grid.xs[i] + dx[i, wrap_y]
             y = grid.ys[wrap_y] + dy[i, wrap_y] + shift_y
             fh.write(_polyline_rows(b"x", i, x, y))
-        for j in range(0, grid.n_y, stride):
+        for j in range(0, grid.n_y, 4):
             x = grid.xs[wrap_x] + dx[wrap_x, j] + shift_x
             y = grid.ys[j] + dy[wrap_x, j]
             fh.write(_polyline_rows(b"y", j, x, y))

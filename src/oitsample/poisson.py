@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import GridMismatchError, InvalidInputError
+from .errors import GridMismatchError
 from .grid import PeriodicGrid, ScalarField, _wavenumbers
 
 
@@ -60,10 +60,9 @@ def _solve_gradient(ws: PoissonWorkspace, s_values: np.ndarray):
 
     Returns the gradient (v_x, v_y) of the Poisson solution as raw arrays,
     computed from a single forward transform of the source; the potential
-    itself is never transformed back.
+    itself is never transformed back.  A non-finite source gives non-finite
+    velocities, which the caller checks.
     """
-    if not np.all(np.isfinite(s_values)):
-        raise InvalidInputError("source values must be finite")
     f_hat = np.fft.fft2(s_values) * ws.inv_symbol
     v_x = np.fft.ifft2(1j * ws.deriv_kx[:, None] * f_hat).real
     v_y = np.fft.ifft2(1j * ws.deriv_ky[None, :] * f_hat).real

@@ -25,10 +25,9 @@ _MASK64 = 2**64 - 1
 
 @dataclass(frozen=True)
 class SampleBatch:
-    """Ordered points in [-pi, pi)^2 plus the seed that produced them."""
+    """Ordered points in [-pi, pi)^2."""
 
     points: np.ndarray
-    seed: int
 
     def __post_init__(self) -> None:
         pts = np.asarray(self.points, dtype=np.float64)
@@ -76,7 +75,7 @@ def draw_uniform(n: int, seed: int, start: int = 0) -> SampleBatch:
     pts = _uniform_stream(seed, _STREAM_UNIFORM, 2 * start, 2 * n)
     pts *= TWO_PI
     pts -= np.pi
-    return SampleBatch(pts.reshape(n, 2), seed)
+    return SampleBatch(pts.reshape(n, 2))
 
 
 def _transform_chunk(mapping: DiffeoMap, pts: np.ndarray, out: np.ndarray) -> None:
@@ -113,7 +112,7 @@ def _map_chunks(mapping: DiffeoMap, n: int, seed: int, workers: int) -> SampleBa
     else:
         for span in spans:
             run(span)
-    return SampleBatch(out, seed)
+    return SampleBatch(out)
 
 
 def sample_target(mapping: DiffeoMap, n: int, seed: int,

@@ -288,7 +288,7 @@ def rejection_sample_oracle(target: Density, n: int, seed: int,
     rate = got / proposed if proposed else 1.0
     log.info("rejection oracle: %d/%d proposals accepted (rate %.4f, envelope %.4f)",
              got, proposed, rate, 1.0 / (vmax * 4.0 * np.pi**2))
-    batch = SampleBatch(points, seed)
+    batch = SampleBatch(points)
     if with_stats:
         return batch, {"proposed": proposed, "accepted": got, "rate": rate}
     return batch

@@ -39,6 +39,30 @@ class TestConfig:
         _, meta = read_map_oitm(out)
         assert meta.steps == 6  # flag wins over config file
 
+    def test_out_key_would_overwrite_the_map(self, sine_map, tmp_path, capsys):
+        """One file with map= and out= for build and sample: sample would
+        write its CSV over the map it read."""
+        shared = tmp_path / "run.oitm"
+        shared.write_bytes(sine_map.read_bytes())
+        conf = tmp_path / "run.conf"
+        conf.write_text(f"map={shared}\nout={shared}\nn=100\n")
+        assert run("sample", "--config", str(conf)) == 1
+        assert "config line 2: pass --out as a flag" in capsys.readouterr().err
+        assert shared.read_bytes() == sine_map.read_bytes()
+
+    def test_samples_key_would_overwrite_the_samples(self, sine_map, tmp_path, capsys):
+        """One file with samples= for export and validate: validate would
+        write its per-bin table over the sample CSV export reads."""
+        pts = tmp_path / "pts.csv"
+        assert run("sample", "--map", str(sine_map), "--n", "100", "--out", str(pts)) == 0
+        before = pts.read_bytes()
+        conf = tmp_path / "run.conf"
+        conf.write_text(f"map={sine_map}\ndensity=sine-perturbation:0.4\nn=1000\n"
+                        f"bins=16\nsamples={pts}\n")
+        assert run("validate", "--config", str(conf), "--out", str(tmp_path / "r.txt")) == 1
+        assert "config line 5: pass --samples as a flag" in capsys.readouterr().err
+        assert pts.read_bytes() == before
+
 
 class TestBuild:
     def test_uniform_is_identity(self, tmp_path):
@@ -228,10 +252,12 @@ class TestExport:
 
 
 class TestConfigKeyTypes:
-    # the key tables parse_config_text used before it read RunConfig's annotations
+    # the key tables parse_config_text used before it read RunConfig's
+    # annotations, less the two file keys that are flags only
     INT_KEYS = {"grid", "steps", "seed", "n", "bins", "workers"}
     FLOAT_KEYS = {"ratio"}
-    STR_KEYS = {"density", "out", "map", "samples", "format"}
+    STR_KEYS = {"density", "map", "format"}
+    FLAG_ONLY_KEYS = {"out", "samples"}
 
     def test_every_key_keeps_its_type(self):
         from dataclasses import fields
@@ -242,7 +268,7 @@ class TestConfigKeyTypes:
                 value = parse_config_text(f"{key}=7\n")[key]
                 assert type(value) is kind and value == kind("7")
         assert {f.name for f in fields(RunConfig)} == (
-            self.INT_KEYS | self.FLOAT_KEYS | self.STR_KEYS)
+            self.INT_KEYS | self.FLOAT_KEYS | self.STR_KEYS | self.FLAG_ONLY_KEYS)
 
     def test_unknown_key_message(self):
         from oitsample.cli import UsageError
@@ -336,6 +362,18 @@ class TestCommandFlags:
         assert flags == {name: {"--config"} | {f"--{key}" for key in keys}
                          for name, (_, _, keys) in _COMMANDS.items()}
         assert sum(len(f) for f in flags.values()) == 31
+
+    @pytest.mark.parametrize("name,prefix", [
+        (name, prefix) for name, (_, _, keys) in _COMMANDS.items()
+        for prefix, key in (("--wor", "workers"), ("--ma", "map"), ("--o", "out"),
+                            ("--conf", "config"))
+        if key in keys + ("config",)])
+    def test_flag_prefix_is_usage_error(self, name, prefix, capsys):
+        """A prefix that only one of the command's flags starts with is no flag."""
+        keys = ("config",) + _COMMANDS[name][2]
+        assert len([key for key in keys if f"--{key}".startswith(prefix)]) == 1
+        assert run(name, prefix, "1") == 1
+        assert f"unrecognized arguments: {prefix} 1" in capsys.readouterr().err
 
     @pytest.mark.parametrize("name,key", [
         (name, key) for name, (_, _, keys) in _COMMANDS.items()

@@ -32,11 +32,15 @@ from oitsample.fileio import (
 )
 
 
-@pytest.fixture(scope="module")
-def small_build():
-    g = PeriodicGrid(32, 32)
+def sine_build(n):
+    g = PeriodicGrid(n, n)
     target = normalize(ScalarField.from_function(g, lambda x, y: 1.0 + 0.4 * np.sin(x)))
     return build_transport_map(target, TransportConfig(steps=6, grid=g))
+
+
+@pytest.fixture(scope="module")
+def small_build():
+    return sine_build(32)
 
 
 class TestOitfFields:
@@ -235,7 +239,7 @@ class TestFigureExports:
     def test_identity_mesh_is_straight_and_closed(self, tmp_path):
         g = PeriodicGrid(16, 16)
         p = tmp_path / "mesh.csv"
-        write_warp_mesh_csv(p, identity_map(g), stride=4)
+        write_warp_mesh_csv(p, identity_map(g))
         rows = [line.split(",") for line in p.read_text().splitlines()[1:]]
         assert {r[0] for r in rows} == {"x", "y"}
         for direction, line_index, vertex, x, y in rows:
@@ -251,7 +255,7 @@ class TestFigureExports:
 
     def test_warped_mesh_closes_periodically(self, tmp_path, small_build):
         p = tmp_path / "mesh.csv"
-        write_warp_mesh_csv(p, small_build.map, stride=4)
+        write_warp_mesh_csv(p, small_build.map)
         rows = [line.split(",") for line in p.read_text().splitlines()[1:]]
         for direction in ("x", "y"):
             sel = [r for r in rows if r[0] == direction and r[1] == "4"]
@@ -278,20 +282,20 @@ def reference_write_samples_csv(path, batch):
             fh.write(("%.17g,%.17g\n" * len(block)) % tuple(block.reshape(-1)))
 
 
-def reference_write_warp_mesh_csv(path, mapping, stride=4):
+def reference_write_warp_mesh_csv(path, mapping):
     grid = mapping.grid
     dx = mapping.disp.u_x.values
     dy = mapping.disp.u_y.values
     two_pi = 2.0 * np.pi
     with open(path, "w", newline="\n") as fh:
         fh.write("direction,line_index,vertex_index,x,y\n")
-        for i in range(0, grid.n_x, stride):
+        for i in range(0, grid.n_x, 4):
             for j in range(grid.n_y + 1):
                 jj = j % grid.n_y
                 x = grid.xs[i] + dx[i, jj]
                 y = grid.ys[jj] + dy[i, jj] + (two_pi if j == grid.n_y else 0.0)
                 fh.write("x,%d,%d,%.17g,%.17g\n" % (i, j, x, y))
-        for j in range(0, grid.n_y, stride):
+        for j in range(0, grid.n_y, 4):
             for i in range(grid.n_x + 1):
                 ii = i % grid.n_x
                 x = grid.xs[ii] + dx[ii, j] + (two_pi if i == grid.n_x else 0.0)
@@ -383,7 +387,7 @@ class TestCsvMatchesPercentFormat:
         for k, r in enumerate(edges):
             pts[r, k % 2] = (0.0, -0.0, 1e-5, -3e-300)[k % 4]
         pts[b + 1] = (-0.0, 0.0)
-        _assert_csv_matches_reference(tmp_path, SampleBatch(pts, seed=0))
+        _assert_csv_matches_reference(tmp_path, SampleBatch(pts))
 
     def test_stress_values_cover_their_cases(self):
         rng = np.random.default_rng(12)
@@ -409,21 +413,24 @@ class TestCsvMatchesPercentFormat:
 
 
 class TestMeshMatchesScalarWriter:
-    @pytest.mark.parametrize("stride", [1, 4, 5])
-    def test_identity(self, tmp_path, stride):
-        mapping = identity_map(PeriodicGrid(16, 24))
+    # the writer takes every 4th line; 4 divides 16 and 24, and on 18 x 21
+    # the last line of each direction is closer than 4 to the seam
+    @pytest.mark.parametrize("n_x,n_y", [(16, 24), (18, 21)])
+    def test_identity(self, tmp_path, n_x, n_y):
+        mapping = identity_map(PeriodicGrid(n_x, n_y))
         got = tmp_path / "got.csv"
         want = tmp_path / "want.csv"
-        write_warp_mesh_csv(got, mapping, stride=stride)
-        reference_write_warp_mesh_csv(want, mapping, stride=stride)
+        write_warp_mesh_csv(got, mapping)
+        reference_write_warp_mesh_csv(want, mapping)
         assert got.read_bytes() == want.read_bytes()
 
-    @pytest.mark.parametrize("stride", [1, 4])
-    def test_small_build(self, tmp_path, small_build, stride):
+    @pytest.mark.parametrize("n", [32, 30])
+    def test_small_build(self, tmp_path, n):
+        mapping = sine_build(n).map
         got = tmp_path / "got.csv"
         want = tmp_path / "want.csv"
-        write_warp_mesh_csv(got, small_build.map, stride=stride)
-        reference_write_warp_mesh_csv(want, small_build.map, stride=stride)
+        write_warp_mesh_csv(got, mapping)
+        reference_write_warp_mesh_csv(want, mapping)
         assert got.read_bytes() == want.read_bytes()
 
 

@@ -23,7 +23,7 @@ def transform(mapping, batch):
     """The sampler's map evaluation of one chunk, applied to a whole batch."""
     out = np.empty(batch.points.shape)
     _transform_chunk(mapping, batch.points, out)
-    return SampleBatch(out, batch.seed)
+    return SampleBatch(out)
 
 
 class TestDrawUniform:
@@ -78,7 +78,7 @@ class TestTransformSamples:
         g = PeriodicGrid(16, 16)
         mapping = DiffeoMap(g, VectorField(ScalarField.constant(g, np.pi),
                                            ScalarField.constant(g, 0.0)))
-        batch = SampleBatch(np.array([[np.pi / 2, 0.0]]), seed=0)
+        batch = SampleBatch(np.array([[np.pi / 2, 0.0]]))
         out = transform(mapping, batch)
         assert out.points[0, 0] == pytest.approx(-np.pi / 2, abs=1e-15)
         assert out.points[0, 1] == 0.0
@@ -88,7 +88,7 @@ class TestTransformSamples:
         mapping = DiffeoMap(g, VectorField(ScalarField.constant(g, 2 * np.pi - 1e-9),
                                            ScalarField.constant(g, -2 * np.pi + 1e-9)))
         edge = np.nextafter(np.pi, -1)
-        batch = SampleBatch(np.array([[-np.pi, -np.pi], [edge, edge], [0.0, 0.0]]), seed=0)
+        batch = SampleBatch(np.array([[-np.pi, -np.pi], [edge, edge], [0.0, 0.0]]))
         out = transform(mapping, batch)
         assert np.all(out.points >= -np.pi)
         assert np.all(out.points < np.pi)
@@ -164,18 +164,18 @@ class TestSampleTarget:
 class TestSampleBatchInvariants:
     def test_rejects_out_of_range(self):
         with pytest.raises(InvalidInputError):
-            SampleBatch(np.array([[np.pi, 0.0]]), seed=0)
+            SampleBatch(np.array([[np.pi, 0.0]]))
 
     def test_rejects_bad_shape(self):
         with pytest.raises(InvalidInputError):
-            SampleBatch(np.zeros((3, 3)), seed=0)
+            SampleBatch(np.zeros((3, 3)))
 
     @pytest.mark.parametrize("col", [0, 1])
     def test_rejects_nan(self, col):
         pts = np.zeros((4, 2))
         pts[2, col] = np.nan
         with pytest.raises(InvalidInputError):
-            SampleBatch(pts, seed=0)
+            SampleBatch(pts)
 
 
 class TestWorkerCount:
@@ -253,7 +253,7 @@ class TestOneDriver:
         spans = self.expected_spans(n)
         assert sorted(calls["draw"]) == spans
         assert sorted(calls["transform"]) == sorted(size for _, size in spans)
-        assert out.count == n and out.seed == 6
+        assert out.count == n
 
 
 # ---------------------------------------------------------------------------

@@ -28,20 +28,20 @@ def sine_density(grid, amp=0.5):
 
 class TestHistogram:
     def test_left_edge_point(self):
-        batch = SampleBatch(np.array([[-np.pi, -np.pi]]), seed=0)
+        batch = SampleBatch(np.array([[-np.pi, -np.pi]]))
         h = histogram(batch, 4, 4)
         assert h.counts[0, 0] == 1
         assert h.total == 1
 
     def test_origin_goes_to_center_adjacent_bin(self):
-        batch = SampleBatch(np.zeros((25, 2)), seed=0)
+        batch = SampleBatch(np.zeros((25, 2)))
         h = histogram(batch, 8, 8)
         assert h.counts[4, 4] == 25
 
     def test_conserves_count_with_boundary_points(self):
         edge = np.nextafter(np.pi, -1)
         pts = np.array([[-np.pi, edge], [edge, -np.pi], [0.0, 0.0], [edge, edge]])
-        h = histogram(SampleBatch(pts, seed=0), 3, 5)
+        h = histogram(SampleBatch(pts), 3, 5)
         assert h.total == 4
 
     def test_uniform_counts_within_five_sigma(self):
