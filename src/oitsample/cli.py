@@ -27,7 +27,7 @@ from .errors import (
 )
 from .geodesic import Density, normalize, set_dynamic_range
 from .grid import PeriodicGrid, ScalarField
-from .sampler import SampleBatch, sample_target
+from .sampler import SampleBatch, _map_chunks, sample_target
 from .transport import TransportConfig, build_transport_map
 from .validate import (
     chi_squared_gof,
@@ -156,16 +156,21 @@ def cmd_sample(cfg: RunConfig) -> int:
     if cfg.format not in ("csv", "oitf"):
         raise UsageError(f"format must be csv or oitf, got {cfg.format!r}")
     mapping, _meta = fileio.read_map_oitm(cfg.map)
+    write_time = 0.0
     t0 = time.perf_counter()
-    batch = sample_target(mapping, cfg.n, cfg.seed, workers=cfg.workers)
-    sample_time = time.perf_counter() - t0
-    t0 = time.perf_counter()
-    if cfg.format == "oitf":
-        fileio.write_samples_oitf(cfg.out, batch)
-    else:
-        fileio.write_samples_csv(cfg.out, batch)
-    write_time = time.perf_counter() - t0
-    rate = cfg.n / sample_time if sample_time > 0 else float("inf")
+    with fileio.stream_samples(cfg.out, cfg.n, cfg.format) as write:
+
+        def emit(start, points):
+            nonlocal write_time
+            points = SampleBatch(points).points  # a batch's range check, chunk by chunk
+            t = time.perf_counter()
+            write(start, points)
+            write_time += time.perf_counter() - t
+
+        _map_chunks(mapping, cfg.n, cfg.seed, cfg.workers, emit)
+    loop_time = time.perf_counter() - t0
+    sample_time = loop_time - write_time
+    rate = cfg.n / loop_time if loop_time > 0 else float("inf")
     print(f"samples: {cfg.n}")
     print(f"sampling_time_s: {sample_time:.3f}")
     print(f"write_time_s: {write_time:.3f}")
@@ -249,7 +254,7 @@ def cmd_export(cfg: RunConfig) -> int:
     else:
         if cfg.n < 0:
             raise UsageError(f"row count must be nonnegative, got {cfg.n}")
-        keep = fileio.read_samples_csv(cfg.samples, max_rows=cfg.n or None)
+        keep = fileio.read_samples_csv(cfg.samples, max_rows=cfg.n)
         fileio.write_samples_csv(cfg.out, SampleBatch(keep))
         print(f"scatter: {cfg.out} ({len(keep)} points)")
     return 0

@@ -18,6 +18,10 @@ each displacement component n_x*n_y float64 row-major.
 
 from __future__ import annotations
 
+import os
+import stat
+from collections.abc import Callable, Iterator
+from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import chain
 from pathlib import Path
@@ -40,6 +44,7 @@ _OITM_HEAD = np.dtype([("magic", "S6"), ("n_x", "<u4"), ("n_y", "<u4"), ("steps"
 _F64 = np.dtype("<f8")
 
 _OITF_BLOCK_ROWS = 1 << 20
+_CSV_HEADER = b"x,y\n"
 
 
 def _take(path: str | Path, buf: bytes, offset: int, dtype: np.dtype,
@@ -97,8 +102,12 @@ def _write_columns(fh, columns: list[np.ndarray]) -> None:
 def _write_oitf(path: str | Path, n_x: int, n_y: int, columns: list[np.ndarray]) -> None:
     """Header, then each column's n_x*n_y values in row-major order."""
     with open(path, "wb") as fh:
-        fh.write(np.array((OITF_MAGIC, n_x, n_y, len(columns)), _OITF_HEAD).tobytes())
+        fh.write(_oitf_header(n_x, n_y, len(columns)))
         _write_columns(fh, columns)
+
+
+def _oitf_header(n_x: int, n_y: int, comps: int) -> bytes:
+    return np.array((OITF_MAGIC, n_x, n_y, comps), _OITF_HEAD).tobytes()
 
 
 def _read_oitf(path: str | Path) -> tuple[int, int, list[np.ndarray]]:
@@ -353,8 +362,85 @@ def _write_csv_rows(fh, pts: np.ndarray) -> None:
 def write_samples_csv(path: str | Path, batch: SampleBatch) -> None:
     """Header x,y then one %.17g pair per line (exact float64 round-trip)."""
     with open(path, "wb") as fh:
-        fh.write(b"x,y\n")
+        fh.write(_CSV_HEADER)
         _write_csv_rows(fh, batch.points)
+
+
+@contextmanager
+def _output(path: str | Path) -> Iterator:
+    """A binary file whose contents become ``path``'s.
+
+    When ``path`` names a regular file or nothing (symlinks followed), the
+    file is a new one beside the target, which replaces the target when the
+    block completes and is deleted when the block raises, so ``path`` never
+    holds part of a file.  It keeps an existing target's permission bits,
+    but not its owner or its other hard links.  Anything else, such as a
+    pipe or a device, is opened and written in place.
+    """
+    path = os.fspath(path)
+    try:
+        mode = os.stat(path).st_mode
+    except FileNotFoundError:
+        mode = None
+    if mode is not None and not stat.S_ISREG(mode):
+        with open(path, "wb") as fh:
+            yield fh
+        return
+    real = os.path.realpath(path)
+    tmp = os.path.join(os.path.dirname(real),
+                       f".{os.path.basename(real)}.{os.urandom(4).hex()}.tmp")
+    try:
+        if mode is not None:
+            open(real, "ab").close()  # fail where opening the target to write would
+        fh = open(tmp, "xb")
+    except OSError as exc:  # e.g. a missing directory: name the caller's path
+        raise OSError(exc.errno, exc.strerror, path) from None
+    try:
+        with fh:
+            if mode is not None:
+                os.chmod(tmp, stat.S_IMODE(mode))
+            yield fh
+        os.replace(tmp, real)
+    except BaseException:
+        os.unlink(tmp)
+        raise
+
+
+@contextmanager
+def stream_samples(path: str | Path, n: int,
+                   fmt: str) -> Iterator[Callable[[int, np.ndarray], None]]:
+    """Yield ``write(start, points)``, which stores the (m, 2) ``points`` as
+    rows start..start+m-1 of an n-row sample file in ``fmt``, csv or oitf.
+
+    The calls must cover rows 0..n-1 in ascending order.  The file then has
+    the bytes ``write_samples_csv`` or ``write_samples_oitf`` give the whole
+    batch, and it reaches ``path`` as ``_output`` says.  The OITF header is
+    written last, so ``n`` is only encoded once every row is in.  An OITF
+    going to a pipe, which cannot seek, holds the points until then.
+    """
+    with _output(path) as fh:
+        if fmt == "csv":
+            fh.write(_CSV_HEADER)
+            yield lambda start, points: _write_csv_rows(fh, points)
+            return
+        if not fh.seekable():
+            chunks: list[np.ndarray] = []
+            yield lambda start, points: chunks.append(points)
+            pts = np.concatenate(chunks) if chunks else np.empty((0, 2))
+            fh.write(_oitf_header(n, 1, 2))
+            _write_columns(fh, [pts[:, 0], pts[:, 1]])
+            return
+        head = _OITF_HEAD.itemsize
+
+        def write(start: int, points: np.ndarray) -> None:
+            fh.seek(head + 8 * start)  # x block, then y block of the column pair
+            _write_columns(fh, [points[:, 0]])
+            fh.seek(head + 8 * (n + start))
+            _write_columns(fh, [points[:, 1]])
+
+        yield write
+        fh.seek(0)
+        fh.write(_oitf_header(n, 1, 2))
 
 
 def read_samples_csv(path: str | Path, max_rows: int | None = None) -> np.ndarray:
@@ -368,7 +454,7 @@ def read_samples_csv(path: str | Path, max_rows: int | None = None) -> np.ndarra
             start = fh.tell()
             while (line := fh.readline()) and not line.strip():
                 start = fh.tell()
-            if not line:
+            if not line or max_rows == 0:
                 return np.empty((0, 2))
             fh.seek(start)
             data = np.loadtxt(fh, delimiter=",", ndmin=2, max_rows=max_rows)

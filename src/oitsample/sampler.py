@@ -9,6 +9,8 @@ sequence bit for bit: chunk i simply starts the counter at its own offset.
 from __future__ import annotations
 
 import os
+from collections import deque
+from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -87,32 +89,44 @@ def _transform_chunk(mapping: DiffeoMap, pts: np.ndarray, out: np.ndarray) -> No
     out[:, 1] = _wrap_shift(py + st.gather(mapping.disp.u_y.values))
 
 
-def _map_chunks(mapping: DiffeoMap, n: int, seed: int, workers: int) -> SampleBatch:
+def _map_chunks(mapping: DiffeoMap, n: int, seed: int, workers: int,
+                emit: Callable[[int, np.ndarray], None]) -> None:
     """Push uniform samples 0..n-1 through the map in ``_POINT_BLOCK``-point chunks.
 
-    Chunk [s, e) draws uniform samples s..e-1 only when it runs.  Each chunk
-    is one thread task, one ``draw_uniform`` call and one
-    ``_transform_chunk`` call; both are looked up as module globals.  The
-    pool holds ``workers`` threads, capped at the core count; the output
-    depends on neither.
+    Chunk [s, e) draws uniform samples s..e-1 only when it runs, and
+    ``emit(s, points)`` then receives its (e - s, 2) points on the calling
+    thread, in ascending order of s.  Each chunk is one thread task, one
+    ``draw_uniform`` call and one ``_transform_chunk`` call; both are looked
+    up as module globals.  The pool holds ``workers`` threads, capped at the
+    core count, and computes at most ``2 * workers`` chunks ahead of
+    ``emit``, so memory does not grow with n.  The points depend on neither.
     """
+    if n < 0:
+        raise InvalidInputError(f"sample count must be nonnegative, got {n}")
     if workers < 1:
         raise InvalidInputError(f"worker count must be >= 1, got {workers}")
-    out = np.empty((n, 2))
 
-    def run(span: tuple[int, int]) -> None:
-        s, e = span
-        _transform_chunk(mapping, draw_uniform(e - s, seed, start=s).points, out[s:e])
+    def run(s: int) -> np.ndarray:
+        e = min(s + _POINT_BLOCK, n)
+        out = np.empty((e - s, 2))
+        _transform_chunk(mapping, draw_uniform(e - s, seed, start=s).points, out)
+        return out
 
-    spans = [(s, min(s + _POINT_BLOCK, n)) for s in range(0, n, _POINT_BLOCK)]
+    starts = range(0, n, _POINT_BLOCK)
     workers = min(workers, os.cpu_count() or 1)
-    if workers > 1 and len(spans) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(run, spans))
-    else:
-        for span in spans:
-            run(span)
-    return SampleBatch(out)
+    if workers == 1 or len(starts) <= 1:
+        for s in starts:
+            emit(s, run(s))
+        return
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        ahead: deque = deque()
+        for s in starts:
+            ahead.append((s, pool.submit(run, s)))
+            if len(ahead) == 2 * workers:
+                done, chunk = ahead.popleft()
+                emit(done, chunk.result())
+        for done, chunk in ahead:
+            emit(done, chunk.result())
 
 
 def sample_target(mapping: DiffeoMap, n: int, seed: int,
@@ -122,6 +136,10 @@ def sample_target(mapping: DiffeoMap, n: int, seed: int,
     This is the amortized workflow: build the map once, then call this as
     often as fresh samples are needed.
     """
-    if n < 0:
-        raise InvalidInputError(f"sample count must be nonnegative, got {n}")
-    return _map_chunks(mapping, n, seed, workers)
+    out = np.empty((max(n, 0), 2))  # a negative n is the driver's to reject
+
+    def keep(start: int, points: np.ndarray) -> None:
+        out[start:start + len(points)] = points
+
+    _map_chunks(mapping, n, seed, workers, keep)
+    return SampleBatch(out)

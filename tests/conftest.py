@@ -65,3 +65,23 @@ def smooth_test_map(grid: PeriodicGrid, amp: float = 0.15, phase: float = 0.0):
         ScalarField.from_function(grid, dy),
     )
     return DiffeoMap(grid, disp)
+
+
+@pytest.fixture(scope="session")
+def wavy_map():
+    """A random smooth displacement on a non-square grid, shifted so that
+    a fifth to a third of the points wrap on each axis."""
+    from oitsample import DiffeoMap, VectorField
+
+    g = PeriodicGrid(64, 48)
+    gen = np.random.Generator(np.random.Philox(key=np.array([2027, 5], np.uint64)))
+    X, Y = g.node_mesh()
+
+    def component(shift):
+        v = np.full(g.shape, shift)
+        for kx in range(3):
+            for ky in range(3):
+                v += 0.04 * gen.standard_normal() * np.sin(kx * X + ky * Y + gen.uniform(0, 6.3))
+        return v
+
+    return DiffeoMap(g, VectorField.from_arrays(g, component(2.0), component(-1.3)))

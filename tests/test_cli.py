@@ -1,13 +1,23 @@
 import ast
 import inspect
+import os
+import stat
 import textwrap
+import threading
 
 import numpy as np
 import pytest
 
 from oitsample.cli import _COMMANDS, _KEY_TYPES, RunConfig, build_parser, main, parse_config_text
-from oitsample.fileio import read_map_oitm, read_samples_csv, write_field_oitf
-from oitsample import PeriodicGrid, ScalarField
+from oitsample.fileio import (
+    read_map_oitm,
+    read_samples_csv,
+    write_field_oitf,
+    write_samples_csv,
+    write_samples_oitf,
+)
+from oitsample import PeriodicGrid, ScalarField, sample_target
+from oitsample.grid import _POINT_BLOCK
 
 
 def run(*args):
@@ -166,6 +176,152 @@ class TestSample:
         assert a.read_bytes() == b.read_bytes()
 
 
+class TestSampleStreaming:
+    """sample writes each chunk as the sampling driver emits it, into a
+    temporary file beside --out that replaces --out after the last chunk."""
+
+    B = _POINT_BLOCK
+
+    @pytest.fixture
+    def wavy_cli(self, monkeypatch, wavy_map):
+        """sample pushes its points through the wrapping wavy map, whatever
+        --map names."""
+        from oitsample import cli
+
+        monkeypatch.setattr(cli.fileio, "read_map_oitm", lambda path: (wavy_map, None))
+        return wavy_map
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    @pytest.mark.parametrize("n", [0, 1, B - 1, B, B + 1, 3 * B + 7])
+    @pytest.mark.parametrize("fmt", ["csv", "oitf"])
+    def test_bytes_equal_the_whole_batch_writers(self, wavy_cli, tmp_path, fmt, n, workers):
+        out = tmp_path / f"pts.{fmt}"
+        code = run("sample", "--map", "wavy.oitm", "--n", str(n), "--seed", "17",
+                   "--format", fmt, "--workers", str(workers), "--out", str(out))
+        assert code == 0
+        ref = tmp_path / f"ref.{fmt}"
+        writer = write_samples_csv if fmt == "csv" else write_samples_oitf
+        writer(ref, sample_target(wavy_cli, n, seed=17))
+        assert out.read_bytes() == ref.read_bytes()
+        assert sorted(os.listdir(tmp_path)) == sorted([out.name, ref.name])
+
+    @pytest.mark.parametrize("before", [None, b"x,y\n0.5,0.25\n"])
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("fmt", ["csv", "oitf"])
+    def test_a_failed_chunk_leaves_out_as_it_was(self, wavy_cli, monkeypatch, tmp_path,
+                                                 fmt, workers, before):
+        """Chunks 0-2 are written when chunk 3 raises: neither they nor a
+        zero-filled rest may reach --out."""
+        import oitsample.sampler as sampler
+
+        transform = sampler._transform_chunk
+        lock = threading.Lock()
+        calls = []
+
+        def failing_transform(mapping, pts, out):
+            with lock:
+                calls.append(len(pts))
+                k = len(calls) - 1
+            if k == 3:
+                raise RuntimeError("chunk 3 failed")
+            transform(mapping, pts, out)
+
+        monkeypatch.setattr(sampler, "_transform_chunk", failing_transform)
+        out = tmp_path / "pts.out"
+        if before is not None:
+            out.write_bytes(before)
+        with pytest.raises(RuntimeError, match="chunk 3 failed"):
+            run("sample", "--map", "wavy.oitm", "--n", str(6 * self.B), "--seed", "2",
+                "--format", fmt, "--workers", str(workers), "--out", str(out))
+        assert os.listdir(tmp_path) == ([] if before is None else [out.name])
+        if before is not None:
+            assert out.read_bytes() == before
+
+    def test_missing_directory_is_named_as_out(self, sine_map, tmp_path, capsys):
+        out = tmp_path / "none" / "pts.csv"
+        assert run("sample", "--map", str(sine_map), "--n", "10", "--out", str(out)) == 1
+        assert capsys.readouterr().err == (
+            f"error: [Errno 2] No such file or directory: '{out}'\n")
+
+    @pytest.mark.parametrize("fmt", ["csv", "oitf"])
+    def test_negative_n_leaves_out_as_it_was(self, sine_map, tmp_path, fmt):
+        out = tmp_path / "pts.out"
+        out.write_bytes(b"old")
+        assert run("sample", "--map", str(sine_map), "--n", "-5", "--format", fmt,
+                   "--out", str(out)) == 1
+        assert os.listdir(tmp_path) == [out.name]
+        assert out.read_bytes() == b"old"
+
+    @pytest.mark.parametrize("target_exists", [True, False])
+    def test_symlinked_out_replaces_its_target(self, wavy_cli, tmp_path, target_exists):
+        """The link stays a link; the file it names gets the samples and
+        keeps its permission bits."""
+        target = tmp_path / "data" / "pts.csv"
+        target.parent.mkdir()
+        if target_exists:
+            target.write_bytes(b"old")
+            target.chmod(0o640)
+        link = tmp_path / "link.csv"
+        link.symlink_to(target)
+        assert run("sample", "--map", "wavy.oitm", "--n", "1000", "--seed", "5",
+                   "--out", str(link)) == 0
+        ref = tmp_path / "ref.csv"
+        write_samples_csv(ref, sample_target(wavy_cli, 1000, seed=5))
+        assert link.is_symlink() and os.readlink(link) == str(target)
+        assert target.read_bytes() == ref.read_bytes()
+        if target_exists:
+            assert stat.S_IMODE(target.stat().st_mode) == 0o640
+        assert os.listdir(target.parent) == [target.name]
+
+    @pytest.mark.parametrize("fmt", ["csv", "oitf"])
+    def test_pipe_out_is_written_in_place(self, wavy_cli, tmp_path, fmt):
+        """A FIFO is not a regular file: sample opens it and writes through it,
+        as a plain open would, and the FIFO stays a FIFO."""
+        fifo = tmp_path / f"pts.{fmt}"
+        os.mkfifo(fifo)
+        got = []
+
+        def read_all():
+            with open(fifo, "rb") as fh:
+                got.append(fh.read())
+
+        reader = threading.Thread(target=read_all, daemon=True)
+        reader.start()
+        n = 2 * self.B + 3
+        code = run("sample", "--map", "wavy.oitm", "--n", str(n), "--seed", "6",
+                   "--format", fmt, "--workers", "2", "--out", str(fifo))
+        reader.join(60)
+        assert code == 0
+        assert not reader.is_alive()
+        assert stat.S_ISFIFO(os.stat(fifo).st_mode)
+        ref = tmp_path / "ref"
+        writer = write_samples_csv if fmt == "csv" else write_samples_oitf
+        writer(ref, sample_target(wavy_cli, n, seed=6))
+        assert got == [ref.read_bytes()]
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("fmt", ["csv", "oitf"])
+    def test_peak_memory_stays_below_a_whole_batch(self, sine_map, tmp_path, fmt, workers):
+        """2^20 points are a 16 MiB batch.  Streamed, the peak is a few chunks
+        of 512 KiB.  Serially it stays under 4 MB: one chunk in the map
+        evaluation (about 3 MB of draws, copies, stencil and gather
+        temporaries) or in the writer.  At 2 workers two chunks are in the map
+        evaluation at once and finished chunks wait for the writer, which
+        takes about twice that, so only the whole batch bounds it."""
+        import tracemalloc
+
+        tracemalloc.start()
+        try:
+            code = run("sample", "--map", str(sine_map), "--n", str(1 << 20), "--seed", "3",
+                       "--format", fmt, "--workers", str(workers),
+                       "--out", str(tmp_path / f"pts.{fmt}"))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert peak < (4_000_000 if workers == 1 else 16 << 20)
+
+
 class TestValidate:
     def test_sine_map_passes(self, sine_map, tmp_path):
         report = tmp_path / "report.txt"
@@ -226,6 +382,16 @@ class TestExport:
         kept = read_samples_csv(sub)
         assert kept.shape == (100, 2)
         assert np.array_equal(kept, read_samples_csv(pts)[:100])
+
+    def test_scatter_of_zero_rows_is_the_header(self, sine_map, tmp_path):
+        """--n 0 means zero points here too, as it does for sample and validate."""
+        pts = tmp_path / "pts.csv"
+        run("sample", "--map", str(sine_map), "--n", "1000", "--seed", "4",
+            "--out", str(pts))
+        sub = tmp_path / "sub.csv"
+        code = run("export", "--samples", str(pts), "--n", "0", "--out", str(sub))
+        assert code == 0
+        assert sub.read_bytes() == b"x,y\n"
 
     def test_scatter_rejects_nan_rows(self, tmp_path):
         pts = tmp_path / "pts.csv"

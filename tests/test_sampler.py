@@ -185,8 +185,8 @@ class TestWorkerCount:
             sample_target(identity_map(PeriodicGrid(8, 8)), 10, seed=0, workers=workers)
 
     def test_pool_is_capped_at_the_core_count(self, monkeypatch):
-        """Every chunk is submitted at once, so an uncapped pool would start
-        one thread per chunk up to ``workers``."""
+        """The 4 chunks below fit in the 2 x ``workers`` chunks the driver
+        submits ahead, so an uncapped pool would start one thread per chunk."""
         import os
         from concurrent.futures import ThreadPoolExecutor
 
@@ -254,6 +254,55 @@ class TestOneDriver:
         assert sorted(calls["draw"]) == spans
         assert sorted(calls["transform"]) == sorted(size for _, size in spans)
         assert out.count == n
+
+
+class TestStreamingDriver:
+    """``_map_chunks`` hands each chunk to ``emit`` on the calling thread, in
+    order, and computes at most 2 x workers chunks ahead of it."""
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_emit_order_and_chunks_ahead(self, monkeypatch, workers):
+        import os
+        import sys
+        import threading
+        import time
+
+        import oitsample.sampler as sampler
+
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)  # 3 workers run 3 threads
+        lock = threading.Lock()
+        ahead = {"now": 0, "most": 0}
+        transform = sampler._transform_chunk
+
+        def counting_transform(mapping, pts, out):
+            transform(mapping, pts, out)
+            with lock:
+                ahead["now"] += 1
+                ahead["most"] = max(ahead["most"], ahead["now"])
+
+        monkeypatch.setattr(sampler, "_transform_chunk", counting_transform)
+        home = threading.get_ident()
+        emitted = []
+
+        def emit(start, points):
+            assert threading.get_ident() == home
+            with lock:
+                ahead["now"] -= 1
+            emitted.append((start, len(points)))
+            time.sleep(0.005)  # a slow consumer, so that the workers run ahead
+
+        n = 24 * _POINT_BLOCK + 5
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # frequent thread switches
+        try:
+            sampler._map_chunks(identity_map(PeriodicGrid(16, 16)), n, 8, workers, emit)
+        finally:
+            sys.setswitchinterval(interval)
+        assert emitted == [(s, min(_POINT_BLOCK, n - s)) for s in range(0, n, _POINT_BLOCK)]
+        assert ahead["now"] == 0
+        assert ahead["most"] <= 2 * workers
+        if workers > 1:
+            assert ahead["most"] > 1
 
 
 # ---------------------------------------------------------------------------
@@ -343,24 +392,6 @@ def reference_map(mapping, pts):
     out = np.empty(pts.shape)
     reference_transform_chunk(mapping, pts, out)
     return out
-
-
-@pytest.fixture(scope="module")
-def wavy_map():
-    """A random smooth displacement on a non-square grid, shifted so that
-    a fifth to a third of the points wrap on each axis."""
-    g = PeriodicGrid(64, 48)
-    gen = np.random.Generator(np.random.Philox(key=np.array([2027, 5], np.uint64)))
-    X, Y = g.node_mesh()
-
-    def component(shift):
-        v = np.full(g.shape, shift)
-        for kx in range(3):
-            for ky in range(3):
-                v += 0.04 * gen.standard_normal() * np.sin(kx * X + ky * Y + gen.uniform(0, 6.3))
-        return v
-
-    return DiffeoMap(g, VectorField.from_arrays(g, component(2.0), component(-1.3)))
 
 
 class TestBlockedEvaluation:
