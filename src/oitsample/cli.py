@@ -6,7 +6,8 @@ included).  Exit codes: 0 success, 1 usage or configuration error,
 
 Each command has one flag per setting it reads, spelled in full.  A
 ``--config`` file of ``key=value`` lines may hold any key but ``out`` and
-``samples``, so one file serves a whole build, sample, validate run; flags override it.
+``table``, the files a command writes, so one file serves a whole build,
+sample, validate run; flags override it.
 """
 
 from __future__ import annotations
@@ -58,6 +59,7 @@ class RunConfig:
     out: str | None = None
     map: str | None = None
     samples: str | None = None
+    table: str | None = None
     format: str = "csv"
     workers: int = 1
 
@@ -83,7 +85,7 @@ def parse_config_text(text: str) -> dict:
             raise UsageError(f"config line {lineno}: expected key=value, got {raw!r}")
         if key not in _KEY_TYPES:
             raise UsageError(f"config line {lineno}: unknown key {key!r}")
-        if key in ("out", "samples"):  # one command's file; shared, the next would overwrite it
+        if key in ("out", "table"):  # a file a command writes; shared, the next would overwrite it
             raise UsageError(f"config line {lineno}: pass --{key} as a flag")
         values[key] = _KEY_TYPES[key](value)
     return values
@@ -220,18 +222,13 @@ def cmd_validate(cfg: RunConfig) -> int:
     ]
     report = "\n".join(report_lines) + "\n"
     if cfg.out:
-        Path(cfg.out).write_text(report)
+        fileio.save_text(cfg.out, report)
     sys.stdout.write(report)
-    if cfg.samples:  # optional per-bin table
-        with open(cfg.samples, "w", newline="\n") as fh:
-            fh.write("bin_x,bin_y,observed,expected,oracle\n")
-            expected = (cfg.n * mass).reshape(cfg.bins, cfg.bins)
-            for i in range(cfg.bins):
-                for j in range(cfg.bins):
-                    fh.write(
-                        f"{i},{j},{hist.counts[i, j]},{expected[i, j]:.6f},"
-                        f"{oracle_hist.counts[i, j]}\n"
-                    )
+    if cfg.table:  # optional per-bin table
+        expected = (cfg.n * mass).reshape(cfg.bins, cfg.bins)
+        rows = [f"{i},{j},{hist.counts[i, j]},{expected[i, j]:.6f},{oracle_hist.counts[i, j]}\n"
+                for i in range(cfg.bins) for j in range(cfg.bins)]
+        fileio.save_text(cfg.table, "bin_x,bin_y,observed,expected,oracle\n" + "".join(rows))
     return 0 if passed else 3
 
 
@@ -280,7 +277,7 @@ _COMMANDS = {
                ("map", "n", "seed", "format", "workers", "out")),
     "validate": (cmd_validate, "chi-squared checks of map samples against the target",
                  ("map", "density", "ratio", "n", "seed", "bins", "workers", "out",
-                  "samples")),
+                  "table")),
     "export": (cmd_export, "figure-ready artifacts: heatmap PGM, warp-mesh CSV, scatter CSV",
                ("map", "density", "ratio", "grid", "samples", "n", "out")),
 }
@@ -295,7 +292,8 @@ _HELP = {
     "bins": "validation bins per axis (default 32)",
     "out": "output path",
     "map": "OITM map file",
-    "samples": "sample CSV (export input / validate per-bin output)",
+    "samples": "sample CSV to read",
+    "table": "per-bin table CSV to write",
     "format": "sample output format, csv or oitf (default csv)",
     "workers": "worker threads for sampling (default 1)",
 }
@@ -308,7 +306,7 @@ def build_parser() -> _Parser:
     subs = parser.add_subparsers(dest="command", required=True)
     for name, (_, doc, keys) in _COMMANDS.items():
         sub = subs.add_parser(name, help=doc)
-        sub.add_argument("--config", help="key=value file, any key but out, samples; flags win")
+        sub.add_argument("--config", help="key=value file, any key but out, table; flags win")
         for key in keys:
             sub.add_argument(f"--{key}", type=_KEY_TYPES[key], help=_HELP[key])
     return parser

@@ -29,7 +29,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import FileFormatError, InvalidInputError
-from .grid import DiffeoMap, PeriodicGrid, ScalarField, VectorField
+from .grid import _POINT_BLOCK, DiffeoMap, PeriodicGrid, ScalarField, VectorField
 from .sampler import SampleBatch
 from .transport import TransportResult
 
@@ -43,7 +43,6 @@ _OITM_HEAD = np.dtype([("magic", "S6"), ("n_x", "<u4"), ("n_y", "<u4"), ("steps"
                        ("id_len", "<u4")])
 _F64 = np.dtype("<f8")
 
-_OITF_BLOCK_ROWS = 1 << 20
 _CSV_HEADER = b"x,y\n"
 
 
@@ -86,24 +85,64 @@ def _write_columns(fh, columns: list[np.ndarray]) -> None:
     Every column goes out in blocks through one reused buffer, so no
     full-length copy of a column is ever made.
     """
-    buf = np.empty(min(max(col.size for col in columns), _OITF_BLOCK_ROWS), _F64)
+    buf = np.empty(min(max(col.size for col in columns), _POINT_BLOCK), _F64)
     for col in columns:
         flat = col.reshape(-1)
-        for s in range(0, flat.size, _OITF_BLOCK_ROWS):
-            block = buf[:min(flat.size - s, _OITF_BLOCK_ROWS)]
+        for s in range(0, flat.size, _POINT_BLOCK):
+            block = buf[:min(flat.size - s, _POINT_BLOCK)]
             block[...] = flat[s:s + len(block)]
             fh.write(block)
 
 
+@contextmanager
+def _output(path: str | Path) -> Iterator:
+    """A binary file whose contents become ``path``'s; every file this
+    package writes reaches its path through here.
+
+    When ``path`` names a regular file or nothing (symlinks followed), the
+    file is a new one beside the target, which replaces the target when the
+    block completes and is deleted when the block raises, so ``path`` never
+    holds part of a file.  It keeps an existing target's permission bits,
+    but not its owner or its other hard links.  Anything else, such as a
+    pipe or a device, is opened and written in place.
+    """
+    path = os.fspath(path)
+    try:
+        mode = os.stat(path).st_mode
+    except FileNotFoundError:
+        mode = None
+    if mode is not None and not stat.S_ISREG(mode):
+        with open(path, "wb") as fh:
+            yield fh
+        return
+    real = os.path.realpath(path)
+    tmp = os.path.join(os.path.dirname(real),
+                       f".{os.path.basename(real)}.{os.urandom(4).hex()}.tmp")
+    try:
+        if mode is not None:
+            open(real, "ab").close()  # fail where opening the target to write would
+        fh = open(tmp, "xb")
+    except OSError as exc:  # e.g. a missing directory: name the caller's path
+        raise OSError(exc.errno, exc.strerror, path) from None
+    try:
+        with fh:
+            if mode is not None:
+                os.chmod(tmp, stat.S_IMODE(mode))
+            yield fh
+        os.replace(tmp, real)
+    except BaseException:
+        os.unlink(tmp)
+        raise
+
+
+def save_text(path: str | Path, text: str) -> None:
+    """``text``, UTF-8 encoded, as ``path``'s contents (through ``_output``)."""
+    with _output(path) as fh:
+        fh.write(text.encode())
+
+
 # ---------------------------------------------------------------------------
 # OITF fields
-
-
-def _write_oitf(path: str | Path, n_x: int, n_y: int, columns: list[np.ndarray]) -> None:
-    """Header, then each column's n_x*n_y values in row-major order."""
-    with open(path, "wb") as fh:
-        fh.write(_oitf_header(n_x, n_y, len(columns)))
-        _write_columns(fh, columns)
 
 
 def _oitf_header(n_x: int, n_y: int, comps: int) -> bytes:
@@ -127,7 +166,9 @@ def write_field_oitf(path: str | Path, field: ScalarField | VectorField) -> None
         columns = [field.values]
     else:
         columns = [field.u_x.values, field.u_y.values]
-    _write_oitf(path, field.grid.n_x, field.grid.n_y, columns)
+    with _output(path) as fh:
+        fh.write(_oitf_header(field.grid.n_x, field.grid.n_y, len(columns)))
+        _write_columns(fh, columns)
 
 
 def read_field_oitf(path: str | Path) -> ScalarField | VectorField:
@@ -143,7 +184,8 @@ def read_field_oitf(path: str | Path) -> ScalarField | VectorField:
 
 
 def write_samples_oitf(path: str | Path, batch: SampleBatch) -> None:
-    _write_oitf(path, batch.count, 1, [batch.points[:, 0], batch.points[:, 1]])
+    with stream_samples(path, len(batch.points), "oitf") as write:
+        write(0, batch.points)
 
 
 def read_samples_oitf(path: str | Path) -> np.ndarray:
@@ -182,7 +224,7 @@ def write_map_oitm(path: str | Path, result: TransportResult, density_id: str) -
             result.residual, 1 if result.residual_above_tol else 0, len(ident))
     disp = result.map.disp
     inv = result.map.inv_disp
-    with open(path, "wb") as fh:
+    with _output(path) as fh:
         fh.write(np.array(head, _OITM_HEAD).tobytes())
         fh.write(ident)
         _write_columns(fh, [getattr(result, name) for name in _OITM_DIAGS] + [
@@ -361,49 +403,8 @@ def _write_csv_rows(fh, pts: np.ndarray) -> None:
 
 def write_samples_csv(path: str | Path, batch: SampleBatch) -> None:
     """Header x,y then one %.17g pair per line (exact float64 round-trip)."""
-    with open(path, "wb") as fh:
-        fh.write(_CSV_HEADER)
-        _write_csv_rows(fh, batch.points)
-
-
-@contextmanager
-def _output(path: str | Path) -> Iterator:
-    """A binary file whose contents become ``path``'s.
-
-    When ``path`` names a regular file or nothing (symlinks followed), the
-    file is a new one beside the target, which replaces the target when the
-    block completes and is deleted when the block raises, so ``path`` never
-    holds part of a file.  It keeps an existing target's permission bits,
-    but not its owner or its other hard links.  Anything else, such as a
-    pipe or a device, is opened and written in place.
-    """
-    path = os.fspath(path)
-    try:
-        mode = os.stat(path).st_mode
-    except FileNotFoundError:
-        mode = None
-    if mode is not None and not stat.S_ISREG(mode):
-        with open(path, "wb") as fh:
-            yield fh
-        return
-    real = os.path.realpath(path)
-    tmp = os.path.join(os.path.dirname(real),
-                       f".{os.path.basename(real)}.{os.urandom(4).hex()}.tmp")
-    try:
-        if mode is not None:
-            open(real, "ab").close()  # fail where opening the target to write would
-        fh = open(tmp, "xb")
-    except OSError as exc:  # e.g. a missing directory: name the caller's path
-        raise OSError(exc.errno, exc.strerror, path) from None
-    try:
-        with fh:
-            if mode is not None:
-                os.chmod(tmp, stat.S_IMODE(mode))
-            yield fh
-        os.replace(tmp, real)
-    except BaseException:
-        os.unlink(tmp)
-        raise
+    with stream_samples(path, len(batch.points), "csv") as write:
+        write(0, batch.points)
 
 
 @contextmanager
@@ -412,9 +413,9 @@ def stream_samples(path: str | Path, n: int,
     """Yield ``write(start, points)``, which stores the (m, 2) ``points`` as
     rows start..start+m-1 of an n-row sample file in ``fmt``, csv or oitf.
 
-    The calls must cover rows 0..n-1 in ascending order.  The file then has
-    the bytes ``write_samples_csv`` or ``write_samples_oitf`` give the whole
-    batch, and it reaches ``path`` as ``_output`` says.  The OITF header is
+    The calls must cover rows 0..n-1 in ascending order; ``write_samples_csv``
+    and ``write_samples_oitf`` are the one call ``write(0, points)``.  The
+    file reaches ``path`` as ``_output`` says.  The OITF header is
     written last, so ``n`` is only encoded once every row is in.  An OITF
     going to a pipe, which cannot seek, holds the points until then.
     """
@@ -485,7 +486,7 @@ def write_heatmap_pgm(path: str | Path, field: ScalarField) -> None:
     else:
         scaled = np.zeros_like(v)
     img = scaled.astype(np.uint8).T[::-1, :]
-    with open(path, "wb") as fh:
+    with _output(path) as fh:
         fh.write(f"P5\n{field.grid.n_x} {field.grid.n_y}\n255\n".encode("ascii"))
         fh.write(np.ascontiguousarray(img).tobytes())
 
@@ -510,7 +511,7 @@ def write_warp_mesh_csv(path: str | Path, mapping: DiffeoMap) -> None:
     shift_y[-1] = two_pi
     shift_x = np.zeros(grid.n_x + 1)
     shift_x[-1] = two_pi
-    with open(path, "wb") as fh:
+    with _output(path) as fh:
         fh.write(b"direction,line_index,vertex_index,x,y\n")
         for i in range(0, grid.n_x, 4):
             x = grid.xs[i] + dx[i, wrap_y]

@@ -156,11 +156,12 @@ class VectorField:
 
 
 # The one block size for large point sets.  It sets the sampler's chunk (one
-# uniform draw, one thread task and one map evaluation each) and the
-# rejection oracle's proposal block (one draw and one density evaluation).
-# A block's stencil and gather temporaries, a few 256 KB arrays, stay in a
-# core's L2 cache; a 2^20-point pass streams every one of them through
-# memory.  On a 2-core host with 2 MB of L2 per core, 2^20 sampler points
+# uniform draw, one thread task and one map evaluation each), the rejection
+# oracle's proposal block (one draw and one density evaluation) and the
+# buffer through which float64 columns go to a binary file.  A block's
+# stencil and gather temporaries, a few 256 KB arrays, stay in a core's L2
+# cache; a 2^20-point pass streams every one of them through memory.  On a
+# 2-core host with 2 MB of L2 per core, 2^20 sampler points
 # took 104/74/71/78/96 ms in blocks of 2^12/2^14/2^15/2^16/2^17 points,
 # against 141 ms unblocked.
 _POINT_BLOCK = 1 << 15

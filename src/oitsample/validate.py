@@ -11,7 +11,6 @@ continued fraction), so no statistics library is required at runtime.
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass
 
@@ -25,8 +24,6 @@ from .sampler import SampleBatch, _uniform_stream
 _STREAM_ORACLE = 0x6F726163  # "orac"; keeps oracle draws off the sampler stream
 
 _MIN_EXPECTED = 5.0
-
-log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -286,8 +283,6 @@ def rejection_sample_oracle(target: Density, n: int, seed: int,
         got += len(hits)
     points = np.concatenate(accepted) if accepted else np.empty((0, 2))
     rate = got / proposed if proposed else 1.0
-    log.info("rejection oracle: %d/%d proposals accepted (rate %.4f, envelope %.4f)",
-             got, proposed, rate, 1.0 / (vmax * 4.0 * np.pi**2))
     batch = SampleBatch(points)
     if with_stats:
         return batch, {"proposed": proposed, "accepted": got, "rate": rate}

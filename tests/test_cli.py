@@ -4,10 +4,12 @@ import os
 import stat
 import textwrap
 import threading
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
 
+from oitsample import fileio
 from oitsample.cli import _COMMANDS, _KEY_TYPES, RunConfig, build_parser, main, parse_config_text
 from oitsample.fileio import (
     read_map_oitm,
@@ -22,6 +24,53 @@ from oitsample.grid import _POINT_BLOCK
 
 def run(*args):
     return main(list(args))
+
+
+def assert_left_as_it_was(out, before):
+    """``out`` holds ``before`` (None: ``out`` does not exist), and nothing
+    else is left beside it."""
+    assert os.listdir(out.parent) == ([] if before is None else [out.name])
+    if before is not None:
+        assert out.read_bytes() == before
+
+
+def write_through_symlink(tmp_path, write, target_exists):
+    """Call ``write(link)`` on a link to data/target, which may be an
+    existing file of mode 0640.  The link must stay a link, the target keep
+    its permission bits, and no other file appear beside it.  Returns the
+    target's bytes."""
+    target = tmp_path / "data" / "target"
+    target.parent.mkdir()
+    if target_exists:
+        target.write_bytes(b"old")
+        target.chmod(0o640)
+    link = tmp_path / "link"
+    link.symlink_to(target)
+    write(link)
+    assert link.is_symlink() and os.readlink(link) == str(target)
+    if target_exists:
+        assert stat.S_IMODE(target.stat().st_mode) == 0o640
+    assert os.listdir(target.parent) == [target.name]
+    return target.read_bytes()
+
+
+def read_through_fifo(path, write):
+    """The bytes a reader of a FIFO made at ``path`` gets while
+    ``write(path)`` runs; the FIFO must stay a FIFO."""
+    os.mkfifo(path)
+    got = []
+
+    def read_all():
+        with open(path, "rb") as fh:
+            got.append(fh.read())
+
+    reader = threading.Thread(target=read_all, daemon=True)
+    reader.start()
+    write(path)
+    reader.join(60)
+    assert not reader.is_alive()
+    assert stat.S_ISFIFO(os.stat(path).st_mode)
+    return got[0]
 
 
 @pytest.fixture(scope="module")
@@ -60,18 +109,26 @@ class TestConfig:
         assert "config line 2: pass --out as a flag" in capsys.readouterr().err
         assert shared.read_bytes() == sine_map.read_bytes()
 
-    def test_samples_key_would_overwrite_the_samples(self, sine_map, tmp_path, capsys):
-        """One file with samples= for export and validate: validate would
-        write its per-bin table over the sample CSV export reads."""
-        pts = tmp_path / "pts.csv"
-        assert run("sample", "--map", str(sine_map), "--n", "100", "--out", str(pts)) == 0
-        before = pts.read_bytes()
+    def test_table_key_would_overwrite_the_table(self, sine_map, tmp_path, capsys):
+        """One file with table= for two validate runs: the second would
+        write its per-bin table over the first one's."""
+        table = tmp_path / "bins.csv"
+        table.write_bytes(b"old")
         conf = tmp_path / "run.conf"
         conf.write_text(f"map={sine_map}\ndensity=sine-perturbation:0.4\nn=1000\n"
-                        f"bins=16\nsamples={pts}\n")
+                        f"bins=16\ntable={table}\n")
         assert run("validate", "--config", str(conf), "--out", str(tmp_path / "r.txt")) == 1
-        assert "config line 5: pass --samples as a flag" in capsys.readouterr().err
-        assert pts.read_bytes() == before
+        assert "config line 5: pass --table as a flag" in capsys.readouterr().err
+        assert table.read_bytes() == b"old"
+
+    def test_samples_key_is_the_csv_export_reads(self, sine_map, tmp_path):
+        pts = tmp_path / "pts.csv"
+        assert run("sample", "--map", str(sine_map), "--n", "100", "--out", str(pts)) == 0
+        conf = tmp_path / "run.conf"
+        conf.write_text(f"samples={pts}\nn=10\n")
+        sub = tmp_path / "sub.csv"
+        assert run("export", "--config", str(conf), "--out", str(sub)) == 0
+        assert np.array_equal(read_samples_csv(sub), read_samples_csv(pts)[:10])
 
 
 class TestBuild:
@@ -233,9 +290,7 @@ class TestSampleStreaming:
         with pytest.raises(RuntimeError, match="chunk 3 failed"):
             run("sample", "--map", "wavy.oitm", "--n", str(6 * self.B), "--seed", "2",
                 "--format", fmt, "--workers", str(workers), "--out", str(out))
-        assert os.listdir(tmp_path) == ([] if before is None else [out.name])
-        if before is not None:
-            assert out.read_bytes() == before
+        assert_left_as_it_was(out, before)
 
     def test_missing_directory_is_named_as_out(self, sine_map, tmp_path, capsys):
         out = tmp_path / "none" / "pts.csv"
@@ -256,48 +311,30 @@ class TestSampleStreaming:
     def test_symlinked_out_replaces_its_target(self, wavy_cli, tmp_path, target_exists):
         """The link stays a link; the file it names gets the samples and
         keeps its permission bits."""
-        target = tmp_path / "data" / "pts.csv"
-        target.parent.mkdir()
-        if target_exists:
-            target.write_bytes(b"old")
-            target.chmod(0o640)
-        link = tmp_path / "link.csv"
-        link.symlink_to(target)
-        assert run("sample", "--map", "wavy.oitm", "--n", "1000", "--seed", "5",
-                   "--out", str(link)) == 0
+        def write(link):
+            assert run("sample", "--map", "wavy.oitm", "--n", "1000", "--seed", "5",
+                       "--out", str(link)) == 0
+
+        got = write_through_symlink(tmp_path, write, target_exists)
         ref = tmp_path / "ref.csv"
         write_samples_csv(ref, sample_target(wavy_cli, 1000, seed=5))
-        assert link.is_symlink() and os.readlink(link) == str(target)
-        assert target.read_bytes() == ref.read_bytes()
-        if target_exists:
-            assert stat.S_IMODE(target.stat().st_mode) == 0o640
-        assert os.listdir(target.parent) == [target.name]
+        assert got == ref.read_bytes()
 
     @pytest.mark.parametrize("fmt", ["csv", "oitf"])
     def test_pipe_out_is_written_in_place(self, wavy_cli, tmp_path, fmt):
         """A FIFO is not a regular file: sample opens it and writes through it,
         as a plain open would, and the FIFO stays a FIFO."""
-        fifo = tmp_path / f"pts.{fmt}"
-        os.mkfifo(fifo)
-        got = []
-
-        def read_all():
-            with open(fifo, "rb") as fh:
-                got.append(fh.read())
-
-        reader = threading.Thread(target=read_all, daemon=True)
-        reader.start()
         n = 2 * self.B + 3
-        code = run("sample", "--map", "wavy.oitm", "--n", str(n), "--seed", "6",
-                   "--format", fmt, "--workers", "2", "--out", str(fifo))
-        reader.join(60)
-        assert code == 0
-        assert not reader.is_alive()
-        assert stat.S_ISFIFO(os.stat(fifo).st_mode)
+
+        def write(fifo):
+            assert run("sample", "--map", "wavy.oitm", "--n", str(n), "--seed", "6",
+                       "--format", fmt, "--workers", "2", "--out", str(fifo)) == 0
+
+        got = read_through_fifo(tmp_path / f"pts.{fmt}", write)
         ref = tmp_path / "ref"
         writer = write_samples_csv if fmt == "csv" else write_samples_oitf
         writer(ref, sample_target(wavy_cli, n, seed=6))
-        assert got == [ref.read_bytes()]
+        assert got == ref.read_bytes()
 
     @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize("fmt", ["csv", "oitf"])
@@ -320,6 +357,89 @@ class TestSampleStreaming:
             tracemalloc.stop()
         assert code == 0
         assert peak < (4_000_000 if workers == 1 else 16 << 20)
+
+
+class _WriteThenRaise:
+    """A file whose first write goes through and then raises."""
+
+    def __init__(self, fh):
+        self._fh = fh
+
+    def __getattr__(self, name):
+        return getattr(self._fh, name)
+
+    def write(self, data):
+        self._fh.write(data)
+        raise RuntimeError("write failed")
+
+
+class TestWholeOrUntouched:
+    """Every other file the package writes reaches its path as sample's
+    output does: whole or not at all, through a symlink into its target,
+    and in place into a FIFO."""
+
+    @pytest.fixture(scope="class")
+    def scatter_input(self, sine_map, tmp_path_factory):
+        pts = tmp_path_factory.mktemp("scatter") / "pts.csv"
+        assert run("sample", "--map", str(sine_map), "--n", "1000", "--out", str(pts)) == 0
+        return pts
+
+    @pytest.fixture(params=["build", "field", "validate-report", "validate-table",
+                            "export-mesh", "export-heatmap", "export-scatter"])
+    def write(self, request, sine_map, scatter_input):
+        """``write(path)`` writes one kind of file to ``path``."""
+        if request.param == "field":
+            grid = PeriodicGrid(8, 8)
+            field = ScalarField.from_function(grid, lambda x, y: 1.0 + 0.3 * np.cos(y))
+            return lambda path: write_field_oitf(path, field)
+        validate = ("validate", "--map", str(sine_map), "--density", "sine-perturbation:0.4",
+                    "--n", "1000", "--seed", "2", "--bins", "8")
+        args = {
+            "build": ("build", "--density", "sine-perturbation:0.4", "--grid", "16",
+                      "--steps", "4", "--out"),
+            "validate-report": validate + ("--out",),
+            "validate-table": validate + ("--table",),
+            "export-mesh": ("export", "--map", str(sine_map), "--out"),
+            "export-heatmap": ("export", "--density", "sine-perturbation:0.4", "--grid", "32",
+                               "--out"),
+            "export-scatter": ("export", "--samples", str(scatter_input), "--n", "100",
+                               "--out"),
+        }[request.param]
+
+        def write(path):
+            assert run(*args, str(path)) == 0
+
+        return write
+
+    @pytest.mark.parametrize("before", [None, b"old"])
+    def test_a_failed_write_leaves_out_as_it_was(self, write, monkeypatch, tmp_path, before):
+        """The first bytes are written when the write raises: they must not
+        reach the path."""
+        output = fileio._output
+
+        @contextmanager
+        def failing_output(path):
+            with output(path) as fh:
+                yield _WriteThenRaise(fh)
+
+        monkeypatch.setattr(fileio, "_output", failing_output)
+        out = tmp_path / "out"
+        if before is not None:
+            out.write_bytes(before)
+        with pytest.raises(RuntimeError, match="write failed"):
+            write(out)
+        assert_left_as_it_was(out, before)
+
+    @pytest.mark.parametrize("target_exists", [True, False])
+    def test_symlinked_out_replaces_its_target(self, write, tmp_path, target_exists):
+        got = write_through_symlink(tmp_path, write, target_exists)
+        write(tmp_path / "ref")
+        assert got == (tmp_path / "ref").read_bytes()
+
+    def test_pipe_out_is_written_in_place(self, write, tmp_path):
+        got = read_through_fifo(tmp_path / "fifo", write)
+        write(tmp_path / "ref")
+        assert got == (tmp_path / "ref").read_bytes()
 
 
 class TestValidate:
@@ -350,11 +470,23 @@ class TestValidate:
         code = run("validate", "--map", str(sine_map), "--density",
                    "sine-perturbation:0.4", "--n", "20000", "--seed", "2",
                    "--bins", "16", "--out", str(tmp_path / "r.txt"),
-                   "--samples", str(table))
+                   "--table", str(table))
         assert code == 0
         lines = table.read_text().splitlines()
         assert lines[0] == "bin_x,bin_y,observed,expected,oracle"
         assert len(lines) == 1 + 16 * 16
+
+    def test_samples_flag_leaves_the_sample_csv(self, sine_map, tmp_path, capsys):
+        """--samples names the CSV export reads; validate reads no samples,
+        so the flag is refused and the CSV keeps its rows."""
+        pts = tmp_path / "pts.csv"
+        assert run("sample", "--map", str(sine_map), "--n", "1000", "--out", str(pts)) == 0
+        before = pts.read_bytes()
+        code = run("validate", "--map", str(sine_map), "--density", "sine-perturbation:0.4",
+                   "--n", "1000", "--bins", "8", "--samples", str(pts))
+        assert code == 1
+        assert "unrecognized arguments: --samples" in capsys.readouterr().err
+        assert pts.read_bytes() == before
 
 
 class TestExport:
@@ -419,11 +551,12 @@ class TestExport:
 
 class TestConfigKeyTypes:
     # the key tables parse_config_text used before it read RunConfig's
-    # annotations, less the two file keys that are flags only
+    # annotations, less the two keys of files a command writes, which are
+    # flags only
     INT_KEYS = {"grid", "steps", "seed", "n", "bins", "workers"}
     FLOAT_KEYS = {"ratio"}
-    STR_KEYS = {"density", "map", "format"}
-    FLAG_ONLY_KEYS = {"out", "samples"}
+    STR_KEYS = {"density", "map", "samples", "format"}
+    FLAG_ONLY_KEYS = {"out", "table"}
 
     def test_every_key_keeps_its_type(self):
         from dataclasses import fields

@@ -90,7 +90,7 @@ class TestOitfFields:
 
     @pytest.mark.parametrize("vector", [False, True])
     def test_blocked_writes_match_whole_columns(self, tmp_path, monkeypatch, rng, vector):
-        monkeypatch.setattr(fileio, "_OITF_BLOCK_ROWS", 4)
+        monkeypatch.setattr(fileio, "_POINT_BLOCK", 4)
         g = PeriodicGrid(5, 7)  # 35 values: several blocks and a partial one
         cols = [rng.standard_normal(g.shape) for _ in range(2 if vector else 1)]
         field = (VectorField.from_arrays(g, *cols) if vector
@@ -111,7 +111,7 @@ class TestSampleFiles:
 
     @pytest.mark.parametrize("n", [0, 1, 8, 11])
     def test_oitf_blocked_writes_match_whole_columns(self, tmp_path, monkeypatch, n):
-        monkeypatch.setattr(fileio, "_OITF_BLOCK_ROWS", 4)
+        monkeypatch.setattr(fileio, "_POINT_BLOCK", 4)
         batch = draw_uniform(n, seed=5)
         p = tmp_path / "pts.oitf"
         write_samples_oitf(p, batch)

@@ -3,8 +3,9 @@
 ``np.random.Philox`` and ``np.random.Generator`` may appear only inside
 ``sampler._uniform_stream`` (one keyed uniform stream), ``fftfreq`` only
 inside ``grid._wavenumbers`` (one wavenumber table), a ``ThreadPoolExecutor``
-is built only in ``sampler._map_chunks`` (one thread pool), and CLI flags are
-added only in ``cli.build_parser``, from ``cli._COMMANDS`` (one flag table).
+is built only in ``sampler._map_chunks`` (one thread pool), CLI flags are
+added only in ``cli.build_parser``, from ``cli._COMMANDS`` (one flag table),
+and a path is opened for writing only in ``fileio._output`` (one opener).
 """
 
 import ast
@@ -22,6 +23,8 @@ RULES = {
     "wavenumbers": (r"fftfreq", ("grid.py", "_wavenumbers")),
     "thread-pool": (r"ThreadPoolExecutor\(", ("sampler.py", "_map_chunks")),
     "flag-table": (r"add_argument\(", ("cli.py", "build_parser")),
+    "output-opener": (r"""open\(.*?,\s*(mode=)?["'][rbt+]*[wax]|\.write_(text|bytes)\(""",
+                      ("fileio.py", "_output")),
 }
 
 
