@@ -20,7 +20,7 @@ from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 from . import fileio
-from .densities import make_density
+from .densities import REGISTRY, make_density
 from .errors import (
     InvalidInputError,
     NumericalBlowupError,
@@ -94,13 +94,10 @@ def parse_config_text(text: str) -> dict:
 def _effective_config(args: argparse.Namespace) -> RunConfig:
     cfg = RunConfig()
     if args.config:
-        path = Path(args.config)
-        if not path.exists():
-            raise UsageError(f"config file {path} does not exist")
         try:
-            cfg = replace(cfg, **parse_config_text(path.read_text()))
+            cfg = replace(cfg, **parse_config_text(Path(args.config).read_text()))
         except (ValueError, TypeError) as exc:
-            raise UsageError(f"bad config file {path}: {exc}") from exc
+            raise UsageError(f"bad config file {args.config}: {exc}") from exc
     overrides = {
         f.name: getattr(args, f.name)
         for f in fields(RunConfig)
@@ -110,22 +107,24 @@ def _effective_config(args: argparse.Namespace) -> RunConfig:
 
 
 def _resolve_density(cfg: RunConfig, grid: PeriodicGrid) -> tuple[Density, str]:
-    """Named registry density or OITF scalar file; returns (density, identifier)."""
+    """Built-in density (named before any ``:``, whatever files exist) or OITF
+    scalar file; returns (density, identifier), which records ``--ratio``."""
     if not cfg.density:
         raise UsageError("a density (built-in name or OITF file) is required")
     spec = cfg.density
-    if spec.endswith(".oitf") or Path(spec).is_file():
-        field = fileio.read_field_oitf(spec)
-        if not isinstance(field, ScalarField):
-            raise InvalidInputError(f"{spec}: expected a scalar OITF field")
-        if field.grid != grid:
-            raise InvalidInputError(
-                f"{spec}: field grid {field.grid.shape} does not match requested {grid.shape}"
-            )
-        raw = set_dynamic_range(field, cfg.ratio) if cfg.ratio is not None else field
-        return normalize(raw), Path(spec).name
-    ident = spec if cfg.ratio is None else f"{spec}@ratio={cfg.ratio}"
-    return make_density(spec, grid, cfg.ratio), ident
+    suffix = "" if cfg.ratio is None else f"@ratio={cfg.ratio}"
+    if spec.partition(":")[0].strip() in REGISTRY or not (
+            spec.endswith(".oitf") or Path(spec).is_file()):
+        return make_density(spec, grid, cfg.ratio), spec + suffix
+    field = fileio.read_field_oitf(spec)
+    if not isinstance(field, ScalarField):
+        raise InvalidInputError(f"{spec}: expected a scalar OITF field")
+    if field.grid != grid:
+        raise InvalidInputError(
+            f"{spec}: field grid {field.grid.shape} does not match requested {grid.shape}"
+        )
+    raw = set_dynamic_range(field, cfg.ratio) if cfg.ratio is not None else field
+    return normalize(raw), Path(spec).name + suffix
 
 
 # ---------------------------------------------------------------------------
@@ -155,8 +154,6 @@ def cmd_sample(cfg: RunConfig) -> int:
         raise UsageError("sample requires --map")
     if not cfg.out:
         raise UsageError("sample requires --out")
-    if cfg.format not in ("csv", "oitf"):
-        raise UsageError(f"format must be csv or oitf, got {cfg.format!r}")
     mapping, _meta = fileio.read_map_oitm(cfg.map)
     write_time = 0.0
     t0 = time.perf_counter()
@@ -184,19 +181,12 @@ def cmd_sample(cfg: RunConfig) -> int:
 def cmd_validate(cfg: RunConfig) -> int:
     if not cfg.map:
         raise UsageError("validate requires --map")
-    if cfg.bins < 1:
-        raise UsageError("need at least one bin per axis")
     mapping, meta = fileio.read_map_oitm(cfg.map)
-    grid = mapping.grid
-    if grid.n_x % cfg.bins or grid.n_y % cfg.bins:
-        raise UsageError(
-            f"map grid {grid.n_x}x{grid.n_y} is not a multiple of {cfg.bins} bins"
-        )
-    target, ident = _resolve_density(cfg, grid)
+    target, ident = _resolve_density(cfg, mapping.grid)
+    mass = expected_bin_mass(target, cfg.bins, cfg.bins)  # checks --bins before sampling
 
     batch = sample_target(mapping, cfg.n, cfg.seed, workers=cfg.workers)
     hist = histogram(batch, cfg.bins, cfg.bins)
-    mass = expected_bin_mass(target, cfg.bins, cfg.bins)
     gof_stat, gof_dof, gof_p = chi_squared_gof(hist, mass)
 
     oracle = rejection_sample_oracle(target, cfg.n, cfg.seed)
@@ -221,14 +211,14 @@ def cmd_validate(cfg: RunConfig) -> int:
         f"result: {'pass' if passed else 'fail'}",
     ]
     report = "\n".join(report_lines) + "\n"
-    if cfg.out:
-        fileio.save_text(cfg.out, report)
-    sys.stdout.write(report)
-    if cfg.table:  # optional per-bin table
+    files = {cfg.out: report} if cfg.out else {}
+    if cfg.table:  # optional per-bin table; written with the report, or neither
         expected = (cfg.n * mass).reshape(cfg.bins, cfg.bins)
         rows = [f"{i},{j},{hist.counts[i, j]},{expected[i, j]:.6f},{oracle_hist.counts[i, j]}\n"
                 for i in range(cfg.bins) for j in range(cfg.bins)]
-        fileio.save_text(cfg.table, "bin_x,bin_y,observed,expected,oracle\n" + "".join(rows))
+        files[cfg.table] = "bin_x,bin_y,observed,expected,oracle\n" + "".join(rows)
+    fileio.save_text(files)
+    sys.stdout.write(report)
     return 0 if passed else 3
 
 
@@ -249,8 +239,6 @@ def cmd_export(cfg: RunConfig) -> int:
         fileio.write_heatmap_pgm(cfg.out, target.field)
         print(f"heatmap: {cfg.out}")
     else:
-        if cfg.n < 0:
-            raise UsageError(f"row count must be nonnegative, got {cfg.n}")
         keep = fileio.read_samples_csv(cfg.samples, max_rows=cfg.n)
         fileio.write_samples_csv(cfg.out, SampleBatch(keep))
         print(f"scatter: {cfg.out} ({len(keep)} points)")

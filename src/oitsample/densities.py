@@ -43,12 +43,13 @@ def sine_perturbation_field(grid: PeriodicGrid, param: float | None = None) -> S
     return ScalarField.from_function(grid, lambda x, y: 1.0 + s * np.sin(x))
 
 
-# name -> (field builder, dynamic-range ratio applied when none is requested)
+# name -> (field builder, dynamic-range ratio applied when none is requested,
+# whether it reads a :param)
 REGISTRY = {
-    "uniform": (uniform_field, None),
-    "two-bump": (two_bump_field, 100.0),
-    "one-gaussian-bump": (one_gaussian_bump_field, None),
-    "sine-perturbation": (sine_perturbation_field, None),
+    "uniform": (uniform_field, None, False),
+    "two-bump": (two_bump_field, 100.0, False),
+    "one-gaussian-bump": (one_gaussian_bump_field, None, True),
+    "sine-perturbation": (sine_perturbation_field, None, True),
 }
 
 
@@ -61,6 +62,8 @@ def parse_density_spec(spec: str) -> tuple[str, float | None]:
         raise InvalidInputError(f"unknown density {name!r} (built-ins: {known})")
     if not raw_param:
         return name, None
+    if not REGISTRY[name][2]:
+        raise InvalidInputError(f"density {name!r} takes no parameter, got {raw_param!r}")
     try:
         return name, float(raw_param)
     except ValueError as exc:
@@ -74,7 +77,7 @@ def make_density(spec: str, grid: PeriodicGrid, ratio: float | None = None) -> D
     unless told otherwise).
     """
     name, param = parse_density_spec(spec)
-    builder, default_ratio = REGISTRY[name]
+    builder, default_ratio, _ = REGISTRY[name]
     raw = builder(grid, param)
     effective = default_ratio if ratio is None else ratio
     if effective is not None:

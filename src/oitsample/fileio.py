@@ -21,7 +21,7 @@ from __future__ import annotations
 import os
 import stat
 from collections.abc import Callable, Iterator
-from contextlib import contextmanager
+from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass
 from itertools import chain
 from pathlib import Path
@@ -135,10 +135,12 @@ def _output(path: str | Path) -> Iterator:
         raise
 
 
-def save_text(path: str | Path, text: str) -> None:
-    """``text``, UTF-8 encoded, as ``path``'s contents (through ``_output``)."""
-    with _output(path) as fh:
-        fh.write(text.encode())
+def save_text(files: dict[str | Path, str]) -> None:
+    """Each ``{path: text}`` item, UTF-8 encoded, as that path's contents, through
+    ``_output``: if one open or write fails, no path changes."""
+    with ExitStack() as stack:  # unwinds last in, first out: paths replaced in dict order
+        for path, text in reversed(files.items()):
+            stack.enter_context(_output(path)).write(text.encode())
 
 
 # ---------------------------------------------------------------------------
@@ -411,7 +413,8 @@ def write_samples_csv(path: str | Path, batch: SampleBatch) -> None:
 def stream_samples(path: str | Path, n: int,
                    fmt: str) -> Iterator[Callable[[int, np.ndarray], None]]:
     """Yield ``write(start, points)``, which stores the (m, 2) ``points`` as
-    rows start..start+m-1 of an n-row sample file in ``fmt``, csv or oitf.
+    rows start..start+m-1 of an n-row sample file in ``fmt``, csv or oitf
+    (checked before ``path`` is opened).
 
     The calls must cover rows 0..n-1 in ascending order; ``write_samples_csv``
     and ``write_samples_oitf`` are the one call ``write(0, points)``.  The
@@ -419,6 +422,8 @@ def stream_samples(path: str | Path, n: int,
     written last, so ``n`` is only encoded once every row is in.  An OITF
     going to a pipe, which cannot seek, holds the points until then.
     """
+    if fmt not in ("csv", "oitf"):
+        raise InvalidInputError(f"format must be csv or oitf, got {fmt!r}")
     with _output(path) as fh:
         if fmt == "csv":
             fh.write(_CSV_HEADER)
@@ -447,6 +452,8 @@ def stream_samples(path: str | Path, n: int,
 def read_samples_csv(path: str | Path, max_rows: int | None = None) -> np.ndarray:
     """Sample points from a CSV; with ``max_rows``, rows after that many are
     not parsed."""
+    if max_rows is not None and max_rows < 0:
+        raise InvalidInputError(f"row count must be nonnegative, got {max_rows}")
     with open(path) as fh:
         try:
             header = fh.readline().strip()

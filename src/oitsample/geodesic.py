@@ -133,6 +133,8 @@ class GeodesicPath:
         a(t) multiplies sqrt(mu0); below SMALL_ANGLE the Taylor limits
         (1-t) + t*r and r - 1 are used to avoid 0/0.
         """
+        if not 0.0 <= t <= 1.0:
+            raise InvalidInputError(f"geodesic time {t} outside [0, 1]")
         th = self.angle
         if th < SMALL_ANGLE:
             return 1.0 - t, t, -1.0, 1.0
@@ -161,8 +163,6 @@ def geodesic_eval(path: GeodesicPath, t: float) -> tuple[Density, ScalarField]:
     mu_dot(t) = 2*a*a_dot*mu0.  The endpoints return the stored densities
     so that mu(0) is mu0 and mu(1) is mu1 exactly.
     """
-    if not 0.0 <= t <= 1.0:
-        raise InvalidInputError(f"geodesic time {t} outside [0, 1]")
     c1, c2, d1, d2 = path.coefficients(t)
     r = path.sqrt_ratio.values
     mu0v = path.mu0.field.values
@@ -183,8 +183,6 @@ def log_density_rate(path: GeodesicPath, t: float) -> ScalarField:
     This is the Poisson source of the transport loop; computing 2*a_dot/a
     directly avoids amplifying interpolation error where mu is small.
     """
-    if not 0.0 <= t <= 1.0:
-        raise InvalidInputError(f"geodesic time {t} outside [0, 1]")
     c1, c2, d1, d2 = path.coefficients(t)
     r = path.sqrt_ratio.values
     a = c1 + c2 * r

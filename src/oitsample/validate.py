@@ -70,6 +70,8 @@ def expected_bin_mass(target: Density, b_x: int, b_y: int) -> np.ndarray:
     cell masses.  Requires the grid resolution to be a multiple of the bin
     resolution; returns shape (b_x, b_y), summing to the density's mass.
     """
+    if b_x < 1 or b_y < 1:
+        raise InvalidInputError("need at least one bin per axis")
     grid = target.grid
     if grid.n_x % b_x or grid.n_y % b_y:
         raise InvalidInputError(
@@ -198,6 +200,16 @@ def _merge_small_bins(b_x: int, b_y: int, sizes: np.ndarray,
     return [p[idx] for p in payloads]
 
 
+def _pearson(b_x: int, b_y: int, sizes: np.ndarray, pairs: list[tuple[np.ndarray, ...]]):
+    """(statistic, dof, p_value) of Pearson's sum over ``pairs`` of per-bin
+    (observed, expected) arrays, once bins are merged by ``sizes``."""
+    merged = _merge_small_bins(b_x, b_y, sizes, [a for pair in pairs for a in pair])
+    stat = float(sum((((obs - exp) ** 2) / exp).sum()
+                     for obs, exp in zip(merged[0::2], merged[1::2])))
+    dof = len(merged[0]) - 1
+    return stat, dof, chi_squared_survival(stat, dof)
+
+
 def chi_squared_gof(hist: BinnedHistogram, expected_mass: np.ndarray):
     """Pearson goodness-of-fit test of counts against expected masses.
 
@@ -208,12 +220,7 @@ def chi_squared_gof(hist: BinnedHistogram, expected_mass: np.ndarray):
     if mass.size != hist.b_x * hist.b_y:
         raise InvalidInputError("expected-mass size does not match binning")
     expected = hist.total * mass
-    observed = hist.counts.reshape(-1)
-    obs_m, exp_m = _merge_small_bins(hist.b_x, hist.b_y, expected,
-                                     [observed, expected])
-    stat = float(((obs_m - exp_m) ** 2 / exp_m).sum())
-    dof = len(obs_m) - 1
-    return stat, dof, chi_squared_survival(stat, dof)
+    return _pearson(hist.b_x, hist.b_y, expected, [(hist.counts.reshape(-1), expected)])
 
 
 def two_sample_chi_squared(a: BinnedHistogram, b: BinnedHistogram):
@@ -234,12 +241,8 @@ def two_sample_chi_squared(a: BinnedHistogram, b: BinnedHistogram):
     pooled = (obs_a + obs_b) / (n_a + n_b)
     exp_a = n_a * pooled
     exp_b = n_b * pooled
-    oa, ob, ea, eb = _merge_small_bins(
-        a.b_x, a.b_y, np.minimum(exp_a, exp_b), [obs_a, obs_b, exp_a, exp_b]
-    )
-    stat = float((((oa - ea) ** 2) / ea).sum() + (((ob - eb) ** 2) / eb).sum())
-    dof = len(oa) - 1
-    return stat, dof, chi_squared_survival(stat, dof)
+    return _pearson(a.b_x, a.b_y, np.minimum(exp_a, exp_b),
+                    [(obs_a, exp_a), (obs_b, exp_b)])
 
 
 # ---------------------------------------------------------------------------

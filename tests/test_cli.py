@@ -172,6 +172,27 @@ class TestBuild:
         _, meta = read_map_oitm(out)
         assert meta.density_id == "target.oitf"
 
+    def test_density_file_id_records_the_ratio(self, tmp_path):
+        g = PeriodicGrid(32, 32)
+        field_path = tmp_path / "t.oitf"
+        write_field_oitf(field_path, ScalarField.from_function(g, lambda x, y: 2.0 + np.cos(y)))
+        out = tmp_path / "m.oitm"
+        assert run("build", "--density", str(field_path), "--ratio", "3", "--grid", "32",
+                   "--steps", "8", "--out", str(out)) == 0
+        assert read_map_oitm(out)[1].density_id == "t.oitf@ratio=3.0"
+
+    def test_builtin_name_is_not_shadowed_by_a_file(self, tmp_path, monkeypatch):
+        """A file named like a built-in in the working directory does not
+        stand in for it."""
+        monkeypatch.chdir(tmp_path)
+        write_field_oitf("uniform", ScalarField.constant(PeriodicGrid(8, 8), 1.0))
+        code = run("build", "--density", "uniform", "--grid", "32", "--steps", "2",
+                   "--out", "m.oitm")
+        assert code == 0
+        mapping, meta = read_map_oitm("m.oitm")
+        assert meta.density_id == "uniform"
+        assert np.all(mapping.disp.u_x.values == 0.0)
+
 
 class TestSample:
     def test_deterministic_csv(self, sine_map, tmp_path):
@@ -440,6 +461,22 @@ class TestWholeOrUntouched:
         got = read_through_fifo(tmp_path / "fifo", write)
         write(tmp_path / "ref")
         assert got == (tmp_path / "ref").read_bytes()
+
+    @pytest.mark.parametrize("before", [None, b"old"])
+    def test_a_table_that_cannot_be_opened_leaves_the_report(self, sine_map, tmp_path,
+                                                            capsys, before):
+        """validate writes its report and table as one: when --table cannot
+        be opened, --out is not replaced and no report is printed."""
+        out = tmp_path / "report" / "r.txt"
+        out.parent.mkdir()
+        if before is not None:
+            out.write_bytes(before)
+        table = tmp_path / "none" / "t.csv"
+        assert run("validate", "--map", str(sine_map), "--density", "sine-perturbation:0.4",
+                   "--n", "1000", "--bins", "8", "--out", str(out), "--table", str(table)) == 1
+        assert capsys.readouterr() == (
+            "", f"error: [Errno 2] No such file or directory: '{table}'\n")
+        assert_left_as_it_was(out, before)
 
 
 class TestValidate:

@@ -20,6 +20,11 @@ class TestParse:
         with pytest.raises(InvalidInputError):
             parse_density_spec("sine-perturbation:abc")
 
+    @pytest.mark.parametrize("spec", ["uniform:1", "two-bump:5"])
+    def test_parameter_nothing_reads(self, spec):
+        with pytest.raises(InvalidInputError, match="takes no parameter"):
+            parse_density_spec(spec)
+
 
 class TestRegistry:
     def test_uniform(self):

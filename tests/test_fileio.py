@@ -1,4 +1,5 @@
 import dataclasses
+import os
 from decimal import Decimal
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 
 from oitsample import (
     FileFormatError,
+    InvalidInputError,
     PeriodicGrid,
     SampleBatch,
     ScalarField,
@@ -154,6 +156,22 @@ class TestSampleFiles:
         p = tmp_path / "empty.csv"
         write_samples_csv(p, draw_uniform(0, seed=0))
         assert read_samples_csv(p).shape == (0, 2)
+
+    @pytest.mark.parametrize("exists", [True, False])
+    def test_csv_negative_max_rows_is_refused_before_reading(self, tmp_path, exists):
+        p = tmp_path / "pts.csv"
+        if exists:
+            write_samples_csv(p, draw_uniform(3, seed=0))
+        with pytest.raises(InvalidInputError, match="^row count must be nonnegative, got -1$"):
+            read_samples_csv(p, max_rows=-1)
+
+    def test_unknown_format_is_refused_before_opening(self, tmp_path):
+        """No file, not even a temporary one, appears for a format that has
+        no encoder."""
+        with pytest.raises(InvalidInputError, match="format must be csv or oitf, got 'xml'"):
+            with fileio.stream_samples(tmp_path / "pts.xml", 1, "xml") as write:
+                write(0, draw_uniform(1, seed=0).points)
+        assert os.listdir(tmp_path) == []
 
     @pytest.mark.parametrize("body, rows", [("\n \n", 0), ("\n\n0.5,-1\n", 1)])
     def test_csv_blank_lines_before_data(self, tmp_path, body, rows):

@@ -90,6 +90,12 @@ class TestExpectedBinMass:
         with pytest.raises(InvalidInputError):
             expected_bin_mass(uniform_density(g), 48, 48)
 
+    @pytest.mark.parametrize("bins", [0, -4])
+    def test_needs_a_bin_per_axis(self, bins):
+        g = PeriodicGrid(64, 64)
+        with pytest.raises(InvalidInputError, match="at least one bin per axis"):
+            expected_bin_mass(uniform_density(g), bins, bins)
+
 
 class TestGammaFunction:
     def test_against_scipy(self):
