@@ -20,14 +20,14 @@ from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 from . import fileio
-from .densities import REGISTRY, make_density
+from .densities import make_density
 from .errors import (
     InvalidInputError,
     NumericalBlowupError,
     OrientationLossError,
 )
-from .geodesic import Density, normalize, set_dynamic_range
-from .grid import PeriodicGrid, ScalarField
+from .geodesic import Density
+from .grid import PeriodicGrid
 from .sampler import SampleBatch, _map_chunks, sample_target
 from .transport import TransportConfig, build_transport_map
 from .validate import (
@@ -87,7 +87,10 @@ def parse_config_text(text: str) -> dict:
             raise UsageError(f"config line {lineno}: unknown key {key!r}")
         if key in ("out", "table"):  # a file a command writes; shared, the next would overwrite it
             raise UsageError(f"config line {lineno}: pass --{key} as a flag")
-        values[key] = _KEY_TYPES[key](value)
+        try:
+            values[key] = _KEY_TYPES[key](value)
+        except ValueError as exc:
+            raise UsageError(f"config line {lineno}: {key}: {exc}") from exc
     return values
 
 
@@ -96,8 +99,8 @@ def _effective_config(args: argparse.Namespace) -> RunConfig:
     if args.config:
         try:
             cfg = replace(cfg, **parse_config_text(Path(args.config).read_text()))
-        except (ValueError, TypeError) as exc:
-            raise UsageError(f"bad config file {args.config}: {exc}") from exc
+        except (UsageError, ValueError) as exc:  # ValueError: text that is not UTF-8
+            raise UsageError(f"{args.config}: {exc}") from exc
     overrides = {
         f.name: getattr(args, f.name)
         for f in fields(RunConfig)
@@ -107,24 +110,12 @@ def _effective_config(args: argparse.Namespace) -> RunConfig:
 
 
 def _resolve_density(cfg: RunConfig, grid: PeriodicGrid) -> tuple[Density, str]:
-    """Built-in density (named before any ``:``, whatever files exist) or OITF
-    scalar file; returns (density, identifier), which records ``--ratio``."""
+    """``make_density`` of ``--density`` (a built-in is built on ``grid``);
+    returns (density, identifier), which records ``--ratio``."""
     if not cfg.density:
         raise UsageError("a density (built-in name or OITF file) is required")
-    spec = cfg.density
     suffix = "" if cfg.ratio is None else f"@ratio={cfg.ratio}"
-    if spec.partition(":")[0].strip() in REGISTRY or not (
-            spec.endswith(".oitf") or Path(spec).is_file()):
-        return make_density(spec, grid, cfg.ratio), spec + suffix
-    field = fileio.read_field_oitf(spec)
-    if not isinstance(field, ScalarField):
-        raise InvalidInputError(f"{spec}: expected a scalar OITF field")
-    if field.grid != grid:
-        raise InvalidInputError(
-            f"{spec}: field grid {field.grid.shape} does not match requested {grid.shape}"
-        )
-    raw = set_dynamic_range(field, cfg.ratio) if cfg.ratio is not None else field
-    return normalize(raw), Path(spec).name + suffix
+    return make_density(cfg.density, grid, cfg.ratio), Path(cfg.density).name + suffix
 
 
 # ---------------------------------------------------------------------------
@@ -134,10 +125,9 @@ def _resolve_density(cfg: RunConfig, grid: PeriodicGrid) -> tuple[Density, str]:
 def cmd_build(cfg: RunConfig) -> int:
     if not cfg.out:
         raise UsageError("build requires --out for the map file")
-    grid = PeriodicGrid(cfg.grid, cfg.grid)
-    target, ident = _resolve_density(cfg, grid)
+    target, ident = _resolve_density(cfg, PeriodicGrid(cfg.grid, cfg.grid))
     t0 = time.perf_counter()
-    result = build_transport_map(target, TransportConfig(steps=cfg.steps, grid=grid))
+    result = build_transport_map(target, TransportConfig(steps=cfg.steps, grid=target.grid))
     elapsed = time.perf_counter() - t0
     fileio.write_map_oitm(cfg.out, result, ident)
     print(f"density: {ident}")
@@ -234,8 +224,7 @@ def cmd_export(cfg: RunConfig) -> int:
         fileio.write_warp_mesh_csv(cfg.out, mapping)
         print(f"mesh: {cfg.out}")
     elif kind == "density":
-        grid = PeriodicGrid(cfg.grid, cfg.grid)
-        target, _ident = _resolve_density(cfg, grid)
+        target, _ident = _resolve_density(cfg, PeriodicGrid(cfg.grid, cfg.grid))
         fileio.write_heatmap_pgm(cfg.out, target.field)
         print(f"heatmap: {cfg.out}")
     else:
@@ -273,7 +262,7 @@ _COMMANDS = {
 _HELP = {
     "density": "built-in density name (optionally name:param) or OITF file",
     "ratio": "shift density to this max/min ratio",
-    "grid": "grid nodes per axis (default 256)",
+    "grid": "grid nodes per axis of a built-in density (default 256)",
     "steps": "time steps K (default 100)",
     "seed": "RNG seed (default 0)",
     "n": "sample count (default 100000)",

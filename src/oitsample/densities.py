@@ -1,15 +1,19 @@
-"""Built-in analytic target densities.
+"""Target densities: the built-in analytic ones and scalar OITF field files.
 
-Each entry produces a raw positive field on a given grid; the common
-pipeline (optional dynamic-range shift, then normalization) turns it into
-a unit-mass density.  Registry names are what the CLI accepts; a parameter
-can be appended after a colon, e.g. ``sine-perturbation:0.8``.
+Each built-in produces a raw positive field on a given grid; a field file
+brings its own.  The common pipeline (optional dynamic-range shift, then
+normalization) turns either into a unit-mass density.  Registry names are
+what the CLI accepts; a parameter can be appended after a colon, e.g.
+``sine-perturbation:0.8``.
 """
 
 from __future__ import annotations
 
+from pathlib import Path
+
 import numpy as np
 
+from . import fileio
 from .errors import InvalidInputError
 from .geodesic import Density, normalize, set_dynamic_range
 from .grid import PeriodicGrid, ScalarField
@@ -71,14 +75,23 @@ def parse_density_spec(spec: str) -> tuple[str, float | None]:
 
 
 def make_density(spec: str, grid: PeriodicGrid, ratio: float | None = None) -> Density:
-    """Build a named density: raw field, optional range shift, normalize.
+    """Resolve a density spec, as ``--density`` takes it: raw field, optional
+    range shift, normalize.
 
-    ``ratio`` overrides the registry default (two-bump pins max/min = 100
-    unless told otherwise).
+    A built-in (named before any ``:``, whatever files exist) is built on
+    ``grid``; anything else is a scalar OITF field file, which keeps its own
+    grid.  ``ratio`` overrides the registry default (two-bump pins
+    max/min = 100 unless told otherwise; a file has no default).
     """
-    name, param = parse_density_spec(spec)
-    builder, default_ratio, _ = REGISTRY[name]
-    raw = builder(grid, param)
+    if spec.partition(":")[0].strip() in REGISTRY or not (
+            spec.endswith(".oitf") or Path(spec).is_file()):
+        name, param = parse_density_spec(spec)
+        builder, default_ratio, _ = REGISTRY[name]
+        raw = builder(grid, param)
+    else:
+        raw, default_ratio = fileio.read_field_oitf(spec), None
+        if not isinstance(raw, ScalarField):
+            raise InvalidInputError(f"{spec}: expected a scalar OITF field")
     effective = default_ratio if ratio is None else ratio
     if effective is not None:
         raw = set_dynamic_range(raw, effective)

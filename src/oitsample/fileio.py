@@ -472,7 +472,10 @@ def read_samples_csv(path: str | Path, max_rows: int | None = None) -> np.ndarra
             raise FileFormatError(f"{path}: unreadable sample CSV ({exc})") from exc
     if data.shape[1] != 2:
         raise FileFormatError(f"{path}: expected two columns")
-    return data
+    try:
+        return SampleBatch(data).points  # a batch's range check: every point in [-pi, pi)
+    except InvalidInputError as exc:
+        raise FileFormatError(f"{path}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------

@@ -416,13 +416,9 @@ class DiffeoMap:
 
     def _round_trip_error(self) -> float:
         """Largest node error of phi^-1(phi(x)) - x = wrap(d + d_inv o phi)."""
-        dx = self.disp.u_x.values
-        dy = self.disp.u_y.values
-        st = _displaced_stencil(self.grid, dx, dy)
-        bx = st.gather(self.inv_disp.u_x.values)
-        bx += dx.reshape(-1)  # in place: no second grid-sized array per component
-        by = st.gather(self.inv_disp.u_y.values)
-        by += dy.reshape(-1)
+        bx, by = _compose_disp_arrays(self.grid, self.inv_disp.u_x.values,
+                                      self.inv_disp.u_y.values,
+                                      self.disp.u_x.values, self.disp.u_y.values)
         return float(np.hypot(wrap_angle(bx), wrap_angle(by)).max())
 
     def apply(self, points: np.ndarray) -> np.ndarray:
@@ -450,8 +446,10 @@ def _compose_disp_arrays(grid: PeriodicGrid,
                          inner_x: np.ndarray, inner_y: np.ndarray):
     """Displacement of outer-after-inner: d(x) = d_in(x) + d_out(x + d_in(x))."""
     st = _displaced_stencil(grid, inner_x, inner_y)
-    cx = inner_x + st.gather(outer_x).reshape(grid.shape)
-    cy = inner_y + st.gather(outer_y).reshape(grid.shape)
+    cx = st.gather(outer_x).reshape(grid.shape)
+    cx += inner_x  # in place: no second grid-sized array per component
+    cy = st.gather(outer_y).reshape(grid.shape)
+    cy += inner_y
     return cx, cy
 
 

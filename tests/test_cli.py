@@ -181,6 +181,21 @@ class TestBuild:
                    "--steps", "8", "--out", str(out)) == 0
         assert read_map_oitm(out)[1].density_id == "t.oitf@ratio=3.0"
 
+    def test_density_file_brings_its_own_grid(self, tmp_path):
+        """--grid sizes built-ins only: a 32x32 field builds a 32x32 map
+        without it, and the same map with any --grid."""
+        field_path = tmp_path / "t32.oitf"
+        write_field_oitf(field_path, ScalarField.from_function(
+            PeriodicGrid(32, 32), lambda x, y: 1.0 + 0.3 * np.cos(y)))
+        maps = []
+        for grid in ((), ("--grid", "32"), ("--grid", "64")):
+            out = tmp_path / f"m{len(maps)}.oitm"
+            assert run("build", "--density", str(field_path), "--steps", "4", *grid,
+                       "--out", str(out)) == 0
+            maps.append(out.read_bytes())
+        assert read_map_oitm(out)[0].grid == PeriodicGrid(32, 32)
+        assert maps[0] == maps[1] == maps[2]
+
     def test_builtin_name_is_not_shadowed_by_a_file(self, tmp_path, monkeypatch):
         """A file named like a built-in in the working directory does not
         stand in for it."""
@@ -513,6 +528,17 @@ class TestValidate:
         assert lines[0] == "bin_x,bin_y,observed,expected,oracle"
         assert len(lines) == 1 + 16 * 16
 
+    def test_density_file_on_another_grid(self, sine_map, tmp_path):
+        """A 32x32 field checks a 64x64 map through its own interpolant."""
+        field_path = tmp_path / "t32.oitf"
+        write_field_oitf(field_path, ScalarField.from_function(
+            PeriodicGrid(32, 32), lambda x, y: 1.0 + 0.4 * np.sin(x)))
+        report = tmp_path / "r.txt"
+        code = run("validate", "--map", str(sine_map), "--density", str(field_path),
+                   "--n", "20000", "--seed", "2", "--bins", "16", "--out", str(report))
+        assert code in (0, 3)
+        assert "density: t32.oitf\n" in report.read_text()
+
     def test_samples_flag_leaves_the_sample_csv(self, sine_map, tmp_path, capsys):
         """--samples names the CSV export reads; validate reads no samples,
         so the flag is refused and the CSV keeps its rows."""
@@ -534,6 +560,13 @@ class TestExport:
         data = out.read_bytes()
         assert data.startswith(b"P5\n32 32\n255\n")
         assert set(data.split(b"255\n", 1)[1]) == {0}
+
+    def test_heatmap_of_a_density_file_on_its_own_grid(self, tmp_path):
+        field_path = tmp_path / "t32.oitf"
+        write_field_oitf(field_path, ScalarField.constant(PeriodicGrid(32, 32), 2.0))
+        out = tmp_path / "heat.pgm"
+        assert run("export", "--density", str(field_path), "--out", str(out)) == 0
+        assert out.read_bytes() == b"P5\n32 32\n255\n" + bytes(32 * 32)
 
     def test_mesh(self, sine_map, tmp_path):
         out = tmp_path / "mesh.csv"
@@ -616,6 +649,18 @@ class TestConfigKeyTypes:
         conf.write_text("grid=1.5\n")
         assert run("build", "--config", str(conf), "--density", "uniform",
                    "--out", str(tmp_path / "x.oitm")) == 1
+
+    @pytest.mark.parametrize("body,where", [(b"seed=1\nnope=1\n", "config line 2: "),
+                                            (b"seed=1\ngrid=1.5\n", "config line 2: "),
+                                            (b"seed=1\n\xff=2\n", "")])
+    def test_config_error_names_the_file_and_line(self, tmp_path, capsys, body, where):
+        """Not UTF-8 has no line to name, but still one error line, exit 1."""
+        conf = tmp_path / "bad.conf"
+        conf.write_bytes(body)
+        assert run("build", "--config", str(conf), "--density", "uniform",
+                   "--out", str(tmp_path / "x.oitm")) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {conf}: {where}") and "Traceback" not in err
 
 
 class TestMalformedInputFiles:

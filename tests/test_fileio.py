@@ -579,7 +579,8 @@ class TestOitmMatchesSeparateCodec:
 
 class TestMalformedCsv:
     @pytest.mark.parametrize("body", [b"x,y\n0.3,abc\n", b"x,y\n0.3,0.1\n\xff,0.2\n",
-                                      b"\xff,y\n0.3,0.1\n", b"x,y\n0.3,0.1,0.2\n"])
+                                      b"\xff,y\n0.3,0.1\n", b"x,y\n0.3,0.1,0.2\n",
+                                      b"x,y\n4.0,0.2\n", b"x,y\nnan,0.2\n"])
     def test_format_error_names_the_path(self, tmp_path, body):
         p = tmp_path / "bad.csv"
         p.write_bytes(body)

@@ -5,7 +5,9 @@
 inside ``grid._wavenumbers`` (one wavenumber table), a ``ThreadPoolExecutor``
 is built only in ``sampler._map_chunks`` (one thread pool), CLI flags are
 added only in ``cli.build_parser``, from ``cli._COMMANDS`` (one flag table),
-and a path is opened for writing only in ``fileio._output`` (one opener).
+a path is opened for writing only in ``fileio._output`` (one opener), and a
+density field is read from a file or range-shifted only in
+``densities.make_density`` (one density pipeline).
 """
 
 import ast
@@ -25,6 +27,8 @@ RULES = {
     "flag-table": (r"add_argument\(", ("cli.py", "build_parser")),
     "output-opener": (r"""open\(.*?,\s*(mode=)?["'][rbt+]*[wax]|\.write_(text|bytes)\(""",
                       ("fileio.py", "_output")),
+    "density-pipeline": (r"(?<!def )\b(read_field_oitf|set_dynamic_range)\(",
+                         ("densities.py", "make_density")),
 }
 
 
