@@ -19,10 +19,8 @@ from .errors import (
 from .geodesic import (
     Density,
     GeodesicPath,
-    bhattacharyya_angle,
     geodesic_eval,
     geodesic_path,
-    log_density_rate,
     normalize,
     quadrature,
     set_dynamic_range,
@@ -33,22 +31,13 @@ from .grid import (
     PeriodicGrid,
     ScalarField,
     VectorField,
-    compose,
     gradient_spectral,
-    identity_map,
     interp_scalar,
-    interp_vector,
     jacobian_det,
-    wrap_angle,
 )
 from .poisson import PoissonWorkspace, laplacian_spectral, solve_poisson
-from .sampler import SampleBatch, draw_uniform, sample_target
-from .transport import (
-    TransportConfig,
-    TransportResult,
-    build_transport_map,
-    pushforward_residual,
-)
+from .sampler import SampleBatch, sample_target
+from .transport import TransportConfig, TransportResult, build_transport_map
 from .validate import (
     BinnedHistogram,
     chi_squared_gof,
@@ -80,26 +69,19 @@ __all__ = [
     "TransportConfig",
     "TransportResult",
     "VectorField",
-    "bhattacharyya_angle",
     "build_transport_map",
     "chi_squared_gof",
     "chi_squared_survival",
-    "compose",
-    "draw_uniform",
     "expected_bin_mass",
     "geodesic_eval",
     "geodesic_path",
     "gradient_spectral",
     "histogram",
-    "identity_map",
     "interp_scalar",
-    "interp_vector",
     "jacobian_det",
     "laplacian_spectral",
-    "log_density_rate",
     "make_density",
     "normalize",
-    "pushforward_residual",
     "quadrature",
     "rejection_sample_oracle",
     "sample_target",
@@ -107,5 +89,4 @@ __all__ = [
     "solve_poisson",
     "two_sample_chi_squared",
     "uniform_density",
-    "wrap_angle",
 ]

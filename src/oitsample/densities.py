@@ -52,7 +52,7 @@ def sine_perturbation_field(grid: PeriodicGrid, param: float | None = None) -> S
 REGISTRY = {
     "uniform": (uniform_field, None, False),
     "two-bump": (two_bump_field, 100.0, False),
-    "one-gaussian-bump": (one_gaussian_bump_field, None, True),
+    "one-gaussian-bump": (one_gaussian_bump_field, 100.0, True),
     "sine-perturbation": (sine_perturbation_field, None, True),
 }
 
@@ -80,8 +80,9 @@ def make_density(spec: str, grid: PeriodicGrid, ratio: float | None = None) -> D
 
     A built-in (named before any ``:``, whatever files exist) is built on
     ``grid``; anything else is a scalar OITF field file, which keeps its own
-    grid.  ``ratio`` overrides the registry default (two-bump pins
-    max/min = 100 unless told otherwise; a file has no default).
+    grid.  ``ratio`` overrides the registry default (two-bump and
+    one-gaussian-bump pin max/min = 100 unless told otherwise; a file has
+    no default).
     """
     if spec.partition(":")[0].strip() in REGISTRY or not (
             spec.endswith(".oitf") or Path(spec).is_file()):

@@ -452,28 +452,3 @@ def _compose_disp_arrays(grid: PeriodicGrid,
     cy += inner_y
     return cx, cy
 
-
-def compose(outer: DiffeoMap, inner: DiffeoMap) -> DiffeoMap:
-    """Composition ``outer o inner`` (inner applied first).
-
-    The outer displacement is evaluated at the inner map's image by periodic
-    bilinear interpolation.  If both maps carry inverses, the composed
-    inverse is ``inner^-1 o outer^-1``.
-    """
-    if outer.grid != inner.grid:
-        raise GridMismatchError("cannot compose maps on different grids")
-    grid = outer.grid
-    cx, cy = _compose_disp_arrays(
-        grid,
-        outer.disp.u_x.values, outer.disp.u_y.values,
-        inner.disp.u_x.values, inner.disp.u_y.values,
-    )
-    inv = None
-    if outer.inv_disp is not None and inner.inv_disp is not None:
-        ix, iy = _compose_disp_arrays(
-            grid,
-            inner.inv_disp.u_x.values, inner.inv_disp.u_y.values,
-            outer.inv_disp.u_x.values, outer.inv_disp.u_y.values,
-        )
-        inv = VectorField.from_arrays(grid, ix, iy)
-    return DiffeoMap(grid, VectorField.from_arrays(grid, cx, cy), inv)

@@ -14,8 +14,6 @@ from oitsample import (
     TransportConfig,
     VectorField,
     build_transport_map,
-    draw_uniform,
-    identity_map,
     normalize,
 )
 from oitsample import fileio
@@ -32,6 +30,8 @@ from oitsample.fileio import (
     write_samples_oitf,
     write_warp_mesh_csv,
 )
+from oitsample.grid import identity_map
+from oitsample.sampler import draw_uniform
 
 
 def sine_build(n):

@@ -9,17 +9,15 @@ from oitsample import (
     PeriodicGrid,
     PositivityError,
     ScalarField,
-    bhattacharyya_angle,
     geodesic_eval,
     geodesic_path,
-    log_density_rate,
     make_density,
     normalize,
     quadrature,
     set_dynamic_range,
     uniform_density,
 )
-from oitsample.geodesic import GeodesicPath
+from oitsample.geodesic import GeodesicPath, bhattacharyya_angle, log_density_rate
 
 
 class TestNormalize:

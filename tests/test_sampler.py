@@ -10,13 +10,11 @@ from oitsample import (
     SampleBatch,
     ScalarField,
     VectorField,
-    draw_uniform,
-    identity_map,
     interp_scalar,
     sample_target,
 )
-from oitsample.grid import _POINT_BLOCK
-from oitsample.sampler import _transform_chunk
+from oitsample.grid import _POINT_BLOCK, identity_map
+from oitsample.sampler import _transform_chunk, draw_uniform
 
 
 def transform(mapping, batch):

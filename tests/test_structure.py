@@ -8,6 +8,11 @@ added only in ``cli.build_parser``, from ``cli._COMMANDS`` (one flag table),
 a path is opened for writing only in ``fileio._output`` (one opener), and a
 density field is read from a file or range-shifted only in
 ``densities.make_density`` (one density pipeline).
+
+The package exports only what it is used through: every function in
+``oitsample.__all__`` is named in ``cli.py``, in the acceptance suite or in
+a README ```python block (classes, exceptions included, pass as types), and
+``__init__.py`` imports exactly the names ``__all__`` lists.
 """
 
 import ast
@@ -16,7 +21,10 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parents[1] / "src"
+import oitsample
+
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src"
 
 # rule -> (pattern, (file name, function) of its one allowed site)
 RULES = {
@@ -54,3 +62,26 @@ def test_one_site(rule):
     found = matching_lines(pattern)
     assert any((name, owner) == allowed for name, owner, _ in found)
     assert [where for name, owner, where in found if (name, owner) != allowed] == []
+
+
+def caller_text():
+    """The CLI, the acceptance suite and the README's python blocks."""
+    blocks = re.findall(r"^```python\n(.*?)^```", (ROOT / "README.md").read_text(),
+                        re.S | re.M)
+    files = (SRC / "oitsample" / "cli.py", ROOT / "tests" / "test_acceptance.py")
+    return "\n".join([path.read_text() for path in files] + blocks)
+
+
+def test_every_export_has_a_caller():
+    text = caller_text()
+    uncalled = [name for name in oitsample.__all__
+                if not isinstance(getattr(oitsample, name), type)
+                and not re.search(rf"\b{name}\b", text)]
+    assert uncalled == []
+
+
+def test_init_imports_are_all():
+    tree = ast.parse((SRC / "oitsample" / "__init__.py").read_text())
+    imported = [alias.asname or alias.name for node in tree.body
+                if isinstance(node, ast.ImportFrom) for alias in node.names]
+    assert sorted(imported) == sorted(oitsample.__all__)

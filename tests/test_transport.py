@@ -14,18 +14,16 @@ from oitsample import (
     DiffeoMap,
     build_transport_map,
     gradient_spectral,
-    identity_map,
-    interp_vector,
-    log_density_rate,
     make_density,
     normalize,
     geodesic_path,
-    pushforward_residual,
     solve_poisson,
     uniform_density,
     PoissonWorkspace,
-    wrap_angle,
 )
+from oitsample.geodesic import log_density_rate
+from oitsample.grid import identity_map, interp_vector, wrap_angle
+from oitsample.transport import pushforward_residual
 
 
 def sine_density(grid, amp):

@@ -10,7 +10,6 @@ from oitsample import (
     ScalarField,
     chi_squared_gof,
     chi_squared_survival,
-    draw_uniform,
     expected_bin_mass,
     histogram,
     make_density,
@@ -19,6 +18,7 @@ from oitsample import (
     two_sample_chi_squared,
     uniform_density,
 )
+from oitsample.sampler import draw_uniform
 from oitsample.validate import regularized_gamma_q
 
 
