@@ -126,8 +126,9 @@ def cmd_build(cfg: RunConfig) -> int:
     if not cfg.out:
         raise UsageError("build requires --out for the map file")
     target, ident = _resolve_density(cfg, PeriodicGrid(cfg.grid, cfg.grid))
+    tcfg = TransportConfig(steps=cfg.steps, grid=target.grid)
     t0 = time.perf_counter()
-    result = build_transport_map(target, TransportConfig(steps=cfg.steps, grid=target.grid))
+    result = build_transport_map(target, tcfg)
     elapsed = time.perf_counter() - t0
     fileio.write_map_oitm(cfg.out, result, ident)
     print(f"density: {ident}")
@@ -136,6 +137,9 @@ def cmd_build(cfg: RunConfig) -> int:
     print(f"min_jacobian: {result.min_jacobian.min():.6f}")
     print(f"wall_time_s: {elapsed:.2f}")
     print(f"map: {cfg.out}")
+    if result.residual_above_tol:  # the map is written and usable: a warning, not an exit code
+        print(f"warning: residual {result.residual:.6e} above tolerance {tcfg.residual_tol:.6e}",
+              file=sys.stderr)
     return 0
 
 

@@ -322,14 +322,17 @@ def interp_vector(vf: VectorField, points: np.ndarray) -> np.ndarray:
 
 
 def _wavenumbers(grid: PeriodicGrid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The grid's one wavenumber table: ``(|k|^2, kx, ky)``.
+    """The grid's one wavenumber table: ``(|k|^2, kx, ky)``, on the half
+    spectrum of a real-input transform (``rfft2``).
 
-    ``|k|^2`` is the (negated) Laplacian symbol over all modes.  The 1-D
-    derivative tables ``kx``, ``ky`` have the unpaired Nyquist mode of an
-    even axis zeroed, which keeps d/dx of a real field real.
+    ``kx`` runs over all ``n_x`` modes and ``ky`` over the ``n_y // 2 + 1``
+    non-negative ones, so ``|k|^2``, the (negated) Laplacian symbol, has
+    shape ``(n_x, n_y // 2 + 1)``.  The 1-D derivative tables ``kx``, ``ky``
+    have the unpaired Nyquist mode of an even axis zeroed, which keeps d/dx
+    of a real field real.
     """
     kx = np.fft.fftfreq(grid.n_x, d=grid.h_x) * TWO_PI
-    ky = np.fft.fftfreq(grid.n_y, d=grid.h_y) * TWO_PI
+    ky = np.fft.rfftfreq(grid.n_y, d=grid.h_y) * TWO_PI
     k2 = kx[:, None] ** 2 + ky[None, :] ** 2
     if grid.n_x % 2 == 0:
         kx[grid.n_x // 2] = 0.0
@@ -341,9 +344,9 @@ def _wavenumbers(grid: PeriodicGrid) -> tuple[np.ndarray, np.ndarray, np.ndarray
 def gradient_spectral(f: ScalarField) -> VectorField:
     """Fourier-space gradient; exact for bandlimited fields."""
     _, kx, ky = _wavenumbers(f.grid)
-    fh = np.fft.fft2(f.values)
-    ux = np.fft.ifft2(1j * kx[:, None] * fh).real
-    uy = np.fft.ifft2(1j * ky[None, :] * fh).real
+    fh = np.fft.rfft2(f.values)
+    ux = np.fft.irfft2(1j * kx[:, None] * fh, s=f.grid.shape)
+    uy = np.fft.irfft2(1j * ky[None, :] * fh, s=f.grid.shape)
     return VectorField.from_arrays(f.grid, ux, uy)
 
 
@@ -426,12 +429,6 @@ class DiffeoMap:
         pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
         moved = pts + interp_vector(self.disp, pts)
         return wrap_angle(moved)
-
-
-def identity_map(grid: PeriodicGrid) -> DiffeoMap:
-    zero = ScalarField.constant(grid, 0.0)
-    disp = VectorField(zero, zero)
-    return DiffeoMap(grid, disp, disp)
 
 
 def jacobian_det(mapping: DiffeoMap) -> ScalarField:

@@ -3,7 +3,9 @@
 The discrete Laplacian is the exact Fourier symbol -|k|^2, which makes the
 solver, the spectral gradient, and the spectral Laplacian mutually
 consistent.  Sources are projected onto the solvable subspace by removing
-their mean (the k = 0 mode); solutions are returned with zero mean.
+their mean (the k = 0 mode); solutions are returned with zero mean.  Every
+field here is real, so every transform is a real-input one (``rfft2`` and
+``irfft2``) on the half spectrum of ``grid._wavenumbers``.
 """
 
 from __future__ import annotations
@@ -18,7 +20,8 @@ from .grid import PeriodicGrid, ScalarField, _wavenumbers
 
 @dataclass(frozen=True)
 class PoissonWorkspace:
-    """Precomputed inverse symbol -1/|k|^2 (zero at k = 0) for one grid.
+    """Precomputed inverse symbol -1/|k|^2 (zero at k = 0) and derivative
+    wavenumbers for one grid, on the half spectrum.
 
     The symbol table is read-only and may be shared across threads; the FFT
     calls allocate their own work arrays, so a workspace instance itself has
@@ -44,15 +47,15 @@ def solve_poisson(ws: PoissonWorkspace, s: ScalarField) -> ScalarField:
     """Zero-mean f with (spectral) Laplacian f = s - mean(s)."""
     if s.grid != ws.grid:
         raise GridMismatchError("source grid does not match workspace")
-    f_hat = np.fft.fft2(s.values) * ws.inv_symbol  # symbol is 0 at k=0: mean removed
-    return ScalarField(ws.grid, np.fft.ifft2(f_hat).real)
+    f_hat = np.fft.rfft2(s.values) * ws.inv_symbol  # symbol is 0 at k=0: mean removed
+    return ScalarField(ws.grid, np.fft.irfft2(f_hat, s=ws.grid.shape))
 
 
 def laplacian_spectral(f: ScalarField) -> ScalarField:
     """Exact-symbol Laplacian, the inverse of :func:`solve_poisson` on
     zero-mean fields."""
     k2 = _wavenumbers(f.grid)[0]
-    return ScalarField(f.grid, -np.fft.ifft2(k2 * np.fft.fft2(f.values)).real)
+    return ScalarField(f.grid, -np.fft.irfft2(k2 * np.fft.rfft2(f.values), s=f.grid.shape))
 
 
 def _solve_gradient(ws: PoissonWorkspace, s_values: np.ndarray):
@@ -63,7 +66,7 @@ def _solve_gradient(ws: PoissonWorkspace, s_values: np.ndarray):
     itself is never transformed back.  A non-finite source gives non-finite
     velocities, which the caller checks.
     """
-    f_hat = np.fft.fft2(s_values) * ws.inv_symbol
-    v_x = np.fft.ifft2(1j * ws.deriv_kx[:, None] * f_hat).real
-    v_y = np.fft.ifft2(1j * ws.deriv_ky[None, :] * f_hat).real
+    f_hat = np.fft.rfft2(s_values) * ws.inv_symbol
+    v_x = np.fft.irfft2(1j * ws.deriv_kx[:, None] * f_hat, s=ws.grid.shape)
+    v_y = np.fft.irfft2(1j * ws.deriv_ky[None, :] * f_hat, s=ws.grid.shape)
     return v_x, v_y

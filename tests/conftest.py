@@ -50,6 +50,15 @@ def reference_build(reference_density):
     return result, elapsed
 
 
+def identity_map(grid: PeriodicGrid):
+    """The identity diffeomorphism, with its (identity) inverse."""
+    from oitsample import DiffeoMap, VectorField
+
+    zero = ScalarField.constant(grid, 0.0)
+    disp = VectorField(zero, zero)
+    return DiffeoMap(grid, disp, disp)
+
+
 def smooth_test_map(grid: PeriodicGrid, amp: float = 0.15, phase: float = 0.0):
     """A smooth analytic diffeomorphism for grid-calculus tests."""
     from oitsample import DiffeoMap, VectorField

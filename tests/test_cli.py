@@ -160,6 +160,25 @@ class TestBuild:
                    "--out", str(tmp_path / "x.oitm"))
         assert code == 2
 
+    def test_residual_above_tolerance_warns_on_stderr(self, tmp_path, capsys):
+        """A coarse build that misses the residual tolerance still writes its
+        map and exits 0, and says so on stderr; the stdout report is as for
+        any build."""
+        out = tmp_path / "coarse.oitm"
+        with pytest.warns(RuntimeWarning, match="above tolerance"):
+            code = run("build", "--density", "two-bump", "--grid", "64", "--steps", "12",
+                       "--out", str(out))
+        assert code == 0
+        captured = capsys.readouterr()
+        residual = read_map_oitm(out)[1].residual
+        assert f"residual: {residual:.6e}\n" in captured.out
+        assert captured.err == (
+            f"warning: residual {residual:.6e} above tolerance 5.000000e-02\n")
+
+    def test_default_build_prints_no_warning(self, tmp_path, capsys):
+        assert run("build", "--density", "two-bump", "--out", str(tmp_path / "m.oitm")) == 0
+        assert "warning:" not in capsys.readouterr().err
+
     def test_density_from_oitf_file(self, tmp_path):
         g = PeriodicGrid(32, 32)
         f = ScalarField.from_function(g, lambda x, y: 1.0 + 0.3 * np.cos(y))

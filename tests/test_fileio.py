@@ -30,8 +30,8 @@ from oitsample.fileio import (
     write_samples_oitf,
     write_warp_mesh_csv,
 )
-from oitsample.grid import identity_map
 from oitsample.sampler import draw_uniform
+from conftest import identity_map
 
 
 def sine_build(n):

@@ -20,11 +20,10 @@ from oitsample.grid import (
     _jacobian_det_arrays,
     _Stencil,
     _wrap_shift,
-    identity_map,
     interp_vector,
     wrap_angle,
 )
-from conftest import smooth_test_map
+from conftest import identity_map, smooth_test_map
 
 TWO_PI = 2.0 * np.pi
 

@@ -97,57 +97,90 @@ class TestSolvePoisson:
         assert np.abs(f.values - zero_mean.values).max() <= 1e-10
 
 
-# The wavenumber formulas as they were before the grid kept one table, kept as
-# the reference that PoissonWorkspace, gradient_spectral and
-# laplacian_spectral must reproduce bit for bit.
+# Two sets of reference formulas.  The half-spectrum ones (``rfftfreq``,
+# ``rfft2``/``irfft2``) are what PoissonWorkspace, gradient_spectral,
+# laplacian_spectral and the transport loop's solve must reproduce bit for
+# bit.  The full-spectrum ones (``fftfreq``, complex ``fft2``/``ifft2``, real
+# part) compute the same operators over every mode; the package's operators
+# must agree with them to rounding.
 
 
-def reference_deriv_wavenumbers(grid):
+def _k(grid, half):
+    """Angular wavenumbers of both axes; the second on the half spectrum
+    when ``half``."""
     kx = np.fft.fftfreq(grid.n_x, d=grid.h_x) * 2.0 * np.pi
-    ky = np.fft.fftfreq(grid.n_y, d=grid.h_y) * 2.0 * np.pi
+    freq = np.fft.rfftfreq if half else np.fft.fftfreq
+    ky = freq(grid.n_y, d=grid.h_y) * 2.0 * np.pi
+    return kx, ky
+
+
+def reference_deriv_wavenumbers(grid, half=True):
+    kx, ky = _k(grid, half)
     if grid.n_x % 2 == 0:
-        kx = kx.copy()
         kx[grid.n_x // 2] = 0.0
     if grid.n_y % 2 == 0:
-        ky = ky.copy()
         ky[grid.n_y // 2] = 0.0
     return kx, ky
 
 
-def reference_k2(grid):
-    kx = np.fft.fftfreq(grid.n_x, d=grid.h_x) * 2.0 * np.pi
-    ky = np.fft.fftfreq(grid.n_y, d=grid.h_y) * 2.0 * np.pi
+def reference_k2(grid, half=True):
+    kx, ky = _k(grid, half)
     return kx[:, None] ** 2 + ky[None, :] ** 2
 
 
-def reference_inv_symbol(grid):
-    k2 = reference_k2(grid)
+def reference_inv_symbol(grid, half=True):
+    k2 = reference_k2(grid, half)
     inv = np.zeros_like(k2)
     nz = k2 > 0.0
     inv[nz] = -1.0 / k2[nz]
     return inv
 
 
-def reference_gradient(values, grid):
-    kx, ky = reference_deriv_wavenumbers(grid)
-    fh = np.fft.fft2(values)
-    return (np.fft.ifft2(1j * kx[:, None] * fh).real,
-            np.fft.ifft2(1j * ky[None, :] * fh).real)
+def _transforms(grid, half):
+    """(forward, inverse) transform pair of a real field."""
+    if half:
+        return np.fft.rfft2, lambda spec: np.fft.irfft2(spec, s=grid.shape)
+    return np.fft.fft2, lambda spec: np.fft.ifft2(spec).real
 
 
-def reference_laplacian(values, grid):
-    return -np.fft.ifft2(reference_k2(grid) * np.fft.fft2(values)).real
+def reference_gradient(values, grid, half=True):
+    fwd, inv = _transforms(grid, half)
+    kx, ky = reference_deriv_wavenumbers(grid, half)
+    fh = fwd(values)
+    return inv(1j * kx[:, None] * fh), inv(1j * ky[None, :] * fh)
 
 
-def reference_solve(values, grid):
-    return np.fft.ifft2(np.fft.fft2(values) * reference_inv_symbol(grid)).real
+def reference_laplacian(values, grid, half=True):
+    fwd, inv = _transforms(grid, half)
+    return -inv(reference_k2(grid, half) * fwd(values))
 
 
-def reference_solve_gradient(values, grid):
-    kx, ky = reference_deriv_wavenumbers(grid)
-    f_hat = np.fft.fft2(values) * reference_inv_symbol(grid)
-    return (np.fft.ifft2(1j * kx[:, None] * f_hat).real,
-            np.fft.ifft2(1j * ky[None, :] * f_hat).real)
+def reference_solve(values, grid, half=True):
+    fwd, inv = _transforms(grid, half)
+    return inv(fwd(values) * reference_inv_symbol(grid, half))
+
+
+def reference_solve_gradient(values, grid, half=True):
+    fwd, inv = _transforms(grid, half)
+    kx, ky = reference_deriv_wavenumbers(grid, half)
+    f_hat = fwd(values) * reference_inv_symbol(grid, half)
+    return inv(1j * kx[:, None] * f_hat), inv(1j * ky[None, :] * f_hat)
+
+
+def operator_outputs(ws, values):
+    """Each operator's output on ``values``, in the order of ``references``."""
+    from oitsample import gradient_spectral
+    from oitsample.poisson import _solve_gradient
+
+    f = ScalarField(ws.grid, values)
+    grad = gradient_spectral(f)
+    return (grad.u_x.values, grad.u_y.values, laplacian_spectral(f).values,
+            solve_poisson(ws, f).values, *_solve_gradient(ws, values))
+
+
+def references(values, grid, half):
+    return (*reference_gradient(values, grid, half), reference_laplacian(values, grid, half),
+            reference_solve(values, grid, half), *reference_solve_gradient(values, grid, half))
 
 
 @pytest.mark.parametrize("shape", [(32, 48), (37, 20), (20, 37), (33, 33)])
@@ -156,6 +189,7 @@ class TestWavenumberTableMatchesReference:
         g = PeriodicGrid(*shape)
         ws = PoissonWorkspace(g)
         kx, ky = reference_deriv_wavenumbers(g)
+        assert ws.inv_symbol.shape == (g.n_x, g.n_y // 2 + 1)
         assert np.array_equal(ws.inv_symbol, reference_inv_symbol(g))
         assert np.array_equal(ws.deriv_kx, kx)
         assert np.array_equal(ws.deriv_ky, ky)
@@ -163,20 +197,24 @@ class TestWavenumberTableMatchesReference:
                     or ws.deriv_ky.flags.writeable)
 
     def test_operators(self, shape, rng):
-        from oitsample import gradient_spectral
-        from oitsample.poisson import _solve_gradient
-
         g = PeriodicGrid(*shape)
         ws = PoissonWorkspace(g)
         for values in (rng.standard_normal(g.shape), bandlimited_field(g, rng).values):
-            f = ScalarField(g, values)
-            gx, gy = reference_gradient(values, g)
-            grad = gradient_spectral(f)
-            assert np.array_equal(grad.u_x.values, gx)
-            assert np.array_equal(grad.u_y.values, gy)
-            assert np.array_equal(laplacian_spectral(f).values, reference_laplacian(values, g))
-            assert np.array_equal(solve_poisson(ws, f).values, reference_solve(values, g))
-            vx, vy = _solve_gradient(ws, values)
-            sx, sy = reference_solve_gradient(values, g)
-            assert np.array_equal(vx, sx)
-            assert np.array_equal(vy, sy)
+            outputs = operator_outputs(ws, values)
+            for out, ref in zip(outputs, references(values, g, half=True), strict=True):
+                assert np.array_equal(out, ref)
+            for out, ref in zip(outputs, references(values, g, half=False), strict=True):
+                assert np.abs(out - ref).max() <= 1e-14 * np.abs(ref).max()
+
+
+def test_velocity_owns_real_memory(ws64, rng):
+    """Each velocity component of the transport loop's solve is a real array
+    of its own, not the real part of a complex one that it keeps alive."""
+    from oitsample.poisson import _solve_gradient
+
+    for v in _solve_gradient(ws64, rng.standard_normal(ws64.grid.shape)):
+        assert v.dtype == np.float64 and v.shape == ws64.grid.shape
+        base = v
+        while base is not None:
+            assert not np.iscomplexobj(base)
+            base = base.base

@@ -13,7 +13,8 @@ from oitsample import (
     interp_scalar,
     sample_target,
 )
-from oitsample.grid import _POINT_BLOCK, identity_map
+from oitsample.grid import _POINT_BLOCK
+from conftest import identity_map
 from oitsample.sampler import _transform_chunk, draw_uniform
 
 

@@ -9,6 +9,10 @@ a path is opened for writing only in ``fileio._output`` (one opener), and a
 density field is read from a file or range-shifted only in
 ``densities.make_density`` (one density pipeline).
 
+Every field the package transforms is real, so ``src/`` calls no
+complex-input FFT (``fft2``, ``ifft2``, ``fftn``, ``ifftn``, ``fft``,
+``ifft``) anywhere: one transform convention, the real half spectrum.
+
 The package exports only what it is used through: every function in
 ``oitsample.__all__`` is named in ``cli.py``, in the acceptance suite or in
 a README ```python block (classes, exceptions included, pass as types), and
@@ -62,6 +66,10 @@ def test_one_site(rule):
     found = matching_lines(pattern)
     assert any((name, owner) == allowed for name, owner, _ in found)
     assert [where for name, owner, where in found if (name, owner) != allowed] == []
+
+
+def test_no_complex_input_transform():
+    assert [where for _, _, where in matching_lines(r"\bi?fft[2n]?\(")] == []
 
 
 def caller_text():

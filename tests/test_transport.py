@@ -22,8 +22,9 @@ from oitsample import (
     PoissonWorkspace,
 )
 from oitsample.geodesic import log_density_rate
-from oitsample.grid import identity_map, interp_vector, wrap_angle
+from oitsample.grid import interp_vector, wrap_angle
 from oitsample.transport import pushforward_residual
+from conftest import identity_map
 
 
 def sine_density(grid, amp):
