@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import os
 import stat
+import warnings
 from collections.abc import Callable, Iterator
 from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass
@@ -465,7 +466,12 @@ def read_samples_csv(path: str | Path, max_rows: int | None = None) -> np.ndarra
             if not line or max_rows == 0:
                 return np.empty((0, 2))
             fh.seek(start)
-            data = np.loadtxt(fh, delimiter=",", ndmin=2, max_rows=max_rows)
+            with warnings.catch_warnings():
+                # numpy >= 1.23 does not count a blank line as a row, which is
+                # this format's rule too, and warns that it once did
+                warnings.filterwarnings("ignore", r"Input line \d+ contained no data",
+                                        UserWarning)
+                data = np.loadtxt(fh, delimiter=",", ndmin=2, max_rows=max_rows)
         except FileFormatError:
             raise
         except ValueError as exc:  # a field that is not a number, or undecodable text

@@ -32,7 +32,13 @@ from .errors import (
     NumericalBlowupError,
     OrientationLossError,
 )
-from .geodesic import Density, geodesic_path, log_density_rate, uniform_density
+from .geodesic import (
+    Density,
+    GeodesicPath,
+    geodesic_path,
+    log_density_rate,
+    uniform_density,
+)
 from .grid import (
     DiffeoMap,
     PeriodicGrid,
@@ -102,23 +108,18 @@ def pushforward_residual(mapping: DiffeoMap, target: Density) -> float:
     return float(np.mean(np.abs(det * mu_at - u0)) / u0)
 
 
-def build_transport_map(target: Density, cfg: TransportConfig) -> TransportResult:
-    """Run the K-step loop and return the transport map with diagnostics.
+def _integrate(path: GeodesicPath, grid: PeriodicGrid, K: int):
+    """The K-step loop: the four displacement arrays and the three per-step
+    diagnostics, ``(fwd_x, fwd_y, inv_x, inv_y, cfl, poisson_mean, min_jac)``.
 
-    Raises OrientationLossError if the forward Jacobian determinant drops
-    to zero or below at any step (the usual cure is more steps), and
-    NumericalBlowupError if any field stops being finite.
+    Each step's stencils, velocities and Newton temporaries are local to
+    this call, so none of them is alive while the caller checks and scores
+    the map.
     """
-    if target.grid != cfg.grid:
-        raise GridMismatchError("target density is not on the configured grid")
-    grid = cfg.grid
-    K = cfg.steps
     eps = 1.0 / K
-    path = geodesic_path(uniform_density(grid), target)
     ws = PoissonWorkspace(grid)
-    X, Y = grid.node_mesh()
-    flat_x = X.reshape(-1)
-    flat_y = Y.reshape(-1)
+    xs = grid.xs[:, None]  # node coordinates, broadcast over the grid: the
+    ys = grid.ys[None, :]  # same sums as the node mesh, bit for bit
     shape = grid.shape
 
     fwd_x = np.zeros(shape)
@@ -131,9 +132,9 @@ def build_transport_map(target: Density, cfg: TransportConfig) -> TransportResul
     min_jac = np.zeros(K)
 
     for k in range(K):
-        rate = log_density_rate(path, k / K)
-        st_fwd = _displaced_stencil(grid, fwd_x, fwd_y)
-        source = st_fwd.gather(rate.values).reshape(shape)
+        # the source stencil and the rate field die with this expression
+        source = _displaced_stencil(grid, fwd_x, fwd_y).gather(
+            log_density_rate(path, k / K).values).reshape(shape)
         poisson_mean[k] = source.mean()
         v_x, v_y = _solve_gradient(ws, source)
         if not (np.all(np.isfinite(v_x)) and np.all(np.isfinite(v_y))):
@@ -149,8 +150,8 @@ def build_transport_map(target: Density, cfg: TransportConfig) -> TransportResul
         inv_y = inv_y + eps * st_inv.gather(v_y).reshape(shape)
 
         # forward map: Euler-composed predictor ...
-        y_x = (X - eps * v_x).reshape(-1)
-        y_y = (Y - eps * v_y).reshape(-1)
+        y_x = (xs - eps * v_x).reshape(-1)
+        y_y = (ys - eps * v_y).reshape(-1)
         st_pre = _Stencil(grid, y_x, y_y)
         y_x += st_pre.gather(fwd_x)
         y_y += st_pre.gather(fwd_y)
@@ -162,8 +163,8 @@ def build_transport_map(target: Density, cfg: TransportConfig) -> TransportResul
         g_yy = _central_diff(inv_y, 1, grid.h_y)
         for _ in range(_NEWTON_ITERS):
             st_n = _Stencil(grid, y_x, y_y)
-            res_x = wrap_angle(y_x + st_n.gather(inv_x) - flat_x)
-            res_y = wrap_angle(y_y + st_n.gather(inv_y) - flat_y)
+            res_x = wrap_angle((y_x + st_n.gather(inv_x)).reshape(shape) - xs).reshape(-1)
+            res_y = wrap_angle((y_y + st_n.gather(inv_y)).reshape(shape) - ys).reshape(-1)
             a11 = 1.0 + st_n.gather(g_xx)
             a12 = st_n.gather(g_xy)
             a21 = st_n.gather(g_yx)
@@ -173,13 +174,29 @@ def build_transport_map(target: Density, cfg: TransportConfig) -> TransportResul
             y_y = y_y - (-a21 * res_x + a11 * res_y) / det
         if not (np.all(np.isfinite(y_x)) and np.all(np.isfinite(y_y))):
             raise NumericalBlowupError(k, "forward-map Newton update is not finite")
-        fwd_x = (y_x - flat_x).reshape(shape)
-        fwd_y = (y_y - flat_y).reshape(shape)
+        fwd_x = y_x.reshape(shape) - xs
+        fwd_y = y_y.reshape(shape) - ys
 
         det_fwd = _jacobian_det_arrays(grid, fwd_x, fwd_y)
         min_jac[k] = det_fwd.min()
         if min_jac[k] <= 0.0:
             raise OrientationLossError(k, float(min_jac[k]))
+
+    return fwd_x, fwd_y, inv_x, inv_y, cfl, poisson_mean, min_jac
+
+
+def build_transport_map(target: Density, cfg: TransportConfig) -> TransportResult:
+    """Run the K-step loop and return the transport map with diagnostics.
+
+    Raises OrientationLossError if the forward Jacobian determinant drops
+    to zero or below at any step (the usual cure is more steps), and
+    NumericalBlowupError if any field stops being finite.
+    """
+    if target.grid != cfg.grid:
+        raise GridMismatchError("target density is not on the configured grid")
+    grid = cfg.grid
+    path = geodesic_path(uniform_density(grid), target)
+    fwd_x, fwd_y, inv_x, inv_y, cfl, poisson_mean, min_jac = _integrate(path, grid, cfg.steps)
 
     mapping = DiffeoMap(
         grid,

@@ -219,6 +219,8 @@ def chi_squared_gof(hist: BinnedHistogram, expected_mass: np.ndarray):
     mass = np.asarray(expected_mass, dtype=np.float64).reshape(-1)
     if mass.size != hist.b_x * hist.b_y:
         raise InvalidInputError("expected-mass size does not match binning")
+    if hist.total == 0:
+        raise DegenerateInputError("goodness-of-fit test needs a nonempty histogram")
     expected = hist.total * mass
     return _pearson(hist.b_x, hist.b_y, expected, [(hist.counts.reshape(-1), expected)])
 

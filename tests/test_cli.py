@@ -536,6 +536,15 @@ class TestValidate:
                    "--out", str(tmp_path / "r.txt"))
         assert code == 1
 
+    def test_empty_sample_names_the_empty_histogram(self, sine_map, tmp_path, capsys):
+        out = tmp_path / "r.txt"
+        code = run("validate", "--map", str(sine_map), "--density",
+                   "sine-perturbation:0.4", "--n", "0", "--bins", "16", "--out", str(out))
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: goodness-of-fit test needs a nonempty histogram\n")
+        assert not out.exists()
+
     def test_per_bin_table(self, sine_map, tmp_path):
         table = tmp_path / "bins.csv"
         code = run("validate", "--map", str(sine_map), "--density",
@@ -613,6 +622,16 @@ class TestExport:
         code = run("export", "--samples", str(pts), "--n", "0", "--out", str(sub))
         assert code == 0
         assert sub.read_bytes() == b"x,y\n"
+
+    @pytest.mark.filterwarnings("error")
+    def test_scatter_of_a_csv_with_blank_lines_writes_nothing_to_stderr(self, tmp_path, capfd):
+        pts = tmp_path / "pts.csv"
+        pts.write_text("x,y\n0.1,0.2\n\n0.3,0.4\n\n")
+        sub = tmp_path / "sub.csv"
+        code = run("export", "--samples", str(pts), "--n", "5", "--out", str(sub))
+        assert code == 0
+        assert capfd.readouterr().err == ""
+        assert np.array_equal(read_samples_csv(sub), [[0.1, 0.2], [0.3, 0.4]])
 
     def test_scatter_rejects_nan_rows(self, tmp_path):
         pts = tmp_path / "pts.csv"

@@ -179,6 +179,15 @@ class TestSampleFiles:
         p.write_text("x,y\n" + body)
         assert read_samples_csv(p, max_rows=1).shape == (rows, 2)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("max_rows", [None, 1, 2, 3, 5])
+    def test_csv_blank_lines_among_and_after_rows_are_not_rows(self, tmp_path, max_rows):
+        """No numpy warning escapes, and a blank line never counts as a row."""
+        p = tmp_path / "blank.csv"
+        p.write_text("x,y\n0.1,0.2\n\n0.3,0.4\n\n\n-0.5,0.6\n\n")
+        rows = np.array([[0.1, 0.2], [0.3, 0.4], [-0.5, 0.6]])
+        assert np.array_equal(read_samples_csv(p, max_rows=max_rows), rows[:max_rows])
+
 
 class TestOitmMaps:
     def test_round_trip(self, tmp_path, small_build):

@@ -158,6 +158,12 @@ class TestChiSquaredGof:
         with pytest.raises(DegenerateInputError):
             chi_squared_gof(h, np.full(4, 0.25))
 
+    def test_empty_histogram_is_degenerate(self):
+        h = BinnedHistogram(4, 4, np.zeros((4, 4), dtype=int))
+        with pytest.raises(DegenerateInputError,
+                           match="^goodness-of-fit test needs a nonempty histogram$"):
+            chi_squared_gof(h, np.full(16, 1 / 16))
+
     def test_size_mismatch(self):
         h = BinnedHistogram(2, 2, np.ones((2, 2), dtype=int))
         with pytest.raises(InvalidInputError):
