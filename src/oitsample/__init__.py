@@ -31,11 +31,10 @@ from .grid import (
     PeriodicGrid,
     ScalarField,
     VectorField,
-    gradient_spectral,
     interp_scalar,
     jacobian_det,
 )
-from .poisson import PoissonWorkspace, laplacian_spectral, solve_poisson
+from .poisson import PoissonWorkspace, gradient_spectral, laplacian_spectral, solve_poisson
 from .sampler import SampleBatch, sample_target
 from .transport import TransportConfig, TransportResult, build_transport_map
 from .validate import (

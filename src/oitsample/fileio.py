@@ -20,11 +20,10 @@ from __future__ import annotations
 
 import os
 import stat
-import warnings
 from collections.abc import Callable, Iterator
 from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, filterfalse
 from pathlib import Path
 
 import numpy as np
@@ -452,7 +451,8 @@ def stream_samples(path: str | Path, n: int,
 
 def read_samples_csv(path: str | Path, max_rows: int | None = None) -> np.ndarray:
     """Sample points from a CSV; with ``max_rows``, rows after that many are
-    not parsed."""
+    not parsed.  A line of only whitespace is blank, wherever it is, and is
+    not a row."""
     if max_rows is not None and max_rows < 0:
         raise InvalidInputError(f"row count must be nonnegative, got {max_rows}")
     with open(path) as fh:
@@ -460,18 +460,11 @@ def read_samples_csv(path: str | Path, max_rows: int | None = None) -> np.ndarra
             header = fh.readline().strip()
             if header != "x,y":
                 raise FileFormatError(f"{path}: expected header 'x,y', got {header!r}")
-            start = fh.tell()
-            while (line := fh.readline()) and not line.strip():
-                start = fh.tell()
-            if not line or max_rows == 0:
+            rows = filterfalse(str.isspace, fh)  # a line of only whitespace is blank
+            if max_rows == 0 or (first := next(rows, None)) is None:
                 return np.empty((0, 2))
-            fh.seek(start)
-            with warnings.catch_warnings():
-                # numpy >= 1.23 does not count a blank line as a row, which is
-                # this format's rule too, and warns that it once did
-                warnings.filterwarnings("ignore", r"Input line \d+ contained no data",
-                                        UserWarning)
-                data = np.loadtxt(fh, delimiter=",", ndmin=2, max_rows=max_rows)
+            data = np.loadtxt(chain([first], rows), delimiter=",", ndmin=2,
+                              max_rows=max_rows)
         except FileFormatError:
             raise
         except ValueError as exc:  # a field that is not a number, or undecodable text

@@ -1,4 +1,4 @@
-"""Periodic grid container and the discrete calculus built on it.
+"""Periodic grid, its fields, the bilinear kernel and torus diffeomorphisms.
 
 Everything in this package lives on a uniform n_x-by-n_y grid over the
 square [-pi, pi)^2 with opposite edges identified.  Fields are stored
@@ -8,7 +8,8 @@ fields (the map is ``x -> wrap(x + d(x))``), which keeps the identity exact
 and makes periodicity trivial.
 
 Interpolation is periodic bilinear throughout; the order is a deliberate
-constant of this package, not a knob.
+constant of this package, not a knob.  Derivatives here are finite
+differences; the Fourier calculus lives in ``poisson.py``.
 """
 
 from __future__ import annotations
@@ -315,39 +316,6 @@ def interp_vector(vf: VectorField, points: np.ndarray) -> np.ndarray:
     """Interpolate both components at once; returns shape (N, 2)."""
     st = _point_stencil(vf.grid, points)
     return np.stack([st.gather(vf.u_x.values), st.gather(vf.u_y.values)], axis=1)
-
-
-# ---------------------------------------------------------------------------
-# spectral calculus
-
-
-def _wavenumbers(grid: PeriodicGrid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The grid's one wavenumber table: ``(|k|^2, kx, ky)``, on the half
-    spectrum of a real-input transform (``rfft2``).
-
-    ``kx`` runs over all ``n_x`` modes and ``ky`` over the ``n_y // 2 + 1``
-    non-negative ones, so ``|k|^2``, the (negated) Laplacian symbol, has
-    shape ``(n_x, n_y // 2 + 1)``.  The 1-D derivative tables ``kx``, ``ky``
-    have the unpaired Nyquist mode of an even axis zeroed, which keeps d/dx
-    of a real field real.
-    """
-    kx = np.fft.fftfreq(grid.n_x, d=grid.h_x) * TWO_PI
-    ky = np.fft.rfftfreq(grid.n_y, d=grid.h_y) * TWO_PI
-    k2 = kx[:, None] ** 2 + ky[None, :] ** 2
-    if grid.n_x % 2 == 0:
-        kx[grid.n_x // 2] = 0.0
-    if grid.n_y % 2 == 0:
-        ky[grid.n_y // 2] = 0.0
-    return k2, kx, ky
-
-
-def gradient_spectral(f: ScalarField) -> VectorField:
-    """Fourier-space gradient; exact for bandlimited fields."""
-    _, kx, ky = _wavenumbers(f.grid)
-    fh = np.fft.rfft2(f.values)
-    ux = np.fft.irfft2(1j * kx[:, None] * fh, s=f.grid.shape)
-    uy = np.fft.irfft2(1j * ky[None, :] * fh, s=f.grid.shape)
-    return VectorField.from_arrays(f.grid, ux, uy)
 
 
 # ---------------------------------------------------------------------------

@@ -188,6 +188,16 @@ class TestSampleFiles:
         rows = np.array([[0.1, 0.2], [0.3, 0.4], [-0.5, 0.6]])
         assert np.array_equal(read_samples_csv(p, max_rows=max_rows), rows[:max_rows])
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("blank", [" ", "\t", " \t "])
+    @pytest.mark.parametrize("max_rows", [None, 0, 1, 2, 3, 5])
+    def test_csv_whitespace_lines_are_blank_anywhere(self, tmp_path, blank, max_rows):
+        """A line of only spaces or tabs is blank before, among and after rows."""
+        p = tmp_path / "ws.csv"
+        p.write_text(f"x,y\n{blank}\n0.1,0.2\n{blank}\n0.3,0.4\n{blank}\n-0.5,0.6\n{blank}\n")
+        rows = np.array([[0.1, 0.2], [0.3, 0.4], [-0.5, 0.6]])
+        assert np.array_equal(read_samples_csv(p, max_rows=max_rows), rows[:max_rows])
+
 
 class TestOitmMaps:
     def test_round_trip(self, tmp_path, small_build):

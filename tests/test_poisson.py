@@ -193,8 +193,9 @@ class TestWavenumberTableMatchesReference:
         assert np.array_equal(ws.inv_symbol, reference_inv_symbol(g))
         assert np.array_equal(ws.deriv_kx, kx)
         assert np.array_equal(ws.deriv_ky, ky)
-        assert not (ws.inv_symbol.flags.writeable or ws.deriv_kx.flags.writeable
-                    or ws.deriv_ky.flags.writeable)
+        assert np.array_equal(ws.k2, reference_k2(g))
+        assert not (ws.k2.flags.writeable or ws.inv_symbol.flags.writeable
+                    or ws.deriv_kx.flags.writeable or ws.deriv_ky.flags.writeable)
 
     def test_operators(self, shape, rng):
         g = PeriodicGrid(*shape)

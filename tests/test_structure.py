@@ -2,16 +2,17 @@
 
 ``np.random.Philox`` and ``np.random.Generator`` may appear only inside
 ``sampler._uniform_stream`` (one keyed uniform stream), ``fftfreq`` only
-inside ``grid._wavenumbers`` (one wavenumber table), a ``ThreadPoolExecutor``
-is built only in ``sampler._map_chunks`` (one thread pool), CLI flags are
-added only in ``cli.build_parser``, from ``cli._COMMANDS`` (one flag table),
-a path is opened for writing only in ``fileio._output`` (one opener), and a
-density field is read from a file or range-shifted only in
-``densities.make_density`` (one density pipeline).
+inside ``poisson.PoissonWorkspace.__post_init__`` (one wavenumber table), a
+``ThreadPoolExecutor`` is built only in ``sampler._map_chunks`` (one thread
+pool), CLI flags are added only in ``cli.build_parser``, from
+``cli._COMMANDS`` (one flag table), a path is opened for writing only in
+``fileio._output`` (one opener), and a density field is read from a file
+or range-shifted only in ``densities.make_density`` (one density pipeline).
 
 Every field the package transforms is real, so ``src/`` calls no
 complex-input FFT (``fft2``, ``ifft2``, ``fftn``, ``ifftn``, ``fft``,
-``ifft``) anywhere: one transform convention, the real half spectrum.
+``ifft``) anywhere: one transform convention, the real half spectrum.  And
+``np.fft.`` appears in no file but ``poisson.py``: one Fourier module.
 
 The package exports only what it is used through: every function in
 ``oitsample.__all__`` is named in ``cli.py``, in the acceptance suite or in
@@ -34,7 +35,7 @@ SRC = ROOT / "src"
 RULES = {
     "keyed-stream": (r"np\.random\.Philox|np\.random\.Generator",
                      ("sampler.py", "_uniform_stream")),
-    "wavenumbers": (r"fftfreq", ("grid.py", "_wavenumbers")),
+    "wavenumbers": (r"fftfreq", ("poisson.py", "__post_init__")),
     "thread-pool": (r"ThreadPoolExecutor\(", ("sampler.py", "_map_chunks")),
     "flag-table": (r"add_argument\(", ("cli.py", "build_parser")),
     "output-opener": (r"""open\(.*?,\s*(mode=)?["'][rbt+]*[wax]|\.write_(text|bytes)\(""",
@@ -70,6 +71,12 @@ def test_one_site(rule):
 
 def test_no_complex_input_transform():
     assert [where for _, _, where in matching_lines(r"\bi?fft[2n]?\(")] == []
+
+
+def test_one_fourier_module():
+    found = matching_lines(r"np\.fft\.")
+    assert any(name == "poisson.py" for name, _, _ in found)
+    assert [where for name, _, where in found if name != "poisson.py"] == []
 
 
 def caller_text():
