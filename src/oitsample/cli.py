@@ -13,9 +13,12 @@ sample, validate run; flags override it.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 import time
 import typing
+import warnings
+from contextlib import redirect_stdout
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
@@ -128,7 +131,10 @@ def cmd_build(cfg: RunConfig) -> int:
     target, ident = _resolve_density(cfg, PeriodicGrid(cfg.grid, cfg.grid))
     tcfg = TransportConfig(steps=cfg.steps, grid=target.grid)
     t0 = time.perf_counter()
-    result = build_transport_map(target, tcfg)
+    with warnings.catch_warnings():  # the residual warning is this command's own stderr line
+        warnings.filterwarnings("ignore", "pushforward residual .* above tolerance",
+                                RuntimeWarning)
+        result = build_transport_map(target, tcfg)
     elapsed = time.perf_counter() - t0
     fileio.write_map_oitm(cfg.out, result, ident)
     print(f"density: {ident}")
@@ -293,12 +299,26 @@ def build_parser() -> _Parser:
     return parser
 
 
+def _report_stream(out: str | None):
+    """Where a command prints its report: stderr when ``out`` is this
+    process's own stdout (``--out /dev/stdout``), so that the report never
+    mixes into the output it describes; stdout otherwise, and whenever
+    stdout has no file descriptor."""
+    try:
+        if out and os.path.samestat(os.fstat(sys.stdout.fileno()), os.stat(out)):
+            return sys.stderr
+    except (OSError, ValueError):  # no descriptor, or ``out`` does not exist yet
+        pass
+    return sys.stdout
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
         cfg = _effective_config(args)
-        return _COMMANDS[args.command][0](cfg)
+        with redirect_stdout(_report_stream(cfg.out)):
+            return _COMMANDS[args.command][0](cfg)
     except (UsageError, InvalidInputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -91,8 +91,6 @@ def make_density(spec: str, grid: PeriodicGrid, ratio: float | None = None) -> D
         raw = builder(grid, param)
     else:
         raw, default_ratio = fileio.read_field_oitf(spec), None
-        if not isinstance(raw, ScalarField):
-            raise InvalidInputError(f"{spec}: expected a scalar OITF field")
     effective = default_ratio if ratio is None else ratio
     if effective is not None:
         raw = set_dynamic_range(raw, effective)

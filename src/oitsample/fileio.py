@@ -1,8 +1,8 @@
 """Binary and text persistence: OITF fields, OITM maps, CSV, PGM.
 
 OITF (field) layout, all little-endian:
-    magic "OITF1\\n" | u32 n_x | u32 n_y | u8 components (1 or 2)
-    | components * n_x*n_y float64, row-major.
+    magic "OITF1\\n" | u32 n_x | u32 n_y | u8 components (1 for a field,
+    2 for a sample batch) | components * n_x*n_y float64, row-major.
 A sample batch stored as OITF uses n_x = N, n_y = 1, components = 2
 (x coordinates then y coordinates).
 
@@ -163,24 +163,18 @@ def _read_oitf(path: str | Path) -> tuple[int, int, list[np.ndarray]]:
     return n_x, n_y, list(columns.values())
 
 
-def write_field_oitf(path: str | Path, field: ScalarField | VectorField) -> None:
-    if isinstance(field, ScalarField):
-        columns = [field.values]
-    else:
-        columns = [field.u_x.values, field.u_y.values]
+def write_field_oitf(path: str | Path, field: ScalarField) -> None:
     with _output(path) as fh:
-        fh.write(_oitf_header(field.grid.n_x, field.grid.n_y, len(columns)))
-        _write_columns(fh, columns)
+        fh.write(_oitf_header(field.grid.n_x, field.grid.n_y, 1))
+        _write_columns(fh, [field.values])
 
 
-def read_field_oitf(path: str | Path) -> ScalarField | VectorField:
+def read_field_oitf(path: str | Path) -> ScalarField:
     n_x, n_y, columns = _read_oitf(path)
-    arrays = [col.reshape(n_x, n_y) for col in columns]
+    if len(columns) != 1:
+        raise FileFormatError(f"{path}: not a field OITF ({len(columns)} components)")
     try:
-        grid = PeriodicGrid(n_x, n_y)
-        if len(arrays) == 1:
-            return ScalarField(grid, arrays[0])
-        return VectorField.from_arrays(grid, arrays[0], arrays[1])
+        return ScalarField(PeriodicGrid(n_x, n_y), columns[0].reshape(n_x, n_y))
     except InvalidInputError as exc:  # a bad grid size or a non-finite value
         raise FileFormatError(f"{path}: {exc}") from exc
 

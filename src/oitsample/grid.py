@@ -31,16 +31,20 @@ _SHIFT_BOUND = 9.42
 def wrap_angle(x: np.ndarray | float) -> np.ndarray | float:
     """Wrap arbitrary finite reals into [-pi, pi).
 
-    Values already in range pass through bit-for-bit (the add-mod-subtract
-    round trip would otherwise perturb them by an ulp, making wrapped and
-    unwrapped code paths disagree).  Inputs whose extremes lie within one
-    period of the range (every point the transport loop and the sampler
-    wrap) take the conditional shift of :func:`_wrap_shift`; anything else,
-    NaN included, goes through ``np.mod``, which can round up to exactly
-    2*pi for tiny negative inputs, so that case is folded back too.
+    One min/max pair picks one of three paths.  Input already in range is
+    returned as is, not copied: the add-mod-subtract round trip would
+    perturb it by an ulp, making wrapped and unwrapped code paths disagree.
+    Inputs whose extremes lie within one period of the range (every point
+    the transport loop and the sampler wrap) take the conditional shift of
+    :func:`_wrap_shift`; anything else, NaN included, goes through
+    ``np.mod``, which can round up to exactly 2*pi for tiny negative
+    inputs, so that case is folded back too.
     """
     arr = np.asarray(x, dtype=np.float64)
-    if arr.size and -_SHIFT_BOUND <= arr.min() and arr.max() <= _SHIFT_BOUND:
+    lo, hi = (arr.min(), arr.max()) if arr.size else (0.0, 0.0)
+    if -np.pi <= lo and hi < np.pi:
+        return arr
+    if -_SHIFT_BOUND <= lo and hi <= _SHIFT_BOUND:
         return _wrap_shift(arr)
     m = np.mod(arr + np.pi, TWO_PI)
     m = np.where(m >= TWO_PI, m - TWO_PI, m)
@@ -183,8 +187,8 @@ class _Stencil:
     __slots__ = ("base", "fx", "fy")
 
     def __init__(self, grid: PeriodicGrid, px: np.ndarray, py: np.ndarray):
-        ix, self.fx = _index_frac(_wrap_unless_in_range(px), grid.xs, grid.h_x, grid.n_x)
-        iy, self.fy = _index_frac(_wrap_unless_in_range(py), grid.ys, grid.h_y, grid.n_y)
+        ix, self.fx = _index_frac(wrap_angle(px), grid.xs, grid.h_x, grid.n_x)
+        iy, self.fy = _index_frac(wrap_angle(py), grid.ys, grid.h_y, grid.n_y)
         ix *= grid.n_y + 1
         ix += iy
         self.base = ix
@@ -213,13 +217,6 @@ class _Stencil:
         hi *= self.fy
         lo += hi
         return lo
-
-
-def _wrap_unless_in_range(c: np.ndarray) -> np.ndarray:
-    """``c`` itself when it already lies in [-pi, pi), else ``wrap_angle(c)``."""
-    if c.size and -np.pi <= c.min() and c.max() < np.pi:
-        return c
-    return wrap_angle(c)
 
 
 # On an n-node axis, _index_frac re-checks a point against the next node
@@ -312,12 +309,6 @@ def interp_scalar(field: ScalarField, points: np.ndarray) -> np.ndarray:
     return out[0] if np.ndim(points) == 1 else out
 
 
-def interp_vector(vf: VectorField, points: np.ndarray) -> np.ndarray:
-    """Interpolate both components at once; returns shape (N, 2)."""
-    st = _point_stencil(vf.grid, points)
-    return np.stack([st.gather(vf.u_x.values), st.gather(vf.u_y.values)], axis=1)
-
-
 # ---------------------------------------------------------------------------
 # diffeomorphisms
 
@@ -395,7 +386,10 @@ class DiffeoMap:
     def apply(self, points: np.ndarray) -> np.ndarray:
         """Evaluate the map at points; result wrapped into [-pi, pi)."""
         pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
-        moved = pts + interp_vector(self.disp, pts)
+        st = _point_stencil(self.grid, pts)
+        moved = np.stack([st.gather(self.disp.u_x.values),
+                          st.gather(self.disp.u_y.values)], axis=1)
+        moved += pts
         return wrap_angle(moved)
 
 

@@ -2,9 +2,13 @@ import ast
 import inspect
 import os
 import stat
+import subprocess
+import sys
 import textwrap
 import threading
+import warnings
 from contextlib import contextmanager
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,6 +28,14 @@ from oitsample.grid import _POINT_BLOCK
 
 def run(*args):
     return main(list(args))
+
+
+def run_process(*args):
+    """The CLI as a child process whose stdout and stderr are pipes."""
+    src = str(Path(fileio.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-m", "oitsample.cli", *args], capture_output=True,
+                          env={**os.environ, "PYTHONPATH": path}, check=False)
 
 
 def assert_left_as_it_was(out, before):
@@ -160,20 +172,35 @@ class TestBuild:
                    "--out", str(tmp_path / "x.oitm"))
         assert code == 2
 
+    @pytest.mark.filterwarnings("error")
     def test_residual_above_tolerance_warns_on_stderr(self, tmp_path, capsys):
         """A coarse build that misses the residual tolerance still writes its
-        map and exits 0, and says so on stderr; the stdout report is as for
-        any build."""
+        map and exits 0, and says so on stderr in one line; the library's
+        RuntimeWarning saying the same does not escape ``main``.  The stdout
+        report is as for any build."""
         out = tmp_path / "coarse.oitm"
-        with pytest.warns(RuntimeWarning, match="above tolerance"):
-            code = run("build", "--density", "two-bump", "--grid", "64", "--steps", "12",
-                       "--out", str(out))
+        code = run("build", "--density", "two-bump", "--grid", "64", "--steps", "12",
+                   "--out", str(out))
         assert code == 0
         captured = capsys.readouterr()
         residual = read_map_oitm(out)[1].residual
         assert f"residual: {residual:.6e}\n" in captured.out
         assert captured.err == (
             f"warning: residual {residual:.6e} above tolerance 5.000000e-02\n")
+
+    def test_other_runtime_warnings_pass(self, tmp_path, monkeypatch):
+        from oitsample import cli
+
+        real = cli.build_transport_map
+
+        def noisy(target, tcfg):
+            warnings.warn("something else", RuntimeWarning)
+            return real(target, tcfg)
+
+        monkeypatch.setattr(cli, "build_transport_map", noisy)
+        with pytest.warns(RuntimeWarning, match="something else"):
+            assert run("build", "--density", "uniform", "--grid", "16", "--steps", "2",
+                       "--out", str(tmp_path / "u.oitm")) == 0
 
     def test_default_build_prints_no_warning(self, tmp_path, capsys):
         assert run("build", "--density", "two-bump", "--out", str(tmp_path / "m.oitm")) == 0
@@ -277,6 +304,20 @@ class TestSample:
                    "--out", str(out), "--workers", "0")
         assert code == 1
         assert not out.exists()
+
+    @pytest.mark.parametrize("fmt", ["csv", "oitf"])
+    def test_stdout_out_holds_only_the_samples(self, sine_map, tmp_path, fmt):
+        """With --out /dev/stdout the samples are the whole of stdout, byte for
+        byte the file the same command writes to a path; the report goes to
+        stderr."""
+        args = ["sample", "--map", str(sine_map), "--n", "300", "--seed", "4", "--format", fmt]
+        ref = tmp_path / f"ref.{fmt}"
+        assert run(*args, "--out", str(ref)) == 0
+        done = run_process(*args, "--out", "/dev/stdout")
+        assert done.returncode == 0
+        assert done.stdout == ref.read_bytes()
+        report = done.stderr.decode().splitlines()
+        assert report[0] == "samples: 300" and report[-1] == "out: /dev/stdout"
 
     def test_workers_do_not_change_bytes(self, sine_map, tmp_path):
         a = tmp_path / "w1.csv"
@@ -544,6 +585,15 @@ class TestValidate:
         assert capsys.readouterr().err == (
             "error: goodness-of-fit test needs a nonempty histogram\n")
         assert not out.exists()
+
+    def test_stdout_out_holds_the_report_once(self, sine_map, tmp_path):
+        args = ["validate", "--map", str(sine_map), "--density", "sine-perturbation:0.4",
+                "--n", "2000", "--seed", "2", "--bins", "16"]
+        ref = tmp_path / "r.txt"
+        assert run(*args, "--out", str(ref)) == 0
+        done = run_process(*args, "--out", "/dev/stdout")
+        assert done.returncode == 0
+        assert done.stdout == ref.read_bytes() == done.stderr
 
     def test_per_bin_table(self, sine_map, tmp_path):
         table = tmp_path / "bins.csv"

@@ -1,5 +1,6 @@
 import dataclasses
 import os
+import re
 from decimal import Decimal
 
 import numpy as np
@@ -12,7 +13,6 @@ from oitsample import (
     SampleBatch,
     ScalarField,
     TransportConfig,
-    VectorField,
     build_transport_map,
     normalize,
 )
@@ -56,16 +56,13 @@ class TestOitfFields:
         assert back.grid == g
         assert np.array_equal(back.values, f.values)
 
-    def test_vector_round_trip(self, tmp_path, rng):
-        g = PeriodicGrid(8, 8)
-        vf = VectorField(ScalarField(g, rng.standard_normal(g.shape)),
-                         ScalarField(g, rng.standard_normal(g.shape)))
+    def test_two_component_file_is_not_a_field(self, tmp_path):
+        """Component count 2 is the sample batch; a field holds one scalar."""
         p = tmp_path / "vec.oitf"
-        write_field_oitf(p, vf)
-        back = read_field_oitf(p)
-        assert isinstance(back, VectorField)
-        assert np.array_equal(back.u_x.values, vf.u_x.values)
-        assert np.array_equal(back.u_y.values, vf.u_y.values)
+        p.write_bytes(b"OITF1\n" + np.asarray([8, 8], "<u4").tobytes() + bytes([2])
+                      + np.zeros(2 * 64).tobytes())
+        with pytest.raises(FileFormatError, match=f"^{re.escape(str(p))}: "):
+            read_field_oitf(p)
 
     def test_bad_magic(self, tmp_path):
         p = tmp_path / "bad.oitf"
@@ -90,18 +87,14 @@ class TestOitfFields:
         with pytest.raises(FileFormatError):
             read_field_oitf(p)
 
-    @pytest.mark.parametrize("vector", [False, True])
-    def test_blocked_writes_match_whole_columns(self, tmp_path, monkeypatch, rng, vector):
+    def test_blocked_writes_match_whole_columns(self, tmp_path, monkeypatch, rng):
         monkeypatch.setattr(fileio, "_POINT_BLOCK", 4)
         g = PeriodicGrid(5, 7)  # 35 values: several blocks and a partial one
-        cols = [rng.standard_normal(g.shape) for _ in range(2 if vector else 1)]
-        field = (VectorField.from_arrays(g, *cols) if vector
-                 else ScalarField(g, cols[0]))
+        values = rng.standard_normal(g.shape)
         p = tmp_path / "field.oitf"
-        write_field_oitf(p, field)
-        header = b"OITF1\n" + np.asarray([5, 7], "<u4").tobytes() + bytes([len(cols)])
-        assert p.read_bytes() == header + b"".join(
-            np.ascontiguousarray(c, dtype="<f8").tobytes() for c in cols)
+        write_field_oitf(p, ScalarField(g, values))
+        header = b"OITF1\n" + np.asarray([5, 7], "<u4").tobytes() + bytes([1])
+        assert p.read_bytes() == header + np.ascontiguousarray(values, dtype="<f8").tobytes()
 
 
 class TestSampleFiles:

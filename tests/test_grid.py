@@ -20,7 +20,6 @@ from oitsample.grid import (
     _jacobian_det_arrays,
     _Stencil,
     _wrap_shift,
-    interp_vector,
     wrap_angle,
 )
 from conftest import identity_map, smooth_test_map
@@ -67,10 +66,9 @@ class TestWrap:
         x = x[x < np.pi]
         assert np.array_equal(wrap_angle(x), x)
 
-    def test_in_range_input_gets_a_new_array(self):
+    def test_in_range_input_is_returned_as_is(self):
         x = np.linspace(-np.pi, 3.0, 50)
-        w = wrap_angle(x)
-        assert np.array_equal(w, x) and not np.shares_memory(w, x)
+        assert wrap_angle(x) is x
 
 
 # The wrap and index kernels as first written, kept as the reference that the
@@ -382,17 +380,6 @@ class TestInterpScalar:
         with pytest.raises(InvalidInputError):
             interp_scalar(f, np.array([[0.0, np.inf]]))
 
-    def test_interp_vector_matches_componentwise(self, rng):
-        g = PeriodicGrid(24, 24)
-        vf = VectorField(
-            ScalarField(g, rng.standard_normal(g.shape)),
-            ScalarField(g, rng.standard_normal(g.shape)),
-        )
-        pts = random_points(rng, 100)
-        both = interp_vector(vf, pts)
-        assert np.array_equal(both[:, 0], interp_scalar(vf.u_x, pts))
-        assert np.array_equal(both[:, 1], interp_scalar(vf.u_y, pts))
-
 
 class TestGradientSpectral:
     def test_gradient_of_constant_is_zero(self):
@@ -565,23 +552,20 @@ class TestDiffeoMapInvariants:
 
 
 class TestPointEntry:
-    """interp_scalar, interp_vector and DiffeoMap.apply share one input check."""
+    """interp_scalar and DiffeoMap.apply share one input check."""
 
     GRID = PeriodicGrid(16, 16)
 
     @staticmethod
     def queries():
         g = TestPointEntry.GRID
-        vf = VectorField(ScalarField.from_function(g, lambda x, y: np.sin(x) * np.cos(y)),
-                         ScalarField.from_function(g, lambda x, y: 0.2 * np.cos(x + y)))
-        mapping = identity_map(g)
+        field = ScalarField.from_function(g, lambda x, y: np.sin(x) * np.cos(y))
         return {
-            "interp_scalar": lambda pts: interp_scalar(vf.u_x, pts),
-            "interp_vector": lambda pts: interp_vector(vf, pts),
-            "apply": mapping.apply,
+            "interp_scalar": lambda pts: interp_scalar(field, pts),
+            "apply": identity_map(g).apply,
         }
 
-    @pytest.mark.parametrize("name", ["interp_scalar", "interp_vector", "apply"])
+    @pytest.mark.parametrize("name", ["interp_scalar", "apply"])
     @pytest.mark.parametrize("bad", [
         np.zeros((3, 3)),
         np.zeros((3, 1)),
@@ -602,22 +586,20 @@ class TestPointEntry:
         row = point[None, :]
         assert np.ndim(q["interp_scalar"](point)) == 0
         assert q["interp_scalar"](point) == q["interp_scalar"](row)[0]
-        assert np.array_equal(q["interp_vector"](point), q["interp_vector"](row))
-        assert q["interp_vector"](point).shape == (1, 2)
         assert np.array_equal(q["apply"](point), row)
 
     def test_empty_batch(self):
         q = self.queries()
         empty = np.empty((0, 2))
         assert q["interp_scalar"](empty).shape == (0,)
-        assert q["interp_vector"](empty).shape == (0, 2)
         assert q["apply"](empty).shape == (0, 2)
 
-    def test_apply_matches_interp_vector(self, rng):
+    def test_apply_matches_interp_scalar(self, rng):
         g = PeriodicGrid(32, 32)
         m = smooth_test_map(g, amp=0.3)
         pts = random_points(rng, 300)
-        expected = wrap_angle(pts + interp_vector(m.disp, pts))
+        moved = np.stack([interp_scalar(m.disp.u_x, pts), interp_scalar(m.disp.u_y, pts)], axis=1)
+        expected = wrap_angle(pts + moved)
         assert np.array_equal(m.apply(pts), expected)
 
 

@@ -9,8 +9,11 @@ from oitsample import (
     PeriodicGrid,
     SampleBatch,
     ScalarField,
+    TransportConfig,
     VectorField,
+    build_transport_map,
     interp_scalar,
+    make_density,
     sample_target,
 )
 from oitsample.grid import _POINT_BLOCK
@@ -408,3 +411,24 @@ class TestBlockedEvaluation:
         step = reference_map(wavy_map, pts) - pts
         assert np.ptp(wavy_map.disp.u_x.values) > 0.1 and np.ptp(wavy_map.disp.u_y.values) > 0.1
         assert (np.abs(step) > np.pi).any(axis=0).all()
+
+
+# ---------------------------------------------------------------------------
+# the public point query and the sampler evaluate a map the same way
+
+
+@pytest.fixture(scope="module")
+def built_map():
+    g = PeriodicGrid(48, 32)
+    cfg = TransportConfig(steps=10, grid=g)
+    return build_transport_map(make_density("sine-perturbation:0.6", g), cfg).map
+
+
+@pytest.mark.parametrize("n", [0, 1, _POINT_BLOCK + 1, 3 * _POINT_BLOCK + 7])
+@pytest.mark.parametrize("name", ["built_map", "wavy_map"])
+def test_apply_of_the_draws_is_the_sample(request, name, n):
+    """``apply`` of the uniform draws equals ``sample_target``'s points bit for
+    bit, so a law checked through ``apply`` is the law ``sample`` draws."""
+    mapping = request.getfixturevalue(name)
+    expected = sample_target(mapping, n, seed=9, workers=2).points
+    assert np.array_equal(mapping.apply(draw_uniform(n, seed=9).points), expected)

@@ -6,8 +6,10 @@ inside ``poisson.PoissonWorkspace.__post_init__`` (one wavenumber table), a
 ``ThreadPoolExecutor`` is built only in ``sampler._map_chunks`` (one thread
 pool), CLI flags are added only in ``cli.build_parser``, from
 ``cli._COMMANDS`` (one flag table), a path is opened for writing only in
-``fileio._output`` (one opener), and a density field is read from a file
-or range-shifted only in ``densities.make_density`` (one density pipeline).
+``fileio._output`` (one opener), a density field is read from a file or
+range-shifted only in ``densities.make_density`` (one density pipeline),
+and ``np.mod`` wraps coordinates only in ``grid.wrap_angle`` (one general
+wrap).
 
 Every field the package transforms is real, so ``src/`` calls no
 complex-input FFT (``fft2``, ``ifft2``, ``fftn``, ``ifftn``, ``fft``,
@@ -42,6 +44,7 @@ RULES = {
                       ("fileio.py", "_output")),
     "density-pipeline": (r"(?<!def )\b(read_field_oitf|set_dynamic_range)\(",
                          ("densities.py", "make_density")),
+    "general-wrap": (r"np\.mod\(", ("grid.py", "wrap_angle")),
 }
 
 

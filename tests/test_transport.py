@@ -15,6 +15,7 @@ from oitsample import (
     DiffeoMap,
     build_transport_map,
     gradient_spectral,
+    interp_scalar,
     make_density,
     normalize,
     geodesic_path,
@@ -23,7 +24,7 @@ from oitsample import (
     PoissonWorkspace,
 )
 from oitsample.geodesic import log_density_rate
-from oitsample.grid import interp_vector, wrap_angle
+from oitsample.grid import wrap_angle
 from oitsample.transport import pushforward_residual
 from conftest import identity_map
 
@@ -70,9 +71,9 @@ class TestNearIdentity:
             fx = X + result.map.disp.u_x.values
             fy = Y + result.map.disp.u_y.values
             pts = np.stack([fx.reshape(-1), fy.reshape(-1)], axis=1)
-            back = interp_vector(result.map.inv_disp, pts)
-            ex = wrap_angle(pts[:, 0] + back[:, 0] - X.reshape(-1))
-            ey = wrap_angle(pts[:, 1] + back[:, 1] - Y.reshape(-1))
+            inv = result.map.inv_disp
+            ex = wrap_angle(pts[:, 0] + interp_scalar(inv.u_x, pts) - X.reshape(-1))
+            ey = wrap_angle(pts[:, 1] + interp_scalar(inv.u_y, pts) - Y.reshape(-1))
             return np.hypot(ex, ey).max()
 
         coarse = build_transport_map(target, TransportConfig(steps=2, grid=g))
