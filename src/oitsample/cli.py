@@ -299,16 +299,21 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _report_stream(out: str | None):
-    """Where a command prints its report: stderr when ``out`` is this
-    process's own stdout (``--out /dev/stdout``), so that the report never
-    mixes into the output it describes; stdout otherwise, and whenever
-    stdout has no file descriptor."""
+def _report_stream(*files: str | None):
+    """Where a command prints its report: stderr when one of the files it
+    writes is this process's own stdout (``--out /dev/stdout`` or
+    ``--table /dev/stdout``), so that the report never mixes into an output;
+    stdout otherwise, and whenever stdout has no file descriptor."""
     try:
-        if out and os.path.samestat(os.fstat(sys.stdout.fileno()), os.stat(out)):
-            return sys.stderr
-    except (OSError, ValueError):  # no descriptor, or ``out`` does not exist yet
-        pass
+        stdout = os.fstat(sys.stdout.fileno())
+    except (OSError, ValueError):  # no descriptor
+        return sys.stdout
+    for path in filter(None, files):
+        try:
+            if os.path.samestat(stdout, os.stat(path)):
+                return sys.stderr
+        except OSError:  # ``path`` does not exist yet
+            pass
     return sys.stdout
 
 
@@ -317,7 +322,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         cfg = _effective_config(args)
-        with redirect_stdout(_report_stream(cfg.out)):
+        with redirect_stdout(_report_stream(cfg.out, cfg.table)):
             return _COMMANDS[args.command][0](cfg)
     except (UsageError, InvalidInputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -162,7 +162,8 @@ class VectorField:
 
 # The one block size for large point sets.  It sets the sampler's chunk (one
 # uniform draw, one thread task and one map evaluation each), the rejection
-# oracle's proposal block (one draw and one density evaluation) and the
+# oracle's proposal block (one draw and one density evaluation), the row
+# blocks of nodes that the build loop's pointwise phases run over, and the
 # buffer through which float64 columns go to a binary file.  A block's
 # stencil and gather temporaries, a few 256 KB arrays, stay in a core's L2
 # cache; a 2^20-point pass streams every one of them through memory.  On a
@@ -172,35 +173,55 @@ class VectorField:
 _POINT_BLOCK = 1 << 15
 
 
+def _pad(values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """The flat periodic extension of an (n_x, n_y) field, as ``_Stencil.gather`` reads it.
+
+    Row-major ``(n_x+1) x (n_y+1)``: the first column is repeated after the
+    last, and the first row after the last.  ``out``, when given, is a
+    buffer of that many float64 values, filled and returned.
+    """
+    n_x, n_y = values.shape
+    if out is None:
+        out = np.empty((n_x + 1) * (n_y + 1))
+    f = out.reshape(n_x + 1, n_y + 1)
+    f[:n_x, :n_y] = values
+    f[:n_x, n_y] = values[:, 0]
+    f[n_x] = f[0]
+    return out
+
+
 class _Stencil:
     """Precomputed periodic bilinear index and offsets for a point set.
 
     Building the stencil once and gathering several fields through it is the
     main cost saver in the transport loop and the sampler.  ``base`` indexes
     the lower-left corner of each point's cell in the field's periodic
-    ``(n_x+1) x (n_y+1)`` extension, so the other three corners sit at fixed
-    offsets and no seam needs fixing up.  Gathers use the nested-lerp form
-    ``v00 + f*(v10 - v00)``, which reproduces constants and nodal values
-    exactly.  The query arrays are never written to.
+    extension (``_pad``), so the other three corners sit at fixed offsets
+    and no seam needs fixing up.  A gather reads a padded field only, so a
+    caller pads each field once and gathers it through any number of
+    stencils.  Gathers use the nested-lerp form ``v00 + f*(v10 - v00)``,
+    which reproduces constants and nodal values exactly.  The query arrays
+    are never written to.
     """
 
-    __slots__ = ("base", "fx", "fy")
+    __slots__ = ("base", "fx", "fy", "stride", "size")
 
     def __init__(self, grid: PeriodicGrid, px: np.ndarray, py: np.ndarray):
         ix, self.fx = _index_frac(wrap_angle(px), grid.xs, grid.h_x, grid.n_x)
         iy, self.fy = _index_frac(wrap_angle(py), grid.ys, grid.h_y, grid.n_y)
-        ix *= grid.n_y + 1
+        self.stride = grid.n_y + 1
+        self.size = (grid.n_x + 1) * self.stride
+        ix *= self.stride
         ix += iy
         self.base = ix
 
-    def gather(self, values: np.ndarray) -> np.ndarray:
-        n_x, n_y = values.shape
-        m = n_y + 1
-        f = np.empty((n_x + 1, m))
-        f[:n_x, :n_y] = values
-        f[:n_x, n_y] = values[:, 0]
-        f[n_x] = f[0]
-        f = f.reshape(-1)
+    def gather(self, f: np.ndarray) -> np.ndarray:
+        """The field whose ``_pad`` extension is ``f``, at the stencil's points."""
+        # "clip" below would turn a field of any other size into silent garbage
+        if f.shape != (self.size,):
+            raise InvalidInputError(
+                f"gather needs a padded field of {self.size} values, got shape {f.shape}")
+        m = self.stride
         # indices are in range by construction, and "clip" lets take() write
         # straight into ``out`` instead of through a buffer
         lo = f.take(self.base, mode="clip")
@@ -281,14 +302,17 @@ def _point_stencil(grid: PeriodicGrid, points: np.ndarray) -> _Stencil:
     return _Stencil(grid, np.ascontiguousarray(pts[:, 0]), np.ascontiguousarray(pts[:, 1]))
 
 
-def _displaced_stencil(grid: PeriodicGrid, dx: np.ndarray, dy: np.ndarray) -> _Stencil:
-    """Stencil at the displaced nodes ``(X + dx, Y + dy)``.
+def _displaced_stencil(grid: PeriodicGrid, dx: np.ndarray, dy: np.ndarray,
+                       rows: slice = slice(None)) -> _Stencil:
+    """Stencil at the displaced nodes ``(X + dx, Y + dy)`` of the grid rows ``rows``.
 
-    Broadcasting the 1-D node coordinates gives the same sums as the node
-    mesh, bit for bit, without building the mesh.
+    ``dx`` and ``dy`` are whole-grid fields; the stencil covers the nodes of
+    ``rows`` only, in row-major order.  Broadcasting the 1-D node
+    coordinates gives the same sums as the node mesh, bit for bit, without
+    building the mesh.
     """
-    return _Stencil(grid, (grid.xs[:, None] + dx).reshape(-1),
-                    (grid.ys[None, :] + dy).reshape(-1))
+    return _Stencil(grid, (grid.xs[rows, None] + dx[rows]).reshape(-1),
+                    (grid.ys[None, :] + dy[rows]).reshape(-1))
 
 
 def interp_scalar(field: ScalarField, points: np.ndarray) -> np.ndarray:
@@ -305,7 +329,7 @@ def interp_scalar(field: ScalarField, points: np.ndarray) -> np.ndarray:
     constant fields.
     """
     st = _point_stencil(field.grid, points)
-    out = st.gather(field.values)
+    out = st.gather(_pad(field.values))
     return out[0] if np.ndim(points) == 1 else out
 
 
@@ -387,8 +411,8 @@ class DiffeoMap:
         """Evaluate the map at points; result wrapped into [-pi, pi)."""
         pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
         st = _point_stencil(self.grid, pts)
-        moved = np.stack([st.gather(self.disp.u_x.values),
-                          st.gather(self.disp.u_y.values)], axis=1)
+        moved = np.stack([st.gather(_pad(self.disp.u_x.values)),
+                          st.gather(_pad(self.disp.u_y.values))], axis=1)
         moved += pts
         return wrap_angle(moved)
 
@@ -405,9 +429,9 @@ def _compose_disp_arrays(grid: PeriodicGrid,
                          inner_x: np.ndarray, inner_y: np.ndarray):
     """Displacement of outer-after-inner: d(x) = d_in(x) + d_out(x + d_in(x))."""
     st = _displaced_stencil(grid, inner_x, inner_y)
-    cx = st.gather(outer_x).reshape(grid.shape)
+    cx = st.gather(_pad(outer_x)).reshape(grid.shape)
     cx += inner_x  # in place: no second grid-sized array per component
-    cy = st.gather(outer_y).reshape(grid.shape)
+    cy = st.gather(_pad(outer_y)).reshape(grid.shape)
     cy += inner_y
     return cx, cy
 

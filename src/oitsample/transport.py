@@ -17,6 +17,13 @@ re-interpolates the accumulated field every step, which acts as numerical
 diffusion and visibly biases the pushforward at sampling scale; the Newton
 correction removes that bias while leaving the printed update as the
 predictor.
+
+Apart from the Poisson solve, a step is pointwise per node, so the loop
+runs it over row blocks of about ``_POINT_BLOCK`` nodes: a step holds a few
+grid fields plus one block's temporaries.  Each field the step gathers is
+padded once per step (``grid._pad``) into buffers allocated once per build,
+and every block's stencils gather from those pads.  The block size changes
+no byte of the map.
 """
 
 from __future__ import annotations
@@ -40,12 +47,14 @@ from .geodesic import (
     uniform_density,
 )
 from .grid import (
+    _POINT_BLOCK,
     DiffeoMap,
     PeriodicGrid,
     VectorField,
     _central_diff,
     _displaced_stencil,
     _jacobian_det_arrays,
+    _pad,
     _Stencil,
     wrap_angle,
 )
@@ -102,7 +111,7 @@ def pushforward_residual(mapping: DiffeoMap, target: Density) -> float:
     dx = mapping.disp.u_x.values
     dy = mapping.disp.u_y.values
     st = _displaced_stencil(grid, dx, dy)
-    mu_at = st.gather(target.field.values).reshape(grid.shape)
+    mu_at = st.gather(_pad(target.field.values)).reshape(grid.shape)
     det = _jacobian_det_arrays(grid, dx, dy)
     u0 = 1.0 / (grid.n_x * grid.n_y * grid.cell_volume)  # the uniform density
     return float(np.mean(np.abs(det * mu_at - u0)) / u0)
@@ -112,29 +121,45 @@ def _integrate(path: GeodesicPath, grid: PeriodicGrid, K: int):
     """The K-step loop: the four displacement arrays and the three per-step
     diagnostics, ``(fwd_x, fwd_y, inv_x, inv_y, cfl, poisson_mean, min_jac)``.
 
-    Each step's stencils, velocities and Newton temporaries are local to
-    this call, so none of them is alive while the caller checks and scores
-    the map.
+    Every pointwise phase of a step (the source gather, the inverse Euler
+    update, and the predictor with its Newton updates) runs over row blocks
+    of about ``_POINT_BLOCK`` nodes, so its temporaries are one block's, not
+    the grid's.  The Poisson solve, the CFL number and the Jacobian check
+    stay whole-grid.  Each gathered field is padded once per step into
+    buffers allocated once per call, and every block gathers from those.
+    Per node the arithmetic is the unblocked loop's, so the block size
+    changes no byte of the result.  Each step's stencils, velocities and
+    Newton temporaries are local to this call, so none of them is alive
+    while the caller checks and scores the map.
     """
     eps = 1.0 / K
     ws = PoissonWorkspace(grid)
     xs = grid.xs[:, None]  # node coordinates, broadcast over the grid: the
     ys = grid.ys[None, :]  # same sums as the node mesh, bit for bit
     shape = grid.shape
+    n_y = grid.n_y
+    rows = max(1, _POINT_BLOCK // n_y)
+    blocks = [slice(r, min(r + rows, grid.n_x)) for r in range(0, grid.n_x, rows)]
 
     fwd_x = np.zeros(shape)
     fwd_y = np.zeros(shape)
     inv_x = np.zeros(shape)
     inv_y = np.zeros(shape)
+    source = np.empty(shape)
+    # padded copies of the fields a step gathers, refilled every step: the
+    # rate, then the two velocity components, then the old forward map, the
+    # new inverse map and its four Jacobian entries
+    pads = [np.empty((grid.n_x + 1) * (n_y + 1)) for _ in range(8)]
 
     cfl = np.zeros(K)
     poisson_mean = np.zeros(K)
     min_jac = np.zeros(K)
 
     for k in range(K):
-        # the source stencil and the rate field die with this expression
-        source = _displaced_stencil(grid, fwd_x, fwd_y).gather(
-            log_density_rate(path, k / K).values).reshape(shape)
+        rate = _pad(log_density_rate(path, k / K).values, out=pads[0])
+        for b in blocks:
+            st = _displaced_stencil(grid, fwd_x, fwd_y, b)
+            source[b] = st.gather(rate).reshape(-1, n_y)
         poisson_mean[k] = source.mean()
         v_x, v_y = _solve_gradient(ws, source)
         if not (np.all(np.isfinite(v_x)) and np.all(np.isfinite(v_y))):
@@ -144,38 +169,50 @@ def _integrate(path: GeodesicPath, grid: PeriodicGrid, K: int):
             eps * np.abs(v_y).max() / grid.h_y,
         )
 
-        # inverse map: pointwise Euler step of the flow ODE
-        st_inv = _displaced_stencil(grid, inv_x, inv_y)
-        inv_x = inv_x + eps * st_inv.gather(v_x).reshape(shape)
-        inv_y = inv_y + eps * st_inv.gather(v_y).reshape(shape)
+        # inverse map: pointwise Euler step of the flow ODE, in place; a
+        # block reads only its own rows and the padded velocities
+        pv_x = _pad(v_x, out=pads[0])
+        pv_y = _pad(v_y, out=pads[1])
+        for b in blocks:
+            st = _displaced_stencil(grid, inv_x, inv_y, b)
+            inv_x[b] += eps * st.gather(pv_x).reshape(-1, n_y)
+            inv_y[b] += eps * st.gather(pv_y).reshape(-1, n_y)
 
-        # forward map: Euler-composed predictor ...
-        y_x = (xs - eps * v_x).reshape(-1)
-        y_y = (ys - eps * v_y).reshape(-1)
-        st_pre = _Stencil(grid, y_x, y_y)
-        y_x += st_pre.gather(fwd_x)
-        y_y += st_pre.gather(fwd_y)
+        # the forward update reads the old forward map through its pads
+        # only, so each block writes its new rows in place
+        pf_x = _pad(fwd_x, out=pads[0])
+        pf_y = _pad(fwd_y, out=pads[1])
+        pi_x = _pad(inv_x, out=pads[2])
+        pi_y = _pad(inv_y, out=pads[3])
+        g_xx = _pad(_central_diff(inv_x, 0, grid.h_x), out=pads[4])
+        g_xy = _pad(_central_diff(inv_x, 1, grid.h_y), out=pads[5])
+        g_yx = _pad(_central_diff(inv_y, 0, grid.h_x), out=pads[6])
+        g_yy = _pad(_central_diff(inv_y, 1, grid.h_y), out=pads[7])
+        for b in blocks:
+            xb = xs[b]
+            # forward map: Euler-composed predictor ...
+            y_x = (xb - eps * v_x[b]).reshape(-1)
+            y_y = (ys - eps * v_y[b]).reshape(-1)
+            st = _Stencil(grid, y_x, y_y)
+            y_x += st.gather(pf_x)
+            y_y += st.gather(pf_y)
 
-        # ... then Newton-projected onto the inverse: solve phi^-1(y) = x
-        g_xx = _central_diff(inv_x, 0, grid.h_x)
-        g_xy = _central_diff(inv_x, 1, grid.h_y)
-        g_yx = _central_diff(inv_y, 0, grid.h_x)
-        g_yy = _central_diff(inv_y, 1, grid.h_y)
-        for _ in range(_NEWTON_ITERS):
-            st_n = _Stencil(grid, y_x, y_y)
-            res_x = wrap_angle((y_x + st_n.gather(inv_x)).reshape(shape) - xs).reshape(-1)
-            res_y = wrap_angle((y_y + st_n.gather(inv_y)).reshape(shape) - ys).reshape(-1)
-            a11 = 1.0 + st_n.gather(g_xx)
-            a12 = st_n.gather(g_xy)
-            a21 = st_n.gather(g_yx)
-            a22 = 1.0 + st_n.gather(g_yy)
-            det = a11 * a22 - a12 * a21
-            y_x = y_x - (a22 * res_x - a12 * res_y) / det
-            y_y = y_y - (-a21 * res_x + a11 * res_y) / det
-        if not (np.all(np.isfinite(y_x)) and np.all(np.isfinite(y_y))):
-            raise NumericalBlowupError(k, "forward-map Newton update is not finite")
-        fwd_x = y_x.reshape(shape) - xs
-        fwd_y = y_y.reshape(shape) - ys
+            # ... then Newton-projected onto the inverse: solve phi^-1(y) = x
+            for _ in range(_NEWTON_ITERS):
+                st = _Stencil(grid, y_x, y_y)
+                res_x = wrap_angle((y_x + st.gather(pi_x)).reshape(-1, n_y) - xb).reshape(-1)
+                res_y = wrap_angle((y_y + st.gather(pi_y)).reshape(-1, n_y) - ys).reshape(-1)
+                a11 = 1.0 + st.gather(g_xx)
+                a12 = st.gather(g_xy)
+                a21 = st.gather(g_yx)
+                a22 = 1.0 + st.gather(g_yy)
+                det = a11 * a22 - a12 * a21
+                y_x = y_x - (a22 * res_x - a12 * res_y) / det
+                y_y = y_y - (-a21 * res_x + a11 * res_y) / det
+            if not (np.all(np.isfinite(y_x)) and np.all(np.isfinite(y_y))):
+                raise NumericalBlowupError(k, "forward-map Newton update is not finite")
+            fwd_x[b] = y_x.reshape(-1, n_y) - xb
+            fwd_y[b] = y_y.reshape(-1, n_y) - ys
 
         det_fwd = _jacobian_det_arrays(grid, fwd_x, fwd_y)
         min_jac[k] = det_fwd.min()

@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import DegenerateInputError, InvalidInputError
 from .geodesic import Density
-from .grid import _POINT_BLOCK, TWO_PI, _Stencil
+from .grid import _POINT_BLOCK, TWO_PI, _pad, _Stencil
 from .sampler import SampleBatch, _uniform_stream
 
 _STREAM_ORACLE = 0x6F726163  # "orac"; keeps oracle draws off the sampler stream
@@ -270,6 +270,7 @@ def rejection_sample_oracle(target: Density, n: int, seed: int,
     if n < 0:
         raise InvalidInputError(f"sample count must be nonnegative, got {n}")
     vmax = float(target.field.values.max())
+    padded = _pad(target.field.values)
     accepted: list[np.ndarray] = []
     got = 0
     proposed = 0  # proposals drawn, up to the last one used; each takes 3 uniforms
@@ -278,7 +279,7 @@ def rejection_sample_oracle(target: Density, n: int, seed: int,
                                3 * _POINT_BLOCK).reshape(_POINT_BLOCK, 3)
         px = -np.pi + TWO_PI * rows[:, 0]
         py = -np.pi + TWO_PI * rows[:, 1]
-        density_at = _Stencil(target.grid, px, py).gather(target.field.values)
+        density_at = _Stencil(target.grid, px, py).gather(padded)
         hits = np.flatnonzero(rows[:, 2] * vmax < density_at)[: n - got]
         if got + len(hits) == n:
             proposed += int(hits[-1]) + 1

@@ -371,13 +371,13 @@ class TestSampleStreaming:
         lock = threading.Lock()
         calls = []
 
-        def failing_transform(mapping, pts, out):
+        def failing_transform(padded, pts, out):
             with lock:
                 calls.append(len(pts))
                 k = len(calls) - 1
             if k == 3:
                 raise RuntimeError("chunk 3 failed")
-            transform(mapping, pts, out)
+            transform(padded, pts, out)
 
         monkeypatch.setattr(sampler, "_transform_chunk", failing_transform)
         out = tmp_path / "pts.out"
@@ -594,6 +594,21 @@ class TestValidate:
         done = run_process(*args, "--out", "/dev/stdout")
         assert done.returncode == 0
         assert done.stdout == ref.read_bytes() == done.stderr
+
+    def test_stdout_table_holds_only_the_table(self, sine_map, tmp_path):
+        """With --table /dev/stdout the per-bin table is the whole of stdout,
+        byte for byte the table the same command writes to a path; the report
+        goes to --out and to stderr."""
+        args = ["validate", "--map", str(sine_map), "--density", "sine-perturbation:0.4",
+                "--n", "2000", "--seed", "2", "--bins", "8"]
+        ref, table = tmp_path / "ref.txt", tmp_path / "table.csv"
+        assert run(*args, "--out", str(ref), "--table", str(table)) == 0
+        out = tmp_path / "r.txt"
+        done = run_process(*args, "--out", str(out), "--table", "/dev/stdout")
+        assert done.returncode == 0
+        assert done.stdout == table.read_bytes()
+        assert len(done.stdout.decode().splitlines()) == 1 + 8 * 8
+        assert done.stderr == out.read_bytes() == ref.read_bytes()
 
     def test_per_bin_table(self, sine_map, tmp_path):
         table = tmp_path / "bins.csv"

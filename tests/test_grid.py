@@ -18,6 +18,7 @@ from oitsample.grid import (
     _compose_disp_arrays,
     _index_frac,
     _jacobian_det_arrays,
+    _pad,
     _Stencil,
     _wrap_shift,
     wrap_angle,
@@ -282,7 +283,7 @@ class TestStencilMatchesReference:
             ref = ReferenceStencil(grid, px, py)
             assert np.array_equal(st.fx, ref.fx), name
             assert np.array_equal(st.fy, ref.fy), name
-            assert np.array_equal(st.gather(values), ref.gather(values)), name
+            assert np.array_equal(st.gather(_pad(values)), ref.gather(values)), name
 
     @pytest.mark.parametrize("grid", STENCIL_GRIDS.values(), ids=STENCIL_GRIDS.keys())
     def test_band_points_take_the_correction(self, grid):
@@ -309,8 +310,24 @@ class TestStencilMatchesReference:
         px.setflags(write=False)
         py.setflags(write=False)
         st = _Stencil(KERNEL_GRID, px, py)
-        st.gather(rng.standard_normal(KERNEL_GRID.shape))
+        st.gather(_pad(rng.standard_normal(KERNEL_GRID.shape)))
         assert np.array_equal(px, kept[0]) and np.array_equal(py, kept[1])
+
+    def test_pad_is_the_periodic_extension(self):
+        values = np.random.default_rng(11).standard_normal((5, 7))
+        expected = np.pad(values, ((0, 1), (0, 1)), mode="wrap").reshape(-1)
+        assert np.array_equal(_pad(values), expected)
+        out = np.full(expected.size, np.nan)
+        assert _pad(values, out=out) is out and np.array_equal(out, expected)
+
+    def test_gather_refuses_a_field_of_another_size(self):
+        """``take(mode="clip")`` would read any other size as garbage."""
+        values = np.random.default_rng(12).standard_normal(KERNEL_GRID.shape)
+        st = _Stencil(KERNEL_GRID, np.array([0.5, -1.0]), np.array([0.25, 2.0]))
+        for field in (values, values.reshape(-1), _pad(values)[:-1], _pad(np.zeros((128, 96)))):
+            with pytest.raises(InvalidInputError, match="padded field"):
+                st.gather(field)
+        assert st.gather(_pad(values)).shape == (2,)
 
     def test_nan_points_match_reference(self):
         px = np.array([0.5, np.nan, -1.0])
@@ -321,7 +338,7 @@ class TestStencilMatchesReference:
             ref = ReferenceStencil(KERNEL_GRID, px, py)
             assert np.array_equal(st.fx, ref.fx, equal_nan=True)
             assert np.array_equal(st.fy, ref.fy, equal_nan=True)
-            assert np.array_equal(st.gather(values), ref.gather(values), equal_nan=True)
+            assert np.array_equal(st.gather(_pad(values)), ref.gather(values), equal_nan=True)
 
     @pytest.mark.parametrize("order", ["C", "F"])
     @pytest.mark.parametrize("axis", [0, 1])
@@ -620,3 +637,15 @@ class TestDisplacedStencil:
             assert np.array_equal(got.base, ref.base)
             assert np.array_equal(got.fx, ref.fx)
             assert np.array_equal(got.fy, ref.fy)
+            # a row block's stencil is the mesh stencil of its rows, and, for
+            # coordinates that wrap_angle shifts rather than reduces mod 2*pi,
+            # the whole stencil's slice of those rows
+            in_bound = max(np.abs(X + dx).max(), np.abs(Y + dy).max()) <= _SHIFT_BOUND
+            for rows in (slice(0, 5), slice(5, 11), slice(g.n_x - 3, g.n_x)):
+                part = _displaced_stencil(g, dx, dy, rows)
+                ref = _Stencil(g, (X + dx)[rows].reshape(-1), (Y + dy)[rows].reshape(-1))
+                nodes = slice(rows.start * g.n_y, rows.stop * g.n_y)
+                for name in ("base", "fx", "fy"):
+                    assert np.array_equal(getattr(part, name), getattr(ref, name))
+                    if in_bound:
+                        assert np.array_equal(getattr(part, name), getattr(got, name)[nodes])

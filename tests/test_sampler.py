@@ -16,7 +16,7 @@ from oitsample import (
     make_density,
     sample_target,
 )
-from oitsample.grid import _POINT_BLOCK
+from oitsample.grid import _POINT_BLOCK, _pad
 from conftest import identity_map
 from oitsample.sampler import _transform_chunk, draw_uniform
 
@@ -24,7 +24,8 @@ from oitsample.sampler import _transform_chunk, draw_uniform
 def transform(mapping, batch):
     """The sampler's map evaluation of one chunk, applied to a whole batch."""
     out = np.empty(batch.points.shape)
-    _transform_chunk(mapping, batch.points, out)
+    padded = (mapping.grid, _pad(mapping.disp.u_x.values), _pad(mapping.disp.u_y.values))
+    _transform_chunk(padded, batch.points, out)
     return SampleBatch(out)
 
 
@@ -234,10 +235,10 @@ class TestOneDriver:
                 log["draw"].append((start, n))
             return draw(n, seed, start=start)
 
-        def counting_transform(mapping, pts, out):
+        def counting_transform(padded, pts, out):
             with lock:
                 log["transform"].append(len(pts))
-            transform(mapping, pts, out)
+            transform(padded, pts, out)
 
         monkeypatch.setattr(sampler, "draw_uniform", counting_draw)
         monkeypatch.setattr(sampler, "_transform_chunk", counting_transform)
@@ -276,8 +277,8 @@ class TestStreamingDriver:
         ahead = {"now": 0, "most": 0}
         transform = sampler._transform_chunk
 
-        def counting_transform(mapping, pts, out):
-            transform(mapping, pts, out)
+        def counting_transform(padded, pts, out):
+            transform(padded, pts, out)
             with lock:
                 ahead["now"] += 1
                 ahead["most"] = max(ahead["most"], ahead["now"])
@@ -386,8 +387,8 @@ def reference_transform_chunk(mapping, pts, out):
     px = np.ascontiguousarray(pts[:, 0])
     py = np.ascontiguousarray(pts[:, 1])
     st = _Stencil(mapping.grid, px, py)
-    out[:, 0] = _wrap_shift(px + st.gather(mapping.disp.u_x.values))
-    out[:, 1] = _wrap_shift(py + st.gather(mapping.disp.u_y.values))
+    out[:, 0] = _wrap_shift(px + st.gather(_pad(mapping.disp.u_x.values)))
+    out[:, 1] = _wrap_shift(py + st.gather(_pad(mapping.disp.u_y.values)))
 
 
 def reference_map(mapping, pts):

@@ -25,7 +25,7 @@ from oitsample import (
 )
 from oitsample.geodesic import log_density_rate
 from oitsample.grid import wrap_angle
-from oitsample.transport import pushforward_residual
+from oitsample.transport import _integrate, pushforward_residual
 from conftest import identity_map
 
 
@@ -192,12 +192,10 @@ class TestPushforwardResidual:
 
 
 class TestBuildMemory:
-    def test_traced_peak_stays_under_48_grid_arrays(self):
-        """The loop's step arrays are gone before the map is checked and
-        scored, and the loop builds no node mesh.  Measured: about 41.6 grid
-        arrays (n^2 float64 each) at 128^2; holding the step arrays past the
-        loop took about 54.7."""
-        g = PeriodicGrid(128, 128)
+    @staticmethod
+    def traced_peak_in_grid_arrays(n):
+        """Traced peak of a 10-step build on an n x n grid, in n^2 float64 arrays."""
+        g = PeriodicGrid(n, n)
         target = make_density("sine-perturbation", g)
         tracemalloc.start()
         try:
@@ -205,4 +203,49 @@ class TestBuildMemory:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= 48 * g.n_x * g.n_y * 8
+        return peak / (n * n * 8)
+
+    def test_traced_peak_stays_under_48_grid_arrays(self):
+        """The loop's step arrays are gone before the map is checked and
+        scored, and the loop builds no node mesh.  Measured: about 41.6 grid
+        arrays (n^2 float64 each) at 128^2; holding the step arrays past the
+        loop took about 54.7."""
+        assert self.traced_peak_in_grid_arrays(128) <= 48
+
+    def test_traced_peak_at_two_blocks_stays_under_34_grid_arrays(self):
+        """At 256^2 the loop's pointwise phases run in two row blocks, so a
+        step holds a few grid fields plus one block's temporaries.  Measured:
+        31.1 grid arrays; the unblocked loop took 41.1."""
+        assert self.traced_peak_in_grid_arrays(256) <= 34
+
+
+class TestBlockLayout:
+    """The row blocks of the build loop change no byte of its result."""
+
+    @staticmethod
+    def integrate(name, shape, steps):
+        g = PeriodicGrid(*shape)
+        path = geodesic_path(uniform_density(g), make_density(name, g))
+        return _integrate(path, g, steps)
+
+    # (density, grid, steps, block sizes): 1 gives one row per block, and the
+    # others leave a ragged last block, on square and non-square grids
+    CASES = [
+        ("two-bump", (40, 40), 30, [1, 7 * 40, 16 * 40]),
+        ("sine-perturbation:0.9", (36, 20), 12, [5 * 20, 11 * 20 + 3]),
+        ("one-gaussian-bump:2", (24, 44), 12, [1, 5 * 44 + 43]),
+    ]
+
+    @pytest.mark.parametrize("name, shape, steps, sizes", CASES)
+    def test_blocks_give_the_one_block_bytes(self, monkeypatch, name, shape, steps, sizes):
+        import oitsample.transport as transport
+
+        assert transport._POINT_BLOCK >= shape[0] * shape[1]  # one block by default
+        whole = self.integrate(name, shape, steps)
+        for size in sizes:
+            monkeypatch.setattr(transport, "_POINT_BLOCK", size)
+            rows = max(1, size // shape[1])
+            assert shape[0] % rows or size == 1  # a ragged last block, or one row each
+            blocked = self.integrate(name, shape, steps)
+            for a, b in zip(whole, blocked):
+                assert np.array_equal(a, b), (name, size)

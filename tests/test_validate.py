@@ -249,7 +249,7 @@ class TestRejectionOracle:
 def reference_rejection_sample_oracle(target, n, seed):
     """The oracle drawing its proposals from one long-lived Generator, with
     the proposal count as it was counted before the exact-fill fix."""
-    from oitsample.grid import _Stencil
+    from oitsample.grid import _pad, _Stencil
     from oitsample.validate import _STREAM_ORACLE
 
     vmax = float(target.field.values.max())
@@ -261,7 +261,7 @@ def reference_rejection_sample_oracle(target, n, seed):
         pts = -np.pi + 2.0 * np.pi * draw[:, :2]
         st = _Stencil(target.grid, np.ascontiguousarray(pts[:, 0]),
                       np.ascontiguousarray(pts[:, 1]))
-        hits = np.nonzero(draw[:, 2] * vmax < st.gather(target.field.values))[0]
+        hits = np.nonzero(draw[:, 2] * vmax < st.gather(_pad(target.field.values)))[0]
         if len(hits) > n - got:
             hits = hits[: n - got]
             proposed += int(hits[-1]) + 1
@@ -276,7 +276,7 @@ def reference_rejection_sample_oracle(target, n, seed):
 
 def first_block_accepts(target, seed):
     """Indices of the accepted proposals among the first 2**16 drawn."""
-    from oitsample.grid import _Stencil
+    from oitsample.grid import _pad, _Stencil
     from oitsample.validate import _STREAM_ORACLE
 
     gen = np.random.Generator(np.random.Philox(key=[seed, _STREAM_ORACLE]))
@@ -285,7 +285,7 @@ def first_block_accepts(target, seed):
     st = _Stencil(target.grid, np.ascontiguousarray(pts[:, 0]),
                   np.ascontiguousarray(pts[:, 1]))
     vmax = float(target.field.values.max())
-    return np.nonzero(draw[:, 2] * vmax < st.gather(target.field.values))[0]
+    return np.nonzero(draw[:, 2] * vmax < st.gather(_pad(target.field.values)))[0]
 
 
 class TestOracleStream:
