@@ -337,32 +337,59 @@ def interp_scalar(field: ScalarField, points: np.ndarray) -> np.ndarray:
 # diffeomorphisms
 
 
-def _central_diff(values: np.ndarray, axis: int, spacing: float) -> np.ndarray:
-    """Periodic centred difference ``(v[i+1] - v[i-1]) / (2*spacing)`` along ``axis``.
+def _central_diff(values: np.ndarray, axis: int, spacing: float,
+                  rows: slice = slice(None)) -> np.ndarray:
+    """Periodic centred difference ``(v[i+1] - v[i-1]) / (2*spacing)`` along
+    ``axis``, at the grid rows ``rows`` of the whole field ``values``.
 
-    The interior is one contiguous pass over the flattened field; along axis
-    1 that pass also writes wrong values into the first and last columns,
-    which the two seam lines then overwrite.
+    Each pass is contiguous over the flattened field.  Along axis 0 it covers
+    the rows whose two neighbours lie inside the grid, and the first and last
+    grid rows, when in ``rows``, read their wrapped neighbours.  Along axis 1
+    the pass also writes wrong values into the first and last columns, which
+    the two seam lines then overwrite.  A row range gives those rows of the
+    whole-field result, bit for bit.
     """
-    out = np.empty(values.shape)
-    step = values.shape[1] if axis == 0 else 1
-    v = values.reshape(-1)
-    np.subtract(v[2 * step:], v[:-2 * step], out=out.reshape(-1)[step:-step])
-    v = np.moveaxis(values, axis, 0)
-    o = np.moveaxis(out, axis, 0)
-    np.subtract(v[1], v[-1], out=o[0])
-    np.subtract(v[0], v[-2], out=o[-1])
+    n_x, n_y = values.shape
+    r0, r1, _ = rows.indices(n_x)
+    out = np.empty((r1 - r0, n_y))
+    if axis == 0:
+        lo, hi = max(r0, 1), min(r1, n_x - 1)  # rows with both neighbours inside
+        v = values.reshape(-1)
+        np.subtract(v[(lo + 1) * n_y:(hi + 1) * n_y], v[(lo - 1) * n_y:(hi - 1) * n_y],
+                    out=out[lo - r0:hi - r0].reshape(-1))
+        if r0 == 0:
+            np.subtract(values[1], values[-1], out=out[0])
+        if r1 == n_x:
+            np.subtract(values[0], values[-2], out=out[-1])
+    else:
+        v = values[r0:r1]
+        np.subtract(v.reshape(-1)[2:], v.reshape(-1)[:-2], out=out.reshape(-1)[1:-1])
+        np.subtract(v[:, 1], v[:, -1], out=out[:, 0])
+        np.subtract(v[:, 0], v[:, -2], out=out[:, -1])
     out /= 2.0 * spacing
     return out
 
 
-def _jacobian_det_arrays(grid: PeriodicGrid, dx: np.ndarray, dy: np.ndarray) -> np.ndarray:
-    """det(I + Dd) from centered differences of the displacement."""
-    a11 = 1.0 + _central_diff(dx, 0, grid.h_x)
-    a12 = _central_diff(dx, 1, grid.h_y)
-    a21 = _central_diff(dy, 0, grid.h_x)
-    a22 = 1.0 + _central_diff(dy, 1, grid.h_y)
-    return a11 * a22 - a12 * a21
+def _jacobian_det_arrays(grid: PeriodicGrid, dx: np.ndarray, dy: np.ndarray,
+                         rows: slice = slice(None)) -> np.ndarray:
+    """det(I + Dd) from centred differences of the displacement ``(dx, dy)``.
+
+    ``dx`` and ``dy`` are whole-grid fields; the result covers the grid rows
+    ``rows`` only, and equals those rows of the whole-grid result bit for
+    bit, since every difference reads the same nodes (the wrapped neighbour
+    rows included).  The entries are combined in place, so the call holds
+    three arrays of its rows at most.
+    """
+    a11 = _central_diff(dx, 0, grid.h_x, rows)
+    a11 += 1.0
+    a22 = _central_diff(dy, 1, grid.h_y, rows)
+    a22 += 1.0
+    a11 *= a22
+    del a22
+    a12 = _central_diff(dx, 1, grid.h_y, rows)
+    a12 *= _central_diff(dy, 0, grid.h_x, rows)
+    a11 -= a12
+    return a11
 
 
 @dataclass(frozen=True)

@@ -97,4 +97,6 @@ def _solve_gradient(ws: PoissonWorkspace, s_values: np.ndarray):
     itself is never transformed back.  A non-finite source gives non-finite
     velocities, which the caller checks.
     """
-    return _gradient(ws, np.fft.rfft2(s_values) * ws.inv_symbol)
+    f_hat = np.fft.rfft2(s_values)
+    f_hat *= ws.inv_symbol
+    return _gradient(ws, f_hat)

@@ -346,8 +346,11 @@ class TestStencilMatchesReference:
         g = STENCIL_GRIDS["37x100"]
         v = np.asarray(np.random.default_rng(9).standard_normal(g.shape), order=order)
         spacing = g.h_x if axis == 0 else g.h_y
-        assert np.array_equal(_central_diff(v, axis, spacing),
-                              reference_central_diff(v, axis, spacing))
+        ref = reference_central_diff(v, axis, spacing)
+        assert np.array_equal(_central_diff(v, axis, spacing), ref)
+        # row ranges: the first and last rows read wrapped neighbours
+        for rows in (slice(0, 1), slice(0, 5), slice(5, 11), slice(36, 37), slice(30, 37)):
+            assert np.array_equal(_central_diff(v, axis, spacing, rows), ref[rows]), rows
 
 
 class TestInterpScalar:
@@ -492,6 +495,35 @@ class TestJacobianDet:
         pts = np.stack([(X + 0.37).reshape(-1), (Y - 0.61).reshape(-1)], axis=1)
         rhs = interp_scalar(jacobian_det(a), pts).reshape(g.shape) * jacobian_det(b).values
         assert np.abs(lhs - rhs).max() / np.abs(rhs).max() <= 1e-4
+
+    # (grid, rows per block): each leaves a ragged last block, as the build
+    # loop cuts its row blocks
+    ROW_CASES = [((40, 40), 7), ((36, 20), 11), ((24, 44), 5)]
+
+    @pytest.mark.parametrize("shape, rows", ROW_CASES)
+    def test_row_range_gives_those_rows_of_the_whole_grid(self, rng, shape, rows):
+        g = PeriodicGrid(*shape)
+        assert g.n_x % rows
+        dx = 0.05 * rng.standard_normal(g.shape)
+        dy = 0.05 * rng.standard_normal(g.shape)
+        whole = _jacobian_det_arrays(g, dx, dy)
+        # the first row, the last row, a one-row range inside, then the blocks
+        ranges = [slice(0, 1), slice(g.n_x - 1, g.n_x), slice(3, 4)]
+        ranges += [slice(r, min(r + rows, g.n_x)) for r in range(0, g.n_x, rows)]
+        for r in ranges:
+            assert np.array_equal(_jacobian_det_arrays(g, dx, dy, r), whole[r]), r
+        # the blocks' minima are the whole grid's, as the build loop reads them
+        assert min(_jacobian_det_arrays(g, dx, dy, r).min() for r in ranges[3:]) == whole.min()
+
+    def test_whole_grid_is_the_product_formula(self, rng):
+        g = PeriodicGrid(40, 40)
+        dx = 0.05 * rng.standard_normal(g.shape)
+        dy = 0.05 * rng.standard_normal(g.shape)
+        a11 = 1.0 + reference_central_diff(dx, 0, g.h_x)
+        a12 = reference_central_diff(dx, 1, g.h_y)
+        a21 = reference_central_diff(dy, 0, g.h_x)
+        a22 = 1.0 + reference_central_diff(dy, 1, g.h_y)
+        assert np.array_equal(_jacobian_det_arrays(g, dx, dy), a11 * a22 - a12 * a21)
 
 
 class TestCompose:
