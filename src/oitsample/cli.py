@@ -181,6 +181,8 @@ def cmd_sample(cfg: RunConfig) -> int:
 def cmd_validate(cfg: RunConfig) -> int:
     if not cfg.map:
         raise UsageError("validate requires --map")
+    if cfg.out and cfg.table and _same_file(cfg.out, cfg.table):  # one would overwrite the other
+        raise UsageError("--out and --table name the same file")
     mapping, meta = fileio.read_map_oitm(cfg.map)
     target, ident = _resolve_density(cfg, mapping.grid)
     mass = expected_bin_mass(target, cfg.bins, cfg.bins)  # checks --bins before sampling
@@ -297,6 +299,14 @@ def build_parser() -> _Parser:
         for key in keys:
             sub.add_argument(f"--{key}", type=_KEY_TYPES[key], help=_HELP[key])
     return parser
+
+
+def _same_file(a: str, b: str) -> bool:
+    """Whether two paths name one file, through any link, existing or not."""
+    try:
+        return os.path.samefile(a, b)
+    except OSError:  # a path that does not exist yet names the file it resolves to
+        return os.path.realpath(a) == os.path.realpath(b)
 
 
 def _report_stream(*files: str | None):

@@ -10,6 +10,10 @@ and makes periodicity trivial.
 Interpolation is periodic bilinear throughout; the order is a deliberate
 constant of this package, not a knob.  Derivatives here are finite
 differences; the Fourier calculus lives in ``poisson.py``.
+
+There is one periodic extension, ``_pad`` (a one-node halo on every side):
+every gather, centred difference and bin-mass corner reads across the seam
+through it, so no code special-cases the first or last row or column.
 """
 
 from __future__ import annotations
@@ -174,19 +178,21 @@ _POINT_BLOCK = 1 << 15
 
 
 def _pad(values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """The flat periodic extension of an (n_x, n_y) field, as ``_Stencil.gather`` reads it.
+    """The flat periodic extension ``np.pad(values, 1, mode="wrap")`` of a field.
 
-    Row-major ``(n_x+1) x (n_y+1)``: the first column is repeated after the
-    last, and the first row after the last.  ``out``, when given, is a
+    Row-major ``(n_x+2) x (n_y+2)``, a one-node halo on every side, so
+    ``values[i, j]`` sits at ``(i+1, j+1)``.  ``out``, when given, is a
     buffer of that many float64 values, filled and returned.
     """
     n_x, n_y = values.shape
     if out is None:
-        out = np.empty((n_x + 1) * (n_y + 1))
-    f = out.reshape(n_x + 1, n_y + 1)
-    f[:n_x, :n_y] = values
-    f[:n_x, n_y] = values[:, 0]
-    f[n_x] = f[0]
+        out = np.empty((n_x + 2) * (n_y + 2))
+    f = out.reshape(n_x + 2, n_y + 2)
+    f[1:-1, 1:-1] = values
+    f[1:-1, 0] = values[:, -1]
+    f[1:-1, -1] = values[:, 0]
+    f[0] = f[-2]
+    f[-1] = f[1]
     return out
 
 
@@ -195,13 +201,14 @@ class _Stencil:
 
     Building the stencil once and gathering several fields through it is the
     main cost saver in the transport loop and the sampler.  ``base`` indexes
-    the lower-left corner of each point's cell in the field's periodic
-    extension (``_pad``), so the other three corners sit at fixed offsets
-    and no seam needs fixing up.  A gather reads a padded field only, so a
-    caller pads each field once and gathers it through any number of
-    stencils.  Gathers use the nested-lerp form ``v00 + f*(v10 - v00)``,
-    which reproduces constants and nodal values exactly.  The query arrays
-    are never written to.
+    the lower-left corner of each point's cell, counted from node (0, 0) of
+    the field's periodic extension (``_pad``), so the other three corners
+    sit at fixed offsets (``stride`` is a padded row) and no seam needs
+    fixing up.  A gather reads a padded field only, so a caller pads each
+    field once and gathers it through any number of stencils.  Gathers use
+    the nested-lerp form ``v00 + f*(v10 - v00)``, which reproduces
+    constants and nodal values exactly.  The query arrays are never
+    written to.
     """
 
     __slots__ = ("base", "fx", "fy", "stride", "size")
@@ -209,8 +216,8 @@ class _Stencil:
     def __init__(self, grid: PeriodicGrid, px: np.ndarray, py: np.ndarray):
         ix, self.fx = _index_frac(wrap_angle(px), grid.xs, grid.h_x, grid.n_x)
         iy, self.fy = _index_frac(wrap_angle(py), grid.ys, grid.h_y, grid.n_y)
-        self.stride = grid.n_y + 1
-        self.size = (grid.n_x + 1) * self.stride
+        self.stride = grid.n_y + 2
+        self.size = (grid.n_x + 2) * self.stride
         ix *= self.stride
         ix += iy
         self.base = ix
@@ -222,6 +229,7 @@ class _Stencil:
             raise InvalidInputError(
                 f"gather needs a padded field of {self.size} values, got shape {f.shape}")
         m = self.stride
+        f = f[m + 1:]  # node (0, 0), past the halo's first row and column
         # indices are in range by construction, and "clip" lets take() write
         # straight into ``out`` instead of through a buffer
         lo = f.take(self.base, mode="clip")
@@ -337,57 +345,45 @@ def interp_scalar(field: ScalarField, points: np.ndarray) -> np.ndarray:
 # diffeomorphisms
 
 
-def _central_diff(values: np.ndarray, axis: int, spacing: float,
+def _central_diff(grid: PeriodicGrid, padded: np.ndarray, axis: int,
                   rows: slice = slice(None)) -> np.ndarray:
-    """Periodic centred difference ``(v[i+1] - v[i-1]) / (2*spacing)`` along
-    ``axis``, at the grid rows ``rows`` of the whole field ``values``.
+    """Periodic centred difference ``(v[i+1] - v[i-1]) / (2*h)`` along
+    ``axis``, at the grid rows ``rows`` of the field whose ``_pad``
+    extension is ``padded``.
 
-    Each pass is contiguous over the flattened field.  Along axis 0 it covers
-    the rows whose two neighbours lie inside the grid, and the first and last
-    grid rows, when in ``rows``, read their wrapped neighbours.  Along axis 1
-    the pass also writes wrong values into the first and last columns, which
-    the two seam lines then overwrite.  A row range gives those rows of the
-    whole-field result, bit for bit.
+    One difference of two shifted slices of the pad: the halo holds the
+    wrapped neighbours, so the first and last rows and columns need no
+    seam code, and a row range gives those rows of the whole-field result,
+    bit for bit.
     """
-    n_x, n_y = values.shape
-    r0, r1, _ = rows.indices(n_x)
-    out = np.empty((r1 - r0, n_y))
+    r0, r1, _ = rows.indices(grid.n_x)
+    p = padded.reshape(grid.n_x + 2, grid.n_y + 2)[r0:r1 + 2]  # the rows and their halo
     if axis == 0:
-        lo, hi = max(r0, 1), min(r1, n_x - 1)  # rows with both neighbours inside
-        v = values.reshape(-1)
-        np.subtract(v[(lo + 1) * n_y:(hi + 1) * n_y], v[(lo - 1) * n_y:(hi - 1) * n_y],
-                    out=out[lo - r0:hi - r0].reshape(-1))
-        if r0 == 0:
-            np.subtract(values[1], values[-1], out=out[0])
-        if r1 == n_x:
-            np.subtract(values[0], values[-2], out=out[-1])
+        out = np.subtract(p[2:, 1:-1], p[:-2, 1:-1])
     else:
-        v = values[r0:r1]
-        np.subtract(v.reshape(-1)[2:], v.reshape(-1)[:-2], out=out.reshape(-1)[1:-1])
-        np.subtract(v[:, 1], v[:, -1], out=out[:, 0])
-        np.subtract(v[:, 0], v[:, -2], out=out[:, -1])
-    out /= 2.0 * spacing
+        out = np.subtract(p[1:-1, 2:], p[1:-1, :-2])
+    out /= 2.0 * (grid.h_x if axis == 0 else grid.h_y)
     return out
 
 
-def _jacobian_det_arrays(grid: PeriodicGrid, dx: np.ndarray, dy: np.ndarray,
+def _jacobian_det_arrays(grid: PeriodicGrid, pad_dx: np.ndarray, pad_dy: np.ndarray,
                          rows: slice = slice(None)) -> np.ndarray:
     """det(I + Dd) from centred differences of the displacement ``(dx, dy)``.
 
-    ``dx`` and ``dy`` are whole-grid fields; the result covers the grid rows
-    ``rows`` only, and equals those rows of the whole-grid result bit for
-    bit, since every difference reads the same nodes (the wrapped neighbour
-    rows included).  The entries are combined in place, so the call holds
-    three arrays of its rows at most.
+    ``pad_dx`` and ``pad_dy`` are the ``_pad`` extensions of ``dx`` and
+    ``dy``; the result covers the grid rows ``rows`` only, and equals those
+    rows of the whole-grid result bit for bit, since every difference reads
+    the same nodes of the pad.  The entries are combined in place, so the
+    call holds three arrays of its rows at most.
     """
-    a11 = _central_diff(dx, 0, grid.h_x, rows)
+    a11 = _central_diff(grid, pad_dx, 0, rows)
     a11 += 1.0
-    a22 = _central_diff(dy, 1, grid.h_y, rows)
+    a22 = _central_diff(grid, pad_dy, 1, rows)
     a22 += 1.0
     a11 *= a22
     del a22
-    a12 = _central_diff(dx, 1, grid.h_y, rows)
-    a12 *= _central_diff(dy, 0, grid.h_x, rows)
+    a12 = _central_diff(grid, pad_dx, 1, rows)
+    a12 *= _central_diff(grid, pad_dy, 0, rows)
     a11 -= a12
     return a11
 
@@ -412,7 +408,7 @@ class DiffeoMap:
         dy = self.disp.u_y.values
         if max(np.abs(dx).max(), np.abs(dy).max()) > TWO_PI:
             raise InvalidInputError("displacement exceeds one period")
-        det = _jacobian_det_arrays(self.grid, dx, dy)
+        det = _jacobian_det_arrays(self.grid, _pad(dx), _pad(dy))
         if det.min() <= 0.0:
             raise InvalidInputError(
                 f"map is not orientation preserving (min det {det.min():.3e})"
@@ -446,8 +442,8 @@ class DiffeoMap:
 
 def jacobian_det(mapping: DiffeoMap) -> ScalarField:
     """Jacobian determinant of the map, second-order accurate."""
-    det = _jacobian_det_arrays(mapping.grid, mapping.disp.u_x.values,
-                               mapping.disp.u_y.values)
+    det = _jacobian_det_arrays(mapping.grid, _pad(mapping.disp.u_x.values),
+                               _pad(mapping.disp.u_y.values))
     return ScalarField(mapping.grid, det)
 
 

@@ -19,13 +19,13 @@ correction removes that bias while leaving the printed update as the
 predictor.
 
 Apart from the Poisson solve and the inverse map's four Jacobian entries,
-a step's work at a node reads only that node's values, the padded fields it
-gathers from, and, in the forward map's Jacobian check, the wrapped
-neighbour rows.  So the loop runs it over row blocks of about
-``_POINT_BLOCK`` nodes: a step holds a few grid fields plus one block's
-temporaries.  Each field the step gathers is padded once per step
-(``grid._pad``) into buffers allocated once per build, and every block's
-stencils gather from those pads.  The block size changes no byte of the map.
+a step's work at a node reads only that node's values and the padded fields
+it gathers from; the forward map's Jacobian check reads the new map,
+re-padded.  So the loop runs it over row blocks of about ``_POINT_BLOCK``
+nodes: a step holds a few grid fields plus one block's temporaries.  Each
+field the step reads across the seam is padded once per step
+(``grid._pad``) into buffers allocated once per build, and every block
+reads those pads.  The block size changes no byte of the map.
 """
 
 from __future__ import annotations
@@ -114,7 +114,7 @@ def pushforward_residual(mapping: DiffeoMap, target: Density) -> float:
     dy = mapping.disp.u_y.values
     st = _displaced_stencil(grid, dx, dy)
     mu_at = st.gather(_pad(target.field.values)).reshape(grid.shape)
-    det = _jacobian_det_arrays(grid, dx, dy)
+    det = _jacobian_det_arrays(grid, _pad(dx), _pad(dy))
     u0 = 1.0 / (grid.n_x * grid.n_y * grid.cell_volume)  # the uniform density
     return float(np.mean(np.abs(det * mu_at - u0)) / u0)
 
@@ -128,10 +128,10 @@ def _integrate(path: GeodesicPath, grid: PeriodicGrid, K: int):
     ``_POINT_BLOCK`` nodes, so their temporaries are one block's, not the
     grid's; ``min_jac`` is the least of the blocks' minima.  The Poisson
     solve, the CFL number and the inverse map's four Jacobian entries stay
-    whole-grid.  Each gathered field is padded once per step into buffers
-    allocated once per call, and every block gathers from those.  Per node
-    the arithmetic is the unblocked loop's, so the block size changes no
-    byte of the result.
+    whole-grid.  Each field read across the seam is padded once per step
+    into buffers allocated once per call, and every block reads those.  Per
+    node the arithmetic is the unblocked loop's, so the block size changes
+    no byte of the result.
 
     Across a step only the map, ``source``, the pads and the velocities
     (until the next solve replaces them) stay alive.  The last forward
@@ -158,10 +158,11 @@ def _integrate(path: GeodesicPath, grid: PeriodicGrid, K: int):
     inv_x = np.zeros(shape)
     inv_y = np.zeros(shape)
     source = np.empty(shape)
-    # padded copies of the fields a step gathers, refilled every step: the
-    # rate, then the two velocity components, then the old forward map, the
-    # new inverse map and its four Jacobian entries
-    pads = [np.empty((grid.n_x + 1) * (n_y + 1)) for _ in range(8)]
+    # padded copies of the fields a step reads across the seam, refilled
+    # every step: the rate, then the two velocity components, then the old
+    # forward map, the new inverse map and its four Jacobian entries, and
+    # last the new forward map for the Jacobian check
+    pads = [np.empty((grid.n_x + 2) * (n_y + 2)) for _ in range(8)]
 
     cfl = np.zeros(K)
     poisson_mean = np.zeros(K)
@@ -196,10 +197,10 @@ def _integrate(path: GeodesicPath, grid: PeriodicGrid, K: int):
         pf_y = _pad(fwd_y, out=pads[1])
         pi_x = _pad(inv_x, out=pads[2])
         pi_y = _pad(inv_y, out=pads[3])
-        g_xx = _pad(_central_diff(inv_x, 0, grid.h_x), out=pads[4])
-        g_xy = _pad(_central_diff(inv_x, 1, grid.h_y), out=pads[5])
-        g_yx = _pad(_central_diff(inv_y, 0, grid.h_x), out=pads[6])
-        g_yy = _pad(_central_diff(inv_y, 1, grid.h_y), out=pads[7])
+        g_xx = _pad(_central_diff(grid, pi_x, 0), out=pads[4])
+        g_xy = _pad(_central_diff(grid, pi_x, 1), out=pads[5])
+        g_yx = _pad(_central_diff(grid, pi_y, 0), out=pads[6])
+        g_yy = _pad(_central_diff(grid, pi_y, 1), out=pads[7])
         for b in blocks:
             xb = xs[b]
             # forward map: Euler-composed predictor ...
@@ -229,7 +230,9 @@ def _integrate(path: GeodesicPath, grid: PeriodicGrid, K: int):
         # the Jacobian check and the next step
         del st, y_x, y_y, res_x, res_y, a11, a12, a21, a22, det
 
-        min_jac[k] = min(_jacobian_det_arrays(grid, fwd_x, fwd_y, b).min() for b in blocks)
+        pf_x = _pad(fwd_x, out=pads[0])
+        pf_y = _pad(fwd_y, out=pads[1])
+        min_jac[k] = min(_jacobian_det_arrays(grid, pf_x, pf_y, b).min() for b in blocks)
         if min_jac[k] <= 0.0:
             raise OrientationLossError(k, float(min_jac[k]))
 

@@ -77,10 +77,8 @@ def expected_bin_mass(target: Density, b_x: int, b_y: int) -> np.ndarray:
         raise InvalidInputError(
             f"grid {grid.n_x}x{grid.n_y} is not a multiple of bins {b_x}x{b_y}"
         )
-    v = target.field.values
-    east = np.roll(v, -1, axis=0)
-    corners = 0.25 * (v + east + np.roll(v, -1, axis=1) + np.roll(east, -1, axis=1))
-    cells = corners * grid.cell_volume
+    p = _pad(target.field.values).reshape(grid.n_x + 2, grid.n_y + 2)
+    cells = 0.25 * (p[1:-1, 1:-1] + p[2:, 1:-1] + p[1:-1, 2:] + p[2:, 2:]) * grid.cell_volume
     m_x = grid.n_x // b_x
     m_y = grid.n_y // b_y
     return cells.reshape(b_x, m_x, b_y, m_y).sum(axis=(1, 3))
@@ -251,8 +249,7 @@ def two_sample_chi_squared(a: BinnedHistogram, b: BinnedHistogram):
 # exact ground-truth sampler
 
 
-def rejection_sample_oracle(target: Density, n: int, seed: int,
-                            with_stats: bool = False):
+def rejection_sample_oracle(target: Density, n: int, seed: int) -> SampleBatch:
     """Exact i.i.d. samples from the interpolated target density.
 
     Proposes uniformly on the torus and accepts with probability
@@ -262,10 +259,7 @@ def rejection_sample_oracle(target: Density, n: int, seed: int,
     are drawn and evaluated ``_POINT_BLOCK`` at a time: row ``(u, v, w)``
     proposes ``-pi + 2*pi*(u, v)`` and accepts it when ``w * max(mu)`` lies
     below the density there.  Accepts are kept in stream order, so the
-    block size changes neither the points nor the proposal count.
-
-    With ``with_stats`` the return value is (batch, stats) where stats
-    reports proposal counts and the measured acceptance rate.
+    block size changes none of the points.
     """
     if n < 0:
         raise InvalidInputError(f"sample count must be nonnegative, got {n}")
@@ -273,23 +267,15 @@ def rejection_sample_oracle(target: Density, n: int, seed: int,
     padded = _pad(target.field.values)
     accepted: list[np.ndarray] = []
     got = 0
-    proposed = 0  # proposals drawn, up to the last one used; each takes 3 uniforms
+    proposed = 0  # proposals drawn so far; each takes 3 uniforms
     while got < n:
         rows = _uniform_stream(seed, _STREAM_ORACLE, 3 * proposed,
                                3 * _POINT_BLOCK).reshape(_POINT_BLOCK, 3)
+        proposed += _POINT_BLOCK
         px = -np.pi + TWO_PI * rows[:, 0]
         py = -np.pi + TWO_PI * rows[:, 1]
         density_at = _Stencil(target.grid, px, py).gather(padded)
         hits = np.flatnonzero(rows[:, 2] * vmax < density_at)[: n - got]
-        if got + len(hits) == n:
-            proposed += int(hits[-1]) + 1
-        else:
-            proposed += _POINT_BLOCK
         accepted.append(np.column_stack((px[hits], py[hits])))
         got += len(hits)
-    points = np.concatenate(accepted) if accepted else np.empty((0, 2))
-    rate = got / proposed if proposed else 1.0
-    batch = SampleBatch(points)
-    if with_stats:
-        return batch, {"proposed": proposed, "accepted": got, "rate": rate}
-    return batch
+    return SampleBatch(np.concatenate(accepted) if accepted else np.empty((0, 2)))

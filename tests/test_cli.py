@@ -610,6 +610,28 @@ class TestValidate:
         assert len(done.stdout.decode().splitlines()) == 1 + 8 * 8
         assert done.stderr == out.read_bytes() == ref.read_bytes()
 
+    @pytest.mark.parametrize("spelling", ["same", "dot", "hard link", "stdout"])
+    def test_out_and_table_naming_one_file_are_refused(self, sine_map, tmp_path, monkeypatch,
+                                                       capsys, spelling):
+        """The table would overwrite the report: exit 1 before the map is
+        sampled and before any file is written."""
+        monkeypatch.chdir(tmp_path)
+        out, table = {"same": ("r.txt", "r.txt"), "dot": ("r.txt", "./r.txt"),
+                      "hard link": ("r.txt", "t.csv"),
+                      "stdout": ("/dev/stdout", "/dev/stdout")}[spelling]
+        if spelling == "hard link":
+            Path("r.txt").write_bytes(b"old")
+            os.link("r.txt", "t.csv")
+        before = sorted(os.listdir(tmp_path))
+        monkeypatch.setattr("oitsample.cli.sample_target", None)  # a call would raise
+        code = run("validate", "--map", str(sine_map), "--density", "sine-perturbation:0.4",
+                   "--n", "2000", "--seed", "2", "--bins", "8", "--out", out, "--table", table)
+        assert code == 1
+        assert capsys.readouterr().err == "error: --out and --table name the same file\n"
+        assert sorted(os.listdir(tmp_path)) == before
+        if spelling == "hard link":
+            assert Path("r.txt").read_bytes() == b"old"
+
     def test_per_bin_table(self, sine_map, tmp_path):
         table = tmp_path / "bins.csv"
         code = run("validate", "--map", str(sine_map), "--density",

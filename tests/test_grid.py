@@ -315,16 +315,19 @@ class TestStencilMatchesReference:
 
     def test_pad_is_the_periodic_extension(self):
         values = np.random.default_rng(11).standard_normal((5, 7))
-        expected = np.pad(values, ((0, 1), (0, 1)), mode="wrap").reshape(-1)
+        expected = np.pad(values, 1, mode="wrap").reshape(-1)
         assert np.array_equal(_pad(values), expected)
         out = np.full(expected.size, np.nan)
         assert _pad(values, out=out) is out and np.array_equal(out, expected)
 
     def test_gather_refuses_a_field_of_another_size(self):
-        """``take(mode="clip")`` would read any other size as garbage."""
+        """``take(mode="clip")`` would read any other size as garbage; the
+        one-sided ``(n_x+1)*(n_y+1)`` extension of an earlier layout too."""
         values = np.random.default_rng(12).standard_normal(KERNEL_GRID.shape)
         st = _Stencil(KERNEL_GRID, np.array([0.5, -1.0]), np.array([0.25, 2.0]))
-        for field in (values, values.reshape(-1), _pad(values)[:-1], _pad(np.zeros((128, 96)))):
+        one_sided = np.zeros((KERNEL_GRID.n_x + 1) * (KERNEL_GRID.n_y + 1))
+        for field in (values, values.reshape(-1), _pad(values)[:-1], _pad(np.zeros((128, 96))),
+                      one_sided):
             with pytest.raises(InvalidInputError, match="padded field"):
                 st.gather(field)
         assert st.gather(_pad(values)).shape == (2,)
@@ -347,10 +350,11 @@ class TestStencilMatchesReference:
         v = np.asarray(np.random.default_rng(9).standard_normal(g.shape), order=order)
         spacing = g.h_x if axis == 0 else g.h_y
         ref = reference_central_diff(v, axis, spacing)
-        assert np.array_equal(_central_diff(v, axis, spacing), ref)
+        padded = _pad(v)
+        assert np.array_equal(_central_diff(g, padded, axis), ref)
         # row ranges: the first and last rows read wrapped neighbours
         for rows in (slice(0, 1), slice(0, 5), slice(5, 11), slice(36, 37), slice(30, 37)):
-            assert np.array_equal(_central_diff(v, axis, spacing, rows), ref[rows]), rows
+            assert np.array_equal(_central_diff(g, padded, axis, rows), ref[rows]), rows
 
 
 class TestInterpScalar:
@@ -473,7 +477,8 @@ class TestJacobianDet:
             g = PeriodicGrid(n, n)
             a = smooth_test_map(g, amp=0.30, phase=0.4)
             b = smooth_test_map(g, amp=0.25, phase=1.1)
-            lhs = _jacobian_det_arrays(g, *_compose_disp_arrays(g, *_disp(a), *_disp(b)))
+            lhs = _jacobian_det_arrays(g, *map(_pad, _compose_disp_arrays(g, *_disp(a),
+                                                                         *_disp(b))))
             det_a_at_b = interp_scalar(
                 jacobian_det(a),
                 b.apply(np.stack([m.reshape(-1) for m in g.node_mesh()], axis=1)),
@@ -490,7 +495,7 @@ class TestJacobianDet:
         a = smooth_test_map(g, amp=0.3, phase=0.4)
         b = DiffeoMap(g, VectorField(ScalarField.constant(g, 0.37),
                                      ScalarField.constant(g, -0.61)))
-        lhs = _jacobian_det_arrays(g, *_compose_disp_arrays(g, *_disp(a), *_disp(b)))
+        lhs = _jacobian_det_arrays(g, *map(_pad, _compose_disp_arrays(g, *_disp(a), *_disp(b))))
         X, Y = g.node_mesh()
         pts = np.stack([(X + 0.37).reshape(-1), (Y - 0.61).reshape(-1)], axis=1)
         rhs = interp_scalar(jacobian_det(a), pts).reshape(g.shape) * jacobian_det(b).values
@@ -506,14 +511,15 @@ class TestJacobianDet:
         assert g.n_x % rows
         dx = 0.05 * rng.standard_normal(g.shape)
         dy = 0.05 * rng.standard_normal(g.shape)
-        whole = _jacobian_det_arrays(g, dx, dy)
+        pads = _pad(dx), _pad(dy)
+        whole = _jacobian_det_arrays(g, *pads)
         # the first row, the last row, a one-row range inside, then the blocks
         ranges = [slice(0, 1), slice(g.n_x - 1, g.n_x), slice(3, 4)]
         ranges += [slice(r, min(r + rows, g.n_x)) for r in range(0, g.n_x, rows)]
         for r in ranges:
-            assert np.array_equal(_jacobian_det_arrays(g, dx, dy, r), whole[r]), r
+            assert np.array_equal(_jacobian_det_arrays(g, *pads, r), whole[r]), r
         # the blocks' minima are the whole grid's, as the build loop reads them
-        assert min(_jacobian_det_arrays(g, dx, dy, r).min() for r in ranges[3:]) == whole.min()
+        assert min(_jacobian_det_arrays(g, *pads, r).min() for r in ranges[3:]) == whole.min()
 
     def test_whole_grid_is_the_product_formula(self, rng):
         g = PeriodicGrid(40, 40)
@@ -523,7 +529,7 @@ class TestJacobianDet:
         a12 = reference_central_diff(dx, 1, g.h_y)
         a21 = reference_central_diff(dy, 0, g.h_x)
         a22 = 1.0 + reference_central_diff(dy, 1, g.h_y)
-        assert np.array_equal(_jacobian_det_arrays(g, dx, dy), a11 * a22 - a12 * a21)
+        assert np.array_equal(_jacobian_det_arrays(g, _pad(dx), _pad(dy)), a11 * a22 - a12 * a21)
 
 
 class TestCompose:

@@ -15,6 +15,8 @@ Every field the package transforms is real, so ``src/`` calls no
 complex-input FFT (``fft2``, ``ifft2``, ``fftn``, ``ifftn``, ``fft``,
 ``ifft``) anywhere: one transform convention, the real half spectrum.  And
 ``np.fft.`` appears in no file but ``poisson.py``: one Fourier module.
+``src/`` calls ``np.roll`` nowhere: every read across the periodic seam
+reads ``grid._pad``, one periodic extension.
 
 The package exports only what it is used through: every function in
 ``oitsample.__all__`` is named in ``cli.py``, in the acceptance suite or in
@@ -80,6 +82,10 @@ def test_one_fourier_module():
     found = matching_lines(r"np\.fft\.")
     assert any(name == "poisson.py" for name, _, _ in found)
     assert [where for name, _, where in found if name != "poisson.py"] == []
+
+
+def test_one_periodic_extension():
+    assert [where for _, _, where in matching_lines(r"np\.roll\(")] == []
 
 
 def caller_text():

@@ -90,6 +90,22 @@ class TestExpectedBinMass:
         with pytest.raises(InvalidInputError):
             expected_bin_mass(uniform_density(g), 48, 48)
 
+    @pytest.mark.parametrize("shape, bins", [((36, 20), (12, 5)), ((256, 256), (32, 32))])
+    def test_equals_the_rolled_corner_formula(self, shape, bins):
+        """Bit for bit the cell-corner sum read through ``np.roll``."""
+        g = PeriodicGrid(*shape)
+        if shape == (256, 256):
+            target = make_density("two-bump", g)
+        else:
+            target = normalize(ScalarField(g, np.random.default_rng(13).uniform(0.5, 2.0, shape)))
+        v = target.field.values
+        east = np.roll(v, -1, axis=0)
+        corners = 0.25 * (v + east + np.roll(v, -1, axis=1) + np.roll(east, -1, axis=1))
+        cells = corners * g.cell_volume
+        (b_x, b_y), (m_x, m_y) = bins, (shape[0] // bins[0], shape[1] // bins[1])
+        ref = cells.reshape(b_x, m_x, b_y, m_y).sum(axis=(1, 3))
+        assert np.array_equal(expected_bin_mass(target, *bins), ref)
+
     @pytest.mark.parametrize("bins", [0, -4])
     def test_needs_a_bin_per_axis(self, bins):
         g = PeriodicGrid(64, 64)
@@ -205,22 +221,16 @@ class TestTwoSample:
 
 class TestRejectionOracle:
     def test_uniform_target_accepts_everything(self):
+        from oitsample.sampler import _uniform_stream
+        from oitsample.validate import _STREAM_ORACLE
+
         g = PeriodicGrid(32, 32)
-        batch, stats = rejection_sample_oracle(uniform_density(g), 50_000, seed=3,
-                                               with_stats=True)
-        assert stats["rate"] == 1.0
-        assert batch.count == 50_000
+        batch = rejection_sample_oracle(uniform_density(g), 50_000, seed=3)
+        # the points are the first 50_000 proposals, none rejected
+        rows = _uniform_stream(3, _STREAM_ORACLE, 0, 3 * 50_000).reshape(-1, 3)
+        assert np.array_equal(batch.points, -np.pi + 2.0 * np.pi * rows[:, :2])
         _, _, p = chi_squared_gof(histogram(batch, 16, 16), np.full(256, 1.0 / 256))
         assert p > 0.01
-
-    def test_acceptance_rate_matches_envelope(self):
-        g = PeriodicGrid(64, 64)
-        target = sine_density(g)
-        n = 500_000
-        batch, stats = rejection_sample_oracle(target, n, seed=5, with_stats=True)
-        predicted = 1.0 / (target.field.values.max() * 4 * np.pi**2)
-        sigma = np.sqrt(predicted * (1 - predicted) / stats["proposed"])
-        assert stats["rate"] == pytest.approx(predicted, abs=3 * sigma)
 
     def test_determinism(self):
         g = PeriodicGrid(32, 32)
@@ -247,14 +257,13 @@ class TestRejectionOracle:
 
 
 def reference_rejection_sample_oracle(target, n, seed):
-    """The oracle drawing its proposals from one long-lived Generator, with
-    the proposal count as it was counted before the exact-fill fix."""
+    """The oracle drawing its proposals from one long-lived Generator."""
     from oitsample.grid import _pad, _Stencil
     from oitsample.validate import _STREAM_ORACLE
 
     vmax = float(target.field.values.max())
     gen = np.random.Generator(np.random.Philox(key=[seed & ((1 << 64) - 1), _STREAM_ORACLE]))
-    accepted, got, proposed = [], 0, 0
+    accepted, got = [], 0
     while got < n:
         block = max(4 * (n - got), 1 << 16)
         draw = gen.random((block, 3))
@@ -262,30 +271,9 @@ def reference_rejection_sample_oracle(target, n, seed):
         st = _Stencil(target.grid, np.ascontiguousarray(pts[:, 0]),
                       np.ascontiguousarray(pts[:, 1]))
         hits = np.nonzero(draw[:, 2] * vmax < st.gather(_pad(target.field.values)))[0]
-        if len(hits) > n - got:
-            hits = hits[: n - got]
-            proposed += int(hits[-1]) + 1
-        else:
-            proposed += block
-        accepted.append(pts[hits])
-        got += len(hits)
-    points = np.concatenate(accepted) if accepted else np.empty((0, 2))
-    return points, {"proposed": proposed, "accepted": got,
-                    "rate": got / proposed if proposed else 1.0}
-
-
-def first_block_accepts(target, seed):
-    """Indices of the accepted proposals among the first 2**16 drawn."""
-    from oitsample.grid import _pad, _Stencil
-    from oitsample.validate import _STREAM_ORACLE
-
-    gen = np.random.Generator(np.random.Philox(key=[seed, _STREAM_ORACLE]))
-    draw = gen.random((1 << 16, 3))
-    pts = -np.pi + 2.0 * np.pi * draw[:, :2]
-    st = _Stencil(target.grid, np.ascontiguousarray(pts[:, 0]),
-                  np.ascontiguousarray(pts[:, 1]))
-    vmax = float(target.field.values.max())
-    return np.nonzero(draw[:, 2] * vmax < st.gather(_pad(target.field.values)))[0]
+        accepted.append(pts[hits[: n - got]])
+        got += len(accepted[-1])
+    return np.concatenate(accepted) if accepted else np.empty((0, 2))
 
 
 class TestOracleStream:
@@ -297,36 +285,18 @@ class TestOracleStream:
     # at n = 1e5 the reference's first block, 4n rows, spans about 12 point blocks
     @pytest.mark.parametrize("n, seed", [(0, 3), (1, 3), (1000, 4), (20_000, 5), (100_000, 8)])
     def test_matches_generator_form(self, two_bump, n, seed):
-        batch, stats = rejection_sample_oracle(two_bump, n, seed=seed, with_stats=True)
-        points, ref_stats = reference_rejection_sample_oracle(two_bump, n, seed)
-        assert np.array_equal(batch.points, points)
-        assert stats == ref_stats
+        batch = rejection_sample_oracle(two_bump, n, seed=seed)
+        assert np.array_equal(batch.points, reference_rejection_sample_oracle(two_bump, n, seed))
 
     def test_uniform_target_matches_generator_form(self):
         target = uniform_density(PeriodicGrid(32, 32))
-        batch, stats = rejection_sample_oracle(target, 50_000, seed=3, with_stats=True)
-        points, ref_stats = reference_rejection_sample_oracle(target, 50_000, 3)
-        assert np.array_equal(batch.points, points)
-        assert stats == ref_stats
-
-    def test_proposals_stop_at_the_last_accept_when_a_block_fills_exactly(self, two_bump):
-        hits = first_block_accepts(two_bump, seed=3)
-        n = len(hits)  # every accept of the first block is needed
-        assert 4 * n <= 1 << 16 and hits[-1] + 1 < 1 << 16
-        batch, stats = rejection_sample_oracle(two_bump, n, seed=3, with_stats=True)
-        assert stats["proposed"] == hits[-1] + 1
-        assert stats["accepted"] == n
-        points, _ = reference_rejection_sample_oracle(two_bump, n, 3)
-        assert np.array_equal(batch.points, points)
-        short = rejection_sample_oracle(two_bump, n - 1, seed=3, with_stats=True)[1]
-        assert short["proposed"] == hits[-2] + 1
+        batch = rejection_sample_oracle(target, 50_000, seed=3)
+        assert np.array_equal(batch.points, reference_rejection_sample_oracle(target, 50_000, 3))
 
     def test_proposal_block_not_a_multiple_of_the_point_block(self, two_bump):
         from oitsample.grid import _POINT_BLOCK
 
         n = 17_001  # the reference's first proposal block, 4n = 2 * 2**15 + 2468 rows
         assert (4 * n) % _POINT_BLOCK and 4 * n > 2 * _POINT_BLOCK
-        batch, stats = rejection_sample_oracle(two_bump, n, seed=7, with_stats=True)
-        points, ref_stats = reference_rejection_sample_oracle(two_bump, n, 7)
-        assert np.array_equal(batch.points, points)
-        assert stats == ref_stats
+        batch = rejection_sample_oracle(two_bump, n, seed=7)
+        assert np.array_equal(batch.points, reference_rejection_sample_oracle(two_bump, n, 7))
