@@ -23,7 +23,7 @@ from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 from . import fileio
-from .densities import make_density
+from .densities import make_density, names_builtin
 from .errors import (
     InvalidInputError,
     NumericalBlowupError,
@@ -181,8 +181,6 @@ def cmd_sample(cfg: RunConfig) -> int:
 def cmd_validate(cfg: RunConfig) -> int:
     if not cfg.map:
         raise UsageError("validate requires --map")
-    if cfg.out and cfg.table and _same_file(cfg.out, cfg.table):  # one would overwrite the other
-        raise UsageError("--out and --table name the same file")
     mapping, meta = fileio.read_map_oitm(cfg.map)
     target, ident = _resolve_density(cfg, mapping.grid)
     mass = expected_bin_mass(target, cfg.bins, cfg.bins)  # checks --bins before sampling
@@ -309,6 +307,21 @@ def _same_file(a: str, b: str) -> bool:
         return os.path.realpath(a) == os.path.realpath(b)
 
 
+def _check_paths(cfg: RunConfig, keys: tuple[str, ...], config: str | None) -> None:
+    """Refuse a run whose output names another file of the run: the report
+    and the table would overwrite each other, and an output would replace
+    an input (the config file, map, sample CSV or density field) before or
+    while the command reads it.  Only the keys the command reads count."""
+    written = [(k, getattr(cfg, k)) for k in ("out", "table") if getattr(cfg, k)]
+    read = [("config", config)] + [(k, getattr(cfg, k)) for k in ("map", "samples", "density")
+                                    if k in keys]
+    read = [(k, p) for k, p in read if p and not (k == "density" and names_builtin(p))]
+    for i, (key, path) in enumerate(written):
+        for other, other_path in written[i + 1:] + read:
+            if _same_file(path, other_path):
+                raise UsageError(f"--{key} and --{other} name the same file")
+
+
 def _report_stream(*files: str | None):
     """Where a command prints its report: stderr when one of the files it
     writes is this process's own stdout (``--out /dev/stdout`` or
@@ -332,6 +345,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         cfg = _effective_config(args)
+        _check_paths(cfg, _COMMANDS[args.command][2], args.config)
         with redirect_stdout(_report_stream(cfg.out, cfg.table)):
             return _COMMANDS[args.command][0](cfg)
     except (UsageError, InvalidInputError, OSError) as exc:

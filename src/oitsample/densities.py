@@ -57,6 +57,12 @@ REGISTRY = {
 }
 
 
+def names_builtin(spec: str) -> bool:
+    """Whether ``spec`` is a built-in: its name before any ``:`` is in the
+    registry, whatever files exist."""
+    return spec.partition(":")[0].strip() in REGISTRY
+
+
 def parse_density_spec(spec: str) -> tuple[str, float | None]:
     """Split ``name`` or ``name:param`` into (name, optional float param)."""
     name, _, raw_param = spec.partition(":")
@@ -84,7 +90,7 @@ def make_density(spec: str, grid: PeriodicGrid, ratio: float | None = None) -> D
     one-gaussian-bump pin max/min = 100 unless told otherwise; a file has
     no default).
     """
-    if spec.partition(":")[0].strip() in REGISTRY or not (
+    if names_builtin(spec) or not (
             spec.endswith(".oitf") or Path(spec).is_file()):
         name, param = parse_density_spec(spec)
         builder, default_ratio, _ = REGISTRY[name]

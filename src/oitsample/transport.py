@@ -21,11 +21,18 @@ predictor.
 Apart from the Poisson solve and the inverse map's four Jacobian entries,
 a step's work at a node reads only that node's values and the padded fields
 it gathers from; the forward map's Jacobian check reads the new map,
-re-padded.  So the loop runs it over row blocks of about ``_POINT_BLOCK``
+padded.  So the loop runs it over row blocks of about ``_POINT_BLOCK``
 nodes: a step holds a few grid fields plus one block's temporaries.  Each
 field the step reads across the seam is padded once per step
-(``grid._pad``) into buffers allocated once per build, and every block
-reads those pads.  The block size changes no byte of the map.
+(``grid._pad``) into one of six buffers allocated once per build, and every
+block reads those pads.  A buffer belongs to one phase at a time: the rate
+and ``source`` (a view of the sixth buffer) to the source gather and the
+solve, the velocities to the inverse update, the new inverse map and its
+four Jacobian entries to the Newton pass, and the new forward map, padded
+for its Jacobian check, to the next step's predictor.  The predictor reads
+nothing the inverse update writes, so it runs in the inverse update's
+block pass, and ``fwd`` holds its predicted positions until the Newton
+pass.  The block size changes no byte of the map.
 """
 
 from __future__ import annotations
@@ -123,26 +130,40 @@ def _integrate(path: GeodesicPath, grid: PeriodicGrid, K: int):
     """The K-step loop: the four displacement arrays and the three per-step
     diagnostics, ``(fwd_x, fwd_y, inv_x, inv_y, cfl, poisson_mean, min_jac)``.
 
-    The source gather, the inverse Euler update, the predictor with its
-    Newton updates and the Jacobian check run over row blocks of about
+    The source gather, the inverse Euler update with the forward predictor,
+    the Newton updates and the Jacobian check run over row blocks of about
     ``_POINT_BLOCK`` nodes, so their temporaries are one block's, not the
     grid's; ``min_jac`` is the least of the blocks' minima.  The Poisson
     solve, the CFL number and the inverse map's four Jacobian entries stay
-    whole-grid.  Each field read across the seam is padded once per step
-    into buffers allocated once per call, and every block reads those.  Per
-    node the arithmetic is the unblocked loop's, so the block size changes
-    no byte of the result.
+    whole-grid.  Per node the arithmetic is the unblocked loop's, so the
+    block size changes no byte of the result.
 
-    Across a step only the map, ``source``, the pads and the velocities
-    (until the next solve replaces them) stay alive.  The last forward
-    block's scratch (its stencil, Newton iterate, residuals, Jacobian
-    entries and ``det``) is released after that block, so none of it is
-    alive through the Jacobian check, the next rate, the source gather or
-    the solve.  Each release lets glibc trim the heap and refault it later,
-    so it is made once per step: per block it slowed the loop by about 20%,
-    and releasing the velocities with the scratch raised a 256^2, 100-step
-    build's minor faults from about 56k to 210k.  Nothing of a step is alive
-    while the caller checks and scores the map.
+    Every field read across the seam is padded into one of six buffers
+    allocated once per call, and each buffer belongs to one phase at a time:
+
+    - 0, 1: the forward map, padded by the Jacobian check (zeros before the
+      first step) and read by the next step's predictor;
+    - 2: the rate, for the source gather;
+    - 5: ``source``, a view of the buffer, from the gather through the solve;
+    - 2, 3: the velocities, for the inverse update;
+    - 4, 5 and 0-3: the new inverse map and its four Jacobian entries, for
+      the Newton updates.
+
+    The predictor reads only the old forward map's pads and the velocities,
+    so it runs in the inverse update's block pass, and ``fwd`` holds the
+    predicted *positions* (not displacements) until the Newton pass starts
+    each block from them and writes the block's new displacement back.
+
+    Across a step only the map, the pads and the velocities (until the next
+    solve replaces them) stay alive.  The last forward block's scratch (its
+    stencil, Newton iterate, residuals, Jacobian entries and ``det``) is
+    released after that block, so none of it is alive through the Jacobian
+    check, the next rate, the source gather or the solve.  Each release lets
+    glibc trim the heap and refault it later, so it is made once per step:
+    per block it slowed the loop by about 20%, and releasing the velocities
+    with the scratch raised a 256^2, 100-step build's minor faults from
+    about 56k to 210k.  Nothing of a step is alive while the caller checks
+    and scores the map.
     """
     eps = 1.0 / K
     ws = PoissonWorkspace(grid)
@@ -157,19 +178,17 @@ def _integrate(path: GeodesicPath, grid: PeriodicGrid, K: int):
     fwd_y = np.zeros(shape)
     inv_x = np.zeros(shape)
     inv_y = np.zeros(shape)
-    source = np.empty(shape)
-    # padded copies of the fields a step reads across the seam, refilled
-    # every step: the rate, then the two velocity components, then the old
-    # forward map, the new inverse map and its four Jacobian entries, and
-    # last the new forward map for the Jacobian check
-    pads = [np.empty((grid.n_x + 2) * (n_y + 2)) for _ in range(8)]
+    pads = [np.empty((grid.n_x + 2) * (n_y + 2)) for _ in range(6)]
+    pf_x = _pad(fwd_x, out=pads[0])
+    pf_y = _pad(fwd_y, out=pads[1])
+    source = pads[5][:fwd_x.size].reshape(shape)
 
     cfl = np.zeros(K)
     poisson_mean = np.zeros(K)
     min_jac = np.zeros(K)
 
     for k in range(K):
-        rate = _pad(log_density_rate(path, k / K).values, out=pads[0])
+        rate = _pad(log_density_rate(path, k / K).values, out=pads[2])
         for b in blocks:
             st = _displaced_stencil(grid, fwd_x, fwd_y, b)
             source[b] = st.gather(rate).reshape(-1, n_y)
@@ -182,35 +201,35 @@ def _integrate(path: GeodesicPath, grid: PeriodicGrid, K: int):
             eps * np.abs(v_y).max() / grid.h_y,
         )
 
-        # inverse map: pointwise Euler step of the flow ODE, in place; a
-        # block reads only its own rows and the padded velocities
-        pv_x = _pad(v_x, out=pads[0])
-        pv_y = _pad(v_y, out=pads[1])
+        pv_x = _pad(v_x, out=pads[2])
+        pv_y = _pad(v_y, out=pads[3])
         for b in blocks:
+            # inverse map: pointwise Euler step of the flow ODE, in place; a
+            # block reads only its own rows and the padded velocities
             st = _displaced_stencil(grid, inv_x, inv_y, b)
             inv_x[b] += eps * st.gather(pv_x).reshape(-1, n_y)
             inv_y[b] += eps * st.gather(pv_y).reshape(-1, n_y)
-
-        # the forward update reads the old forward map through its pads
-        # only, so each block writes its new rows in place
-        pf_x = _pad(fwd_x, out=pads[0])
-        pf_y = _pad(fwd_y, out=pads[1])
-        pi_x = _pad(inv_x, out=pads[2])
-        pi_y = _pad(inv_y, out=pads[3])
-        g_xx = _pad(_central_diff(grid, pi_x, 0), out=pads[4])
-        g_xy = _pad(_central_diff(grid, pi_x, 1), out=pads[5])
-        g_yx = _pad(_central_diff(grid, pi_y, 0), out=pads[6])
-        g_yy = _pad(_central_diff(grid, pi_y, 1), out=pads[7])
-        for b in blocks:
-            xb = xs[b]
-            # forward map: Euler-composed predictor ...
-            y_x = (xb - eps * v_x[b]).reshape(-1)
+            # forward map: the Euler-composed predictor, read from the old
+            # map's pads only, so its positions can take the block's rows
+            y_x = (xs[b] - eps * v_x[b]).reshape(-1)
             y_y = (ys - eps * v_y[b]).reshape(-1)
             st = _Stencil(grid, y_x, y_y)
             y_x += st.gather(pf_x)
             y_y += st.gather(pf_y)
+            fwd_x[b] = y_x.reshape(-1, n_y)
+            fwd_y[b] = y_y.reshape(-1, n_y)
 
-            # ... then Newton-projected onto the inverse: solve phi^-1(y) = x
+        pi_x = _pad(inv_x, out=pads[4])
+        pi_y = _pad(inv_y, out=pads[5])
+        g_xx = _pad(_central_diff(grid, pi_x, 0), out=pads[0])
+        g_xy = _pad(_central_diff(grid, pi_x, 1), out=pads[1])
+        g_yx = _pad(_central_diff(grid, pi_y, 0), out=pads[2])
+        g_yy = _pad(_central_diff(grid, pi_y, 1), out=pads[3])
+        for b in blocks:
+            xb = xs[b]
+            y_x = fwd_x[b].reshape(-1)  # the predicted positions ...
+            y_y = fwd_y[b].reshape(-1)
+            # ... Newton-projected onto the inverse: solve phi^-1(y) = x
             for _ in range(_NEWTON_ITERS):
                 st = _Stencil(grid, y_x, y_y)
                 res_x = wrap_angle((y_x + st.gather(pi_x)).reshape(-1, n_y) - xb).reshape(-1)
@@ -230,6 +249,7 @@ def _integrate(path: GeodesicPath, grid: PeriodicGrid, K: int):
         # the Jacobian check and the next step
         del st, y_x, y_y, res_x, res_y, a11, a12, a21, a22, det
 
+        # the new forward map's pads serve the check and the next predictor
         pf_x = _pad(fwd_x, out=pads[0])
         pf_y = _pad(fwd_y, out=pads[1])
         min_jac[k] = min(_jacobian_det_arrays(grid, pf_x, pf_y, b).min() for b in blocks)

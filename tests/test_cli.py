@@ -744,6 +744,50 @@ class TestExport:
         assert run() == 1
 
 
+class TestOutputNamesAnInput:
+    """An output path that names a file the command reads would replace it
+    before or while it is read: exit 1 before anything is written."""
+
+    # (arguments, the output flag, the input flag it names); m.oitm, s.csv,
+    # f.oitf and c.txt exist, and h.oitm is a hard link to m.oitm
+    CASES = [
+        (["sample", "--map", "m.oitm", "--out", "m.oitm"], "out", "map"),
+        (["sample", "--map", "m.oitm", "--out", "./h.oitm"], "out", "map"),
+        (["validate", "--map", "m.oitm", "--density", "sine-perturbation:0.4",
+          "--bins", "8", "--out", "m.oitm"], "out", "map"),
+        (["validate", "--map", "m.oitm", "--density", "sine-perturbation:0.4",
+          "--bins", "8", "--out", "r.txt", "--table", "m.oitm"], "table", "map"),
+        (["validate", "--map", "m.oitm", "--density", "f.oitf", "--bins", "8",
+          "--out", "f.oitf"], "out", "density"),
+        (["export", "--map", "m.oitm", "--out", "m.oitm"], "out", "map"),
+        (["export", "--samples", "s.csv", "--n", "5", "--out", "s.csv"], "out", "samples"),
+        (["export", "--density", "f.oitf", "--out", "f.oitf"], "out", "density"),
+        (["build", "--density", "f.oitf", "--steps", "2", "--out", "f.oitf"], "out", "density"),
+        (["build", "--config", "c.txt", "--out", "c.txt"], "out", "config"),
+    ]
+
+    @pytest.mark.parametrize("args, out, source", CASES,
+                             ids=[f"{a[0]}-{o}-{s}-{a[-1]}" for a, o, s in CASES])
+    def test_is_refused(self, sine_map, tmp_path, monkeypatch, capsys, args, out, source):
+        monkeypatch.chdir(tmp_path)
+        Path("m.oitm").write_bytes(sine_map.read_bytes())
+        os.link("m.oitm", "h.oitm")
+        write_samples_csv("s.csv", sample_target(read_map_oitm("m.oitm")[0], 20, 0))
+        write_field_oitf("f.oitf", ScalarField.constant(PeriodicGrid(16, 16), 1.0))
+        Path("c.txt").write_text("density=sine-perturbation:0.4\ngrid=16\nsteps=2\n")
+        before = {name: Path(name).read_bytes() for name in os.listdir(tmp_path)}
+        assert run(*args) == 1
+        assert capsys.readouterr().err == f"error: --{out} and --{source} name the same file\n"
+        assert {name: Path(name).read_bytes() for name in os.listdir(tmp_path)} == before
+
+    def test_a_builtin_name_is_no_input(self, tmp_path, monkeypatch):
+        """A built-in density reads no file, so an output may take its name."""
+        monkeypatch.chdir(tmp_path)
+        assert run("build", "--density", "uniform", "--grid", "16", "--steps", "2",
+                   "--out", "uniform") == 0
+        assert read_map_oitm("uniform")[0].grid == PeriodicGrid(16, 16)
+
+
 class TestConfigKeyTypes:
     # the key tables parse_config_text used before it read RunConfig's
     # annotations, less the two keys of files a command writes, which are

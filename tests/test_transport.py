@@ -24,8 +24,9 @@ from oitsample import (
     PoissonWorkspace,
 )
 from oitsample.geodesic import log_density_rate
-from oitsample.grid import wrap_angle
-from oitsample.transport import _integrate, pushforward_residual
+from oitsample.grid import _central_diff, _pad, _Stencil, wrap_angle
+from oitsample.poisson import _solve_gradient
+from oitsample.transport import _NEWTON_ITERS, _integrate, pushforward_residual
 from conftest import identity_map
 
 
@@ -205,22 +206,24 @@ class TestBuildMemory:
             tracemalloc.stop()
         return peak / (n * n * 8)
 
-    def test_traced_peak_stays_under_39_grid_arrays(self):
+    def test_traced_peak_stays_under_34_grid_arrays(self):
         """The loop's step arrays are gone before the map is checked and
-        scored, the loop builds no node mesh, and a step's Newton scratch
-        goes before its Jacobian check.  Measured: 35.5 grid arrays (n^2
-        float64 each) at 128^2, one row block; 39.3 with the scratch alive
-        through the check, and about 54.7 holding the step arrays past the
-        loop."""
-        assert self.traced_peak_in_grid_arrays(128) <= 39
+        scored, the loop builds no node mesh, a step's Newton scratch goes
+        before its Jacobian check, and the step runs on six padded buffers
+        with ``source`` in one of them.  Measured: 32.6 grid arrays (n^2
+        float64 each) at 128^2, one row block; 35.7 with eight pads and a
+        separate ``source``, 39.3 with the scratch alive through the check
+        too, and about 54.7 holding the step arrays past the loop."""
+        assert self.traced_peak_in_grid_arrays(128) <= 34
 
-    def test_traced_peak_at_two_blocks_stays_under_29_grid_arrays(self):
+    def test_traced_peak_at_two_blocks_stays_under_25_grid_arrays(self):
         """At 256^2 the loop's pointwise phases run in two row blocks, so a
-        step holds a few grid fields plus one block's temporaries, and the
-        Jacobian check runs over the same blocks.  Measured: 26.3 grid
-        arrays; 31.1 with the last block's scratch alive through a
-        whole-grid check, and 41.1 unblocked."""
-        assert self.traced_peak_in_grid_arrays(256) <= 29
+        step holds the map, six pads and the velocities plus one block's
+        temporaries, and the Jacobian check runs over the same blocks.
+        Measured: 23.3 grid arrays, set in the Newton pass; 26.3 with eight
+        pads and a separate ``source``, 31.1 with the last block's scratch
+        alive through a whole-grid check as well, and 41.1 unblocked."""
+        assert self.traced_peak_in_grid_arrays(256) <= 25
 
 
 class TestBlockLayout:
@@ -252,4 +255,73 @@ class TestBlockLayout:
             assert shape[0] % rows or size == 1  # a ragged last block, or one row each
             blocked = self.integrate(name, shape, steps)
             for a, b in zip(whole, blocked):
+                assert np.array_equal(a, b), (name, size)
+
+
+def reference_integrate(path, g, K):
+    """The K-step loop on whole grids, in fresh arrays, in the order of its
+    phases: the source and the solve, the inverse Euler update, then every
+    pad (old forward map, new inverse map, its four centred differences),
+    then the predictor and its Newton updates, and last the Jacobian check."""
+    eps = 1.0 / K
+    ws = PoissonWorkspace(g)
+    X, Y = g.node_mesh()
+    fwd_x, fwd_y, inv_x, inv_y = (np.zeros(g.shape) for _ in range(4))
+    cfl, poisson_mean, min_jac = np.zeros(K), np.zeros(K), np.zeros(K)
+    for k in range(K):
+        st = _Stencil(g, (X + fwd_x).reshape(-1), (Y + fwd_y).reshape(-1))
+        source = st.gather(_pad(log_density_rate(path, k / K).values)).reshape(g.shape)
+        poisson_mean[k] = source.mean()
+        v_x, v_y = _solve_gradient(ws, source)
+        cfl[k] = max(eps * np.abs(v_x).max() / g.h_x, eps * np.abs(v_y).max() / g.h_y)
+
+        st = _Stencil(g, (X + inv_x).reshape(-1), (Y + inv_y).reshape(-1))
+        inv_x = inv_x + eps * st.gather(_pad(v_x)).reshape(g.shape)
+        inv_y = inv_y + eps * st.gather(_pad(v_y)).reshape(g.shape)
+
+        pf_x, pf_y, pi_x, pi_y = (_pad(a) for a in (fwd_x, fwd_y, inv_x, inv_y))
+        g_xx, g_xy, g_yx, g_yy = (_pad(_central_diff(g, p, axis))
+                                  for p in (pi_x, pi_y) for axis in (0, 1))
+
+        y_x = (X - eps * v_x).reshape(-1)
+        y_y = (Y - eps * v_y).reshape(-1)
+        st = _Stencil(g, y_x, y_y)
+        y_x = y_x + st.gather(pf_x)
+        y_y = y_y + st.gather(pf_y)
+        for _ in range(_NEWTON_ITERS):
+            st = _Stencil(g, y_x, y_y)
+            res_x = wrap_angle((y_x + st.gather(pi_x)).reshape(g.shape) - X).reshape(-1)
+            res_y = wrap_angle((y_y + st.gather(pi_y)).reshape(g.shape) - Y).reshape(-1)
+            a11 = 1.0 + st.gather(g_xx)
+            a12 = st.gather(g_xy)
+            a21 = st.gather(g_yx)
+            a22 = 1.0 + st.gather(g_yy)
+            det = a11 * a22 - a12 * a21
+            y_x = y_x - (a22 * res_x - a12 * res_y) / det
+            y_y = y_y - (-a21 * res_x + a11 * res_y) / det
+        fwd_x = y_x.reshape(g.shape) - X
+        fwd_y = y_y.reshape(g.shape) - Y
+
+        pf_x, pf_y = _pad(fwd_x), _pad(fwd_y)
+        det = ((1.0 + _central_diff(g, pf_x, 0)) * (1.0 + _central_diff(g, pf_y, 1))
+               - _central_diff(g, pf_x, 1) * _central_diff(g, pf_y, 0))
+        min_jac[k] = det.min()
+    return fwd_x, fwd_y, inv_x, inv_y, cfl, poisson_mean, min_jac
+
+
+class TestReferenceLoop:
+    """The build loop, whatever its blocks and buffers, gives the bytes of
+    the whole-grid loop in its own phase order."""
+
+    @pytest.mark.parametrize("name, shape, steps, sizes", TestBlockLayout.CASES)
+    def test_loop_equals_the_whole_grid_reference(self, monkeypatch, name, shape, steps, sizes):
+        import oitsample.transport as transport
+
+        g = PeriodicGrid(*shape)
+        path = geodesic_path(uniform_density(g), make_density(name, g))
+        ref = reference_integrate(path, g, steps)
+        for size in sorted({1, *sizes}):  # one row per block, and ragged blocks
+            monkeypatch.setattr(transport, "_POINT_BLOCK", size)
+            got = _integrate(path, g, steps)
+            for a, b in zip(got, ref, strict=True):
                 assert np.array_equal(a, b), (name, size)
