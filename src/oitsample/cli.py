@@ -269,20 +269,21 @@ _COMMANDS = {
                ("map", "density", "ratio", "grid", "samples", "n", "out")),
 }
 
+# key -> flag help; build_parser appends the RunConfig default where there is one
 _HELP = {
     "density": "built-in density name (optionally name:param) or OITF file",
     "ratio": "shift density to this max/min ratio",
-    "grid": "grid nodes per axis of a built-in density (default 256)",
-    "steps": "time steps K (default 100)",
-    "seed": "RNG seed (default 0)",
-    "n": "sample count (default 100000)",
-    "bins": "validation bins per axis (default 32)",
+    "grid": "grid nodes per axis of a built-in density",
+    "steps": "time steps K",
+    "seed": "RNG seed",
+    "n": "sample count",
+    "bins": "validation bins per axis",
     "out": "output path",
     "map": "OITM map file",
     "samples": "sample CSV to read",
     "table": "per-bin table CSV to write",
-    "format": "sample output format, csv or oitf (default csv)",
-    "workers": "worker threads for sampling (default 1)",
+    "format": "sample output format, csv or oitf",
+    "workers": "worker threads for sampling",
 }
 
 
@@ -291,11 +292,14 @@ def build_parser() -> _Parser:
                      description="Draw seeded random samples from a density on the "
                                  "flat torus through a measure-transport warp.")
     subs = parser.add_subparsers(dest="command", required=True)
+    defaults = RunConfig()
     for name, (_, doc, keys) in _COMMANDS.items():
         sub = subs.add_parser(name, help=doc)
         sub.add_argument("--config", help="key=value file, any key but out, table; flags win")
         for key in keys:
-            sub.add_argument(f"--{key}", type=_KEY_TYPES[key], help=_HELP[key])
+            default = getattr(defaults, key)
+            tail = "" if default is None else f" (default {default})"
+            sub.add_argument(f"--{key}", type=_KEY_TYPES[key], help=_HELP[key] + tail)
     return parser
 
 

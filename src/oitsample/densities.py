@@ -64,13 +64,14 @@ def names_builtin(spec: str) -> bool:
 
 
 def parse_density_spec(spec: str) -> tuple[str, float | None]:
-    """Split ``name`` or ``name:param`` into (name, optional float param)."""
-    name, _, raw_param = spec.partition(":")
+    """Split ``name`` or ``name:param`` into (name, optional float param);
+    a ``:`` with nothing after it is an empty parameter, not no parameter."""
+    name, colon, raw_param = spec.partition(":")
     name = name.strip()
     if name not in REGISTRY:
         known = ", ".join(sorted(REGISTRY))
         raise InvalidInputError(f"unknown density {name!r} (built-ins: {known})")
-    if not raw_param:
+    if not colon:
         return name, None
     if not REGISTRY[name][2]:
         raise InvalidInputError(f"density {name!r} takes no parameter, got {raw_param!r}")

@@ -49,7 +49,7 @@ class Density:
                 f"density min {self.field.values.min():.3e} below floor {POSITIVITY_FLOOR:.0e}"
             )
         if abs(self.mass - 1.0) > MASS_TOL:
-            raise InvalidInputError(f"density mass {self.mass!r} is not 1")
+            raise InvalidInputError(f"density mass {float(self.mass)!r} is not 1")
 
     @property
     def grid(self) -> PeriodicGrid:
@@ -67,7 +67,7 @@ def normalize(raw: ScalarField) -> Density:
     if not v.any():
         raise DegenerateInputError("cannot normalize the zero field")
     if v.min() <= 0.0:
-        raise PositivityError(f"field has non-positive value {v.min()!r}")
+        raise PositivityError(f"field has non-positive value {float(v.min())!r}")
     total = quadrature(raw)
     scaled = ScalarField(raw.grid, v / total)
     return Density(scaled, quadrature(scaled))

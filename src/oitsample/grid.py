@@ -395,11 +395,16 @@ class DiffeoMap:
     The map is ``x -> wrap(x + disp(x))``.  ``inv_disp``, when present, is
     the displacement of the inverse map; construction checks the round-trip
     ``phi^-1(phi(x)) ~= x`` to within 10 grid spacings.
+
+    Construction pads the forward displacement once, into the read-only
+    ``_padded``; the map's checks, ``apply``, ``jacobian_det``, the
+    pushforward residual and the sampler all gather through those pads.
     """
 
     grid: PeriodicGrid
     disp: VectorField
     inv_disp: VectorField | None = None
+    _padded: tuple[np.ndarray, np.ndarray] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.disp.grid != self.grid:
@@ -408,7 +413,11 @@ class DiffeoMap:
         dy = self.disp.u_y.values
         if max(np.abs(dx).max(), np.abs(dy).max()) > TWO_PI:
             raise InvalidInputError("displacement exceeds one period")
-        det = _jacobian_det_arrays(self.grid, _pad(dx), _pad(dy))
+        padded = (_pad(dx), _pad(dy))
+        for p in padded:
+            p.setflags(write=False)
+        object.__setattr__(self, "_padded", padded)
+        det = _jacobian_det_arrays(self.grid, *padded)
         if det.min() <= 0.0:
             raise InvalidInputError(
                 f"map is not orientation preserving (min det {det.min():.3e})"
@@ -434,17 +443,14 @@ class DiffeoMap:
         """Evaluate the map at points; result wrapped into [-pi, pi)."""
         pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
         st = _point_stencil(self.grid, pts)
-        moved = np.stack([st.gather(_pad(self.disp.u_x.values)),
-                          st.gather(_pad(self.disp.u_y.values))], axis=1)
+        moved = np.stack([st.gather(p) for p in self._padded], axis=1)
         moved += pts
         return wrap_angle(moved)
 
 
 def jacobian_det(mapping: DiffeoMap) -> ScalarField:
     """Jacobian determinant of the map, second-order accurate."""
-    det = _jacobian_det_arrays(mapping.grid, _pad(mapping.disp.u_x.values),
-                               _pad(mapping.disp.u_y.values))
-    return ScalarField(mapping.grid, det)
+    return ScalarField(mapping.grid, _jacobian_det_arrays(mapping.grid, *mapping._padded))
 
 
 def _compose_disp_arrays(grid: PeriodicGrid,

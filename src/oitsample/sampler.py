@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInputError
-from .grid import _POINT_BLOCK, TWO_PI, DiffeoMap, _pad, _Stencil, _wrap_shift
+from .grid import _POINT_BLOCK, TWO_PI, DiffeoMap, _Stencil, _wrap_shift
 
 # Philox key word separating this stream from the rejection oracle's
 _STREAM_UNIFORM = 0x756E6966  # "unif"
@@ -80,16 +80,13 @@ def draw_uniform(n: int, seed: int, start: int = 0) -> SampleBatch:
     return SampleBatch(pts.reshape(n, 2))
 
 
-def _transform_chunk(padded: tuple, pts: np.ndarray, out: np.ndarray) -> None:
-    """``out = wrap(pts + d(pts))`` for one chunk of points.
-
-    ``padded`` is ``(grid, pad_x, pad_y)``: the map's grid and the ``_pad``
-    extensions of its two displacement components.
-    """
-    grid, pad_x, pad_y = padded
+def _transform_chunk(mapping: DiffeoMap, pts: np.ndarray, out: np.ndarray) -> None:
+    """``out = wrap(pts + d(pts))`` for one chunk of points, gathering the
+    displacement ``d`` through the map's own pads (``DiffeoMap._padded``)."""
+    pad_x, pad_y = mapping._padded
     px = np.ascontiguousarray(pts[:, 0])
     py = np.ascontiguousarray(pts[:, 1])
-    st = _Stencil(grid, px, py)
+    st = _Stencil(mapping.grid, px, py)
     out[:, 0] = _wrap_shift(px + st.gather(pad_x))
     out[:, 1] = _wrap_shift(py + st.gather(pad_y))
 
@@ -102,8 +99,9 @@ def _map_chunks(mapping: DiffeoMap, n: int, seed: int, workers: int,
     ``emit(s, points)`` then receives its (e - s, 2) points on the calling
     thread, in ascending order of s.  Each chunk is one thread task, one
     ``draw_uniform`` call and one ``_transform_chunk`` call; both are looked
-    up as module globals.  The displacements are padded once per call, and
-    every chunk gathers from those pads.  The pool holds ``workers``
+    up as module globals.  Every chunk gathers through the pads the map
+    made of its displacement at construction (``DiffeoMap._padded``), so
+    nothing is padded here.  The pool holds ``workers``
     threads, capped at the core count, and computes at most
     ``2 * workers`` chunks ahead of ``emit``, so memory does not grow with
     n.  The points depend on neither.
@@ -113,12 +111,10 @@ def _map_chunks(mapping: DiffeoMap, n: int, seed: int, workers: int,
     if workers < 1:
         raise InvalidInputError(f"worker count must be >= 1, got {workers}")
 
-    padded = (mapping.grid, _pad(mapping.disp.u_x.values), _pad(mapping.disp.u_y.values))
-
     def run(s: int) -> np.ndarray:
         e = min(s + _POINT_BLOCK, n)
         out = np.empty((e - s, 2))
-        _transform_chunk(padded, draw_uniform(e - s, seed, start=s).points, out)
+        _transform_chunk(mapping, draw_uniform(e - s, seed, start=s).points, out)
         return out
 
     starts = range(0, n, _POINT_BLOCK)

@@ -22,17 +22,10 @@ Apart from the Poisson solve and the inverse map's four Jacobian entries,
 a step's work at a node reads only that node's values and the padded fields
 it gathers from; the forward map's Jacobian check reads the new map,
 padded.  So the loop runs it over row blocks of about ``_POINT_BLOCK``
-nodes: a step holds a few grid fields plus one block's temporaries.  Each
-field the step reads across the seam is padded once per step
-(``grid._pad``) into one of six buffers allocated once per build, and every
-block reads those pads.  A buffer belongs to one phase at a time: the rate
-and ``source`` (a view of the sixth buffer) to the source gather and the
-solve, the velocities to the inverse update, the new inverse map and its
-four Jacobian entries to the Newton pass, and the new forward map, padded
-for its Jacobian check, to the next step's predictor.  The predictor reads
-nothing the inverse update writes, so it runs in the inverse update's
-block pass, and ``fwd`` holds its predicted positions until the Newton
-pass.  The block size changes no byte of the map.
+nodes: a step holds a few grid fields plus one block's temporaries, and
+each field it reads across the seam is padded once per step into one of
+six buffers (see ``_integrate`` for which phase owns which).  The block
+size changes no byte of the map.
 """
 
 from __future__ import annotations
@@ -117,11 +110,9 @@ def pushforward_residual(mapping: DiffeoMap, target: Density) -> float:
     if mapping.grid != target.grid:
         raise GridMismatchError("map and target grids differ")
     grid = mapping.grid
-    dx = mapping.disp.u_x.values
-    dy = mapping.disp.u_y.values
-    st = _displaced_stencil(grid, dx, dy)
+    st = _displaced_stencil(grid, mapping.disp.u_x.values, mapping.disp.u_y.values)
     mu_at = st.gather(_pad(target.field.values)).reshape(grid.shape)
-    det = _jacobian_det_arrays(grid, _pad(dx), _pad(dy))
+    det = _jacobian_det_arrays(grid, *mapping._padded)
     u0 = 1.0 / (grid.n_x * grid.n_y * grid.cell_volume)  # the uniform density
     return float(np.mean(np.abs(det * mu_at - u0)) / u0)
 

@@ -167,6 +167,21 @@ class TestBuild:
     def test_missing_out_is_usage_error(self):
         assert run("build", "--density", "uniform") == 1
 
+    def test_empty_density_parameter_is_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "x.oitm"
+        assert run("build", "--density", "two-bump:", "--grid", "16", "--steps", "2",
+                   "--out", str(out)) == 1
+        assert capsys.readouterr().err == (
+            "error: density 'two-bump' takes no parameter, got ''\n")
+        assert not out.exists()
+
+    def test_overflowing_ratio_names_a_plain_float(self, tmp_path, capsys):
+        """The range shift underflows the floor to 0; the error prints it as
+        ``0.0`` under every numpy."""
+        assert run("build", "--density", "two-bump", "--ratio", "1e300", "--grid", "16",
+                   "--steps", "2", "--out", str(tmp_path / "x.oitm")) == 1
+        assert capsys.readouterr().err == "error: field has non-positive value 0.0\n"
+
     def test_orientation_loss_is_exit_two(self, tmp_path):
         code = run("build", "--density", "two-bump", "--grid", "64", "--steps", "1",
                    "--out", str(tmp_path / "x.oitm"))
@@ -371,13 +386,13 @@ class TestSampleStreaming:
         lock = threading.Lock()
         calls = []
 
-        def failing_transform(padded, pts, out):
+        def failing_transform(mapping, pts, out):
             with lock:
                 calls.append(len(pts))
                 k = len(calls) - 1
             if k == 3:
                 raise RuntimeError("chunk 3 failed")
-            transform(padded, pts, out)
+            transform(mapping, pts, out)
 
         monkeypatch.setattr(sampler, "_transform_chunk", failing_transform)
         out = tmp_path / "pts.out"
@@ -903,6 +918,19 @@ class TestCommandFlags:
         func, _, keys = _COMMANDS[name]
         assert len(set(keys)) == len(keys)
         assert cfg_reads(func) == set(keys)
+
+    @pytest.mark.parametrize("name", sorted(_COMMANDS))
+    def test_flag_help_names_its_default(self, name):
+        """Each flag's help ends with its RunConfig default, taken from the
+        one place it is defined; a flag without a default names none."""
+        subs = next(a for a in build_parser()._actions if a.dest == "command")
+        helps = {action.dest: action.help for action in subs.choices[name]._actions}
+        for key in _COMMANDS[name][2]:
+            default = getattr(RunConfig(), key)
+            if default is None:
+                assert "default" not in helps[key], key
+            else:
+                assert helps[key].endswith(f" (default {default})"), key
 
     def test_flag_slot_count(self):
         subs = next(a for a in build_parser()._actions if a.dest == "command")

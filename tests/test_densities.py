@@ -27,6 +27,18 @@ class TestParse:
         with pytest.raises(InvalidInputError, match="takes no parameter"):
             parse_density_spec(spec)
 
+    @pytest.mark.parametrize("spec,message", [
+        ("uniform:", "density 'uniform' takes no parameter, got ''"),
+        ("two-bump:", "density 'two-bump' takes no parameter, got ''"),
+        ("sine-perturbation:", "bad density parameter ''"),
+    ])
+    def test_colon_with_nothing_after_it(self, spec, message):
+        """A ``:`` always brings a parameter, so an empty one is refused, not
+        read as no parameter."""
+        with pytest.raises(InvalidInputError) as exc:
+            parse_density_spec(spec)
+        assert str(exc.value) == message
+
 
 class TestRegistry:
     def test_uniform(self):

@@ -42,6 +42,16 @@ class TestNormalize:
         with pytest.raises(PositivityError):
             normalize(ScalarField(g, values))
 
+    def test_non_positive_value_prints_as_a_plain_float(self):
+        """The message reads the same under every numpy: ``0.0``, not
+        numpy 2's ``np.float64(0.0)``."""
+        g = PeriodicGrid(8, 8)
+        values = np.ones(g.shape)
+        values[3, 4] = 0.0
+        with pytest.raises(PositivityError) as exc:
+            normalize(ScalarField(g, values))
+        assert str(exc.value) == "field has non-positive value 0.0"
+
     def test_zero_field_rejected(self):
         g = PeriodicGrid(8, 8)
         with pytest.raises(DegenerateInputError):
@@ -210,6 +220,13 @@ class TestDensityInvariants:
         g = PeriodicGrid(8, 8)
         with pytest.raises(InvalidInputError):
             Density(ScalarField.constant(g, 1.0), quadrature(ScalarField.constant(g, 1.0)))
+
+    def test_wrong_mass_prints_as_a_plain_float(self):
+        g = PeriodicGrid(8, 8)
+        field = ScalarField.constant(g, 1.0 / (4 * np.pi**2))
+        with pytest.raises(InvalidInputError) as exc:
+            Density(field, np.float64(2.0))
+        assert str(exc.value) == "density mass 2.0 is not 1"
 
     def test_rejects_below_floor(self):
         g = PeriodicGrid(8, 8)

@@ -597,6 +597,17 @@ class TestDiffeoMapInvariants:
         with pytest.raises(InvalidInputError):
             DiffeoMap(g, phi.disp, bogus)
 
+    def test_kept_pads_are_the_read_only_extensions(self):
+        """The map keeps the ``_pad`` extensions of its forward displacement,
+        and writing to them raises."""
+        m = smooth_test_map(PeriodicGrid(32, 24), amp=0.2)
+        for pad, comp in zip(m._padded, (m.disp.u_x, m.disp.u_y)):
+            assert np.array_equal(pad, _pad(comp.values))
+            with pytest.raises(ValueError, match="read-only"):
+                pad[0] = 0.0
+            with pytest.raises(ValueError, match="read-only"):
+                pad += 1.0
+
     def test_apply_wraps_into_range(self):
         g = PeriodicGrid(32, 32)
         m = DiffeoMap(g, VectorField(ScalarField.constant(g, np.pi),

@@ -24,8 +24,7 @@ from oitsample.sampler import _transform_chunk, draw_uniform
 def transform(mapping, batch):
     """The sampler's map evaluation of one chunk, applied to a whole batch."""
     out = np.empty(batch.points.shape)
-    padded = (mapping.grid, _pad(mapping.disp.u_x.values), _pad(mapping.disp.u_y.values))
-    _transform_chunk(padded, batch.points, out)
+    _transform_chunk(mapping, batch.points, out)
     return SampleBatch(out)
 
 
@@ -235,10 +234,10 @@ class TestOneDriver:
                 log["draw"].append((start, n))
             return draw(n, seed, start=start)
 
-        def counting_transform(padded, pts, out):
+        def counting_transform(mapping, pts, out):
             with lock:
                 log["transform"].append(len(pts))
-            transform(padded, pts, out)
+            transform(mapping, pts, out)
 
         monkeypatch.setattr(sampler, "draw_uniform", counting_draw)
         monkeypatch.setattr(sampler, "_transform_chunk", counting_transform)
@@ -277,8 +276,8 @@ class TestStreamingDriver:
         ahead = {"now": 0, "most": 0}
         transform = sampler._transform_chunk
 
-        def counting_transform(padded, pts, out):
-            transform(padded, pts, out)
+        def counting_transform(mapping, pts, out):
+            transform(mapping, pts, out)
             with lock:
                 ahead["now"] += 1
                 ahead["most"] = max(ahead["most"], ahead["now"])
@@ -433,3 +432,33 @@ def test_apply_of_the_draws_is_the_sample(request, name, n):
     mapping = request.getfixturevalue(name)
     expected = sample_target(mapping, n, seed=9, workers=2).points
     assert np.array_equal(mapping.apply(draw_uniform(n, seed=9).points), expected)
+
+
+def test_reading_and_sampling_pad_the_map_once(tmp_path, monkeypatch):
+    """``read_map_oitm`` and then ``sample_target`` pad each component of the
+    forward displacement exactly once: the map pads it at construction, and
+    the sampler gathers through those pads.  The target moves both
+    coordinates, so no component equals another."""
+    import sys
+
+    from oitsample import grid
+    from oitsample.fileio import read_map_oitm, write_map_oitm
+
+    g = PeriodicGrid(48, 32)
+    result = build_transport_map(make_density("two-bump", g, ratio=4.0),
+                                 TransportConfig(steps=10, grid=g))
+    path = tmp_path / "m.oitm"
+    write_map_oitm(path, result, "two-bump@ratio=4.0")
+    pad, padded = grid._pad, []
+
+    def recording_pad(values, out=None):
+        padded.append(np.array(values))
+        return pad(values, out)
+
+    for name, module in list(sys.modules.items()):  # every module that imported the one _pad
+        if name.startswith("oitsample") and getattr(module, "_pad", None) is pad:
+            monkeypatch.setattr(module, "_pad", recording_pad)
+    mapping, _meta = read_map_oitm(path)
+    sample_target(mapping, 2 * _POINT_BLOCK + 3, seed=4, workers=2)
+    for comp in (mapping.disp.u_x.values, mapping.disp.u_y.values):
+        assert sum(np.array_equal(values, comp) for values in padded) == 1

@@ -16,7 +16,9 @@ complex-input FFT (``fft2``, ``ifft2``, ``fftn``, ``ifftn``, ``fft``,
 ``ifft``) anywhere: one transform convention, the real half spectrum.  And
 ``np.fft.`` appears in no file but ``poisson.py``: one Fourier module.
 ``src/`` calls ``np.roll`` nowhere: every read across the periodic seam
-reads ``grid._pad``, one periodic extension.
+reads ``grid._pad``, one periodic extension.  And only ``DiffeoMap``'s
+construction pads a map's forward displacement: one padded map, whose pads
+every reader gathers through.
 
 The package exports only what it is used through: every function in
 ``oitsample.__all__`` is named in ``cli.py``, in the acceptance suite or in
@@ -86,6 +88,44 @@ def test_one_fourier_module():
 
 def test_one_periodic_extension():
     assert [where for _, _, where in matching_lines(r"np\.roll\(")] == []
+
+
+def pads_of_a_map_displacement():
+    """(file name, function) of each function in ``src/`` with a ``_pad(``
+    call whose argument reads a ``.disp`` attribute, directly or through a
+    local name assigned from one; methods are named ``Class.method``."""
+    found = []
+    for path in sorted(SRC.rglob("*.py")):
+        tree = ast.parse(path.read_text())
+        funcs = [(f.name, f) for f in tree.body if isinstance(f, ast.FunctionDef)]
+        funcs += [(f"{c.name}.{f.name}", f) for c in tree.body if isinstance(c, ast.ClassDef)
+                  for f in c.body if isinstance(f, ast.FunctionDef)]
+        for name, func in funcs:
+            nodes = list(ast.walk(func))
+            tainted: set[str] = set()
+
+            def reads_disp(expr):
+                return any(isinstance(n, ast.Attribute) and n.attr == "disp"
+                           or isinstance(n, ast.Name) and n.id in tainted
+                           for n in ast.walk(expr))
+
+            while True:  # names assigned from .disp, or from such a name
+                more = {n.id for node in nodes
+                        if isinstance(node, ast.Assign) and reads_disp(node.value)
+                        for target in node.targets for n in ast.walk(target)
+                        if isinstance(n, ast.Name)}
+                if more <= tainted:
+                    break
+                tainted |= more
+            if any(isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                   and node.func.id == "_pad" and any(map(reads_disp, node.args))
+                   for node in nodes):
+                found.append((path.name, name))
+    return found
+
+
+def test_one_padded_map():
+    assert pads_of_a_map_displacement() == [("grid.py", "DiffeoMap.__post_init__")]
 
 
 def caller_text():
