@@ -68,12 +68,14 @@ def _read_head(path: str | Path, buf: bytes, layout: np.dtype,
 
 def _read_columns(path: str | Path, buf: bytes, offset: int,
                   counts: dict[str, int]) -> dict[str, np.ndarray]:
-    """The rest of the file: for each name in order, a fresh float64 column
-    of its count of values."""
+    """The rest of the file: for each name in order, a float64 column of its
+    count of values.  A column is a read-only view of ``buf`` wherever the
+    host's byte order is the file's, so a caller copies what it keeps and
+    the bytes can go once it has."""
     columns = {}
     for name, count in counts.items():
         col, offset = _take(path, buf, offset, _F64, count, name)
-        columns[name] = col.astype(np.float64)
+        columns[name] = col.astype(np.float64, copy=False)
     if offset != len(buf):
         raise FileFormatError(f"{path}: {len(buf) - offset} trailing bytes")
     return columns
@@ -152,7 +154,8 @@ def _oitf_header(n_x: int, n_y: int, comps: int) -> bytes:
 
 
 def _read_oitf(path: str | Path) -> tuple[int, int, list[np.ndarray]]:
-    """n_x, n_y and the flat float64 columns of an OITF file."""
+    """n_x, n_y and the flat float64 columns of an OITF file, as
+    ``_read_columns`` gives them."""
     buf = Path(path).read_bytes()
     head, offset = _read_head(path, buf, _OITF_HEAD, OITF_MAGIC)
     n_x, n_y, comps = head["n_x"], head["n_y"], head["comps"]
@@ -238,14 +241,13 @@ def read_map_oitm(path: str | Path) -> tuple[DiffeoMap, MapMetadata]:
     n_x, n_y, steps = head["n_x"], head["n_y"], head["steps"]
     columns = _read_columns(path, buf, offset, {**dict.fromkeys(_OITM_DIAGS, steps),
                                                 **dict.fromkeys(_OITM_DISP, n_x * n_y)})
-    fwd_x, fwd_y, inv_x, inv_y = (columns[name].reshape(n_x, n_y) for name in _OITM_DISP)
+    diags = {name: columns[name].copy() for name in _OITM_DIAGS}
     try:
         grid = PeriodicGrid(n_x, n_y)
-        mapping = DiffeoMap(
-            grid,
-            VectorField.from_arrays(grid, fwd_x, fwd_y),
-            VectorField.from_arrays(grid, inv_x, inv_y),
-        )
+        fwd_x, fwd_y, inv_x, inv_y = (ScalarField(grid, columns[name].reshape(n_x, n_y))
+                                      for name in _OITM_DISP)
+        del buf, ident, columns  # all copied out: the file's bytes go before the map check
+        mapping = DiffeoMap(grid, VectorField(fwd_x, fwd_y), VectorField(inv_x, inv_y))
     except InvalidInputError as exc:  # a bad grid size, value or map
         raise FileFormatError(f"{path}: {exc}") from exc
     meta = MapMetadata(
@@ -254,7 +256,7 @@ def read_map_oitm(path: str | Path) -> tuple[DiffeoMap, MapMetadata]:
         residual=head["residual"],
         density_id=density_id,
         residual_above_tol=bool(head["flags"] & 1),
-        **{name: columns[name] for name in _OITM_DIAGS},
+        **diags,
     )
     return mapping, meta
 

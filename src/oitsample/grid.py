@@ -13,7 +13,9 @@ differences; the Fourier calculus lives in ``poisson.py``.
 
 There is one periodic extension, ``_pad`` (a one-node halo on every side):
 every gather, centred difference and bin-mass corner reads across the seam
-through it, so no code special-cases the first or last row or column.
+through it, so no code special-cases the first or last row or column.  Its
+halo half, ``_refresh_halo``, serves a field that lives in its pad and is
+updated through the interior view, as the build loop's inverse map is.
 """
 
 from __future__ import annotations
@@ -182,18 +184,32 @@ def _pad(values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
 
     Row-major ``(n_x+2) x (n_y+2)``, a one-node halo on every side, so
     ``values[i, j]`` sits at ``(i+1, j+1)``.  ``out``, when given, is a
-    buffer of that many float64 values, filled and returned.
+    buffer of that many float64 values, filled and returned.  It is the
+    interior copy followed by :func:`_refresh_halo`.
     """
     n_x, n_y = values.shape
     if out is None:
         out = np.empty((n_x + 2) * (n_y + 2))
-    f = out.reshape(n_x + 2, n_y + 2)
-    f[1:-1, 1:-1] = values
-    f[1:-1, 0] = values[:, -1]
-    f[1:-1, -1] = values[:, 0]
+    out.reshape(n_x + 2, n_y + 2)[1:-1, 1:-1] = values
+    return _refresh_halo(out, values.shape)
+
+
+def _refresh_halo(padded: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
+    """Rewrite the halo of ``padded``, the flat ``_pad`` buffer of a field
+    of ``shape``, from its interior, and return it.
+
+    The side columns take the opposite interior columns, then the first
+    and last rows take the opposite interior rows, corners included.  The
+    interior is not written, so a field that lives in its pad is written
+    through the interior view and refreshed here once it is complete.
+    """
+    n_x, n_y = shape
+    f = padded.reshape(n_x + 2, n_y + 2)
+    f[1:-1, 0] = f[1:-1, -2]
+    f[1:-1, -1] = f[1:-1, 1]
     f[0] = f[-2]
     f[-1] = f[1]
-    return out
+    return padded
 
 
 class _Stencil:

@@ -24,8 +24,10 @@ it gathers from; the forward map's Jacobian check reads the new map,
 padded.  So the loop runs it over row blocks of about ``_POINT_BLOCK``
 nodes: a step holds a few grid fields plus one block's temporaries, and
 each field it reads across the seam is padded once per step into one of
-six buffers (see ``_integrate`` for which phase owns which).  The block
-size changes no byte of the map.
+six buffers (see ``_integrate`` for which phase owns which).  The inverse
+map lives in two of those buffers for the whole build and is updated
+through their interiors, so only its halo is refreshed each step.  The
+block size changes no byte of the map.
 """
 
 from __future__ import annotations
@@ -57,6 +59,7 @@ from .grid import (
     _displaced_stencil,
     _jacobian_det_arrays,
     _pad,
+    _refresh_halo,
     _Stencil,
     wrap_angle,
 )
@@ -130,31 +133,37 @@ def _integrate(path: GeodesicPath, grid: PeriodicGrid, K: int):
     block size changes no byte of the result.
 
     Every field read across the seam is padded into one of six buffers
-    allocated once per call, and each buffer belongs to one phase at a time:
+    allocated once per call.  Buffers 4 and 5 hold the inverse map for the
+    whole build: ``inv_x`` and ``inv_y`` are their interior views, the
+    Euler update writes into them in place, and after the update pass the
+    halos alone are refreshed for the Newton gathers.  Each other buffer
+    belongs to one phase at a time:
 
     - 0, 1: the forward map, padded by the Jacobian check (zeros before the
       first step) and read by the next step's predictor;
     - 2: the rate, for the source gather;
-    - 5: ``source``, a view of the buffer, from the gather through the solve;
+    - 3: ``source``, a view of the buffer, from the gather through the solve;
     - 2, 3: the velocities, for the inverse update;
-    - 4, 5 and 0-3: the new inverse map and its four Jacobian entries, for
-      the Newton updates.
+    - 0-3: the new inverse map's four Jacobian entries, for the Newton
+      updates.
 
     The predictor reads only the old forward map's pads and the velocities,
     so it runs in the inverse update's block pass, and ``fwd`` holds the
     predicted *positions* (not displacements) until the Newton pass starts
     each block from them and writes the block's new displacement back.
 
-    Across a step only the map, the pads and the velocities (until the next
-    solve replaces them) stay alive.  The last forward block's scratch (its
-    stencil, Newton iterate, residuals, Jacobian entries and ``det``) is
-    released after that block, so none of it is alive through the Jacobian
-    check, the next rate, the source gather or the solve.  Each release lets
-    glibc trim the heap and refault it later, so it is made once per step:
-    per block it slowed the loop by about 20%, and releasing the velocities
-    with the scratch raised a 256^2, 100-step build's minor faults from
-    about 56k to 210k.  Nothing of a step is alive while the caller checks
-    and scores the map.
+    Across a step only the forward map, the pads and the velocities (until
+    the next solve replaces them) stay alive.  The last forward block's
+    scratch (its stencil, Newton iterate, residuals, Jacobian entries and
+    ``det``) is released after that block, so none of it is alive through
+    the Jacobian check, the next rate, the source gather or the solve.  Each
+    release lets glibc trim the heap and refault it later, so it is made
+    once per step: per block it slowed the loop by about 20%, and releasing
+    the velocities with the scratch raised a 256^2, 100-step build's minor
+    faults from about 56k to 210k.  Nothing of a step is alive while the
+    caller checks and scores the map; the returned ``inv_x`` and ``inv_y``
+    are the interior views of buffers 4 and 5, so the caller's copy into
+    the map is the inverse map's only copy.
     """
     eps = 1.0 / K
     ws = PoissonWorkspace(grid)
@@ -167,12 +176,10 @@ def _integrate(path: GeodesicPath, grid: PeriodicGrid, K: int):
 
     fwd_x = np.zeros(shape)
     fwd_y = np.zeros(shape)
-    inv_x = np.zeros(shape)
-    inv_y = np.zeros(shape)
-    pads = [np.empty((grid.n_x + 2) * (n_y + 2)) for _ in range(6)]
-    pf_x = _pad(fwd_x, out=pads[0])
-    pf_y = _pad(fwd_y, out=pads[1])
-    source = pads[5][:fwd_x.size].reshape(shape)
+    pads = [np.zeros((grid.n_x + 2) * (n_y + 2)) for _ in range(6)]
+    pf_x, pf_y, pi_x, pi_y = pads[0], pads[1], pads[4], pads[5]  # the identity's pads
+    inv_x, inv_y = (p.reshape(grid.n_x + 2, n_y + 2)[1:-1, 1:-1] for p in (pi_x, pi_y))
+    source = pads[3][:fwd_x.size].reshape(shape)
 
     cfl = np.zeros(K)
     poisson_mean = np.zeros(K)
@@ -210,8 +217,8 @@ def _integrate(path: GeodesicPath, grid: PeriodicGrid, K: int):
             fwd_x[b] = y_x.reshape(-1, n_y)
             fwd_y[b] = y_y.reshape(-1, n_y)
 
-        pi_x = _pad(inv_x, out=pads[4])
-        pi_y = _pad(inv_y, out=pads[5])
+        _refresh_halo(pi_x, shape)
+        _refresh_halo(pi_y, shape)
         g_xx = _pad(_central_diff(grid, pi_x, 0), out=pads[0])
         g_xy = _pad(_central_diff(grid, pi_x, 1), out=pads[1])
         g_yx = _pad(_central_diff(grid, pi_y, 0), out=pads[2])

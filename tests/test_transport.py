@@ -206,24 +206,28 @@ class TestBuildMemory:
             tracemalloc.stop()
         return peak / (n * n * 8)
 
-    def test_traced_peak_stays_under_34_grid_arrays(self):
+    def test_traced_peak_stays_under_32_grid_arrays(self):
         """The loop's step arrays are gone before the map is checked and
         scored, the loop builds no node mesh, a step's Newton scratch goes
-        before its Jacobian check, and the step runs on six padded buffers
-        with ``source`` in one of them.  Measured: 32.6 grid arrays (n^2
-        float64 each) at 128^2, one row block; 35.7 with eight pads and a
-        separate ``source``, 39.3 with the scratch alive through the check
-        too, and about 54.7 holding the step arrays past the loop."""
-        assert self.traced_peak_in_grid_arrays(128) <= 34
+        before its Jacobian check, the step runs on six padded buffers with
+        ``source`` in one of them, and the inverse map lives in two of those
+        buffers, with no second copy.  Measured: 30.6 grid arrays (n^2
+        float64 each) at 128^2, one row block; 32.6 with the inverse map
+        held beside its pads, 35.7 with eight pads and a separate
+        ``source``, 39.3 with the scratch alive through the check too, and
+        about 54.7 holding the step arrays past the loop."""
+        assert self.traced_peak_in_grid_arrays(128) <= 32
 
-    def test_traced_peak_at_two_blocks_stays_under_25_grid_arrays(self):
+    def test_traced_peak_at_two_blocks_stays_under_23_grid_arrays(self):
         """At 256^2 the loop's pointwise phases run in two row blocks, so a
-        step holds the map, six pads and the velocities plus one block's
-        temporaries, and the Jacobian check runs over the same blocks.
-        Measured: 23.3 grid arrays, set in the Newton pass; 26.3 with eight
-        pads and a separate ``source``, 31.1 with the last block's scratch
-        alive through a whole-grid check as well, and 41.1 unblocked."""
-        assert self.traced_peak_in_grid_arrays(256) <= 25
+        step holds the forward map, six pads (two of them the inverse map)
+        and the velocities plus one block's temporaries, and the Jacobian
+        check runs over the same blocks.  Measured: 21.3 grid arrays, set
+        in the Newton pass; 23.3 with the inverse map held beside its pads,
+        26.3 with eight pads and a separate ``source``, 31.1 with the last
+        block's scratch alive through a whole-grid check as well, and 41.1
+        unblocked."""
+        assert self.traced_peak_in_grid_arrays(256) <= 23
 
 
 class TestBlockLayout:
