@@ -217,6 +217,8 @@ class MapMetadata:
 
 
 def write_map_oitm(path: str | Path, result: TransportResult, density_id: str) -> None:
+    if result.map.inv_disp is None:
+        raise InvalidInputError("an OITM map file needs the map's inverse")
     grid = result.map.grid
     ident = density_id.encode("utf-8")
     head = (OITM_MAGIC, grid.n_x, grid.n_y, len(result.cfl), result.angle,
@@ -247,7 +249,7 @@ def read_map_oitm(path: str | Path) -> tuple[DiffeoMap, MapMetadata]:
         fwd_x, fwd_y, inv_x, inv_y = (ScalarField(grid, columns[name].reshape(n_x, n_y))
                                       for name in _OITM_DISP)
         del buf, ident, columns  # all copied out: the file's bytes go before the map check
-        mapping = DiffeoMap(grid, VectorField(fwd_x, fwd_y), VectorField(inv_x, inv_y))
+        mapping = DiffeoMap(VectorField(fwd_x, fwd_y), VectorField(inv_x, inv_y))
     except InvalidInputError as exc:  # a bad grid size, value or map
         raise FileFormatError(f"{path}: {exc}") from exc
     meta = MapMetadata(

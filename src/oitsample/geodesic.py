@@ -10,7 +10,7 @@ derivative are evaluated analytically.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -22,7 +22,8 @@ from .errors import (
 )
 from .grid import PeriodicGrid, ScalarField
 
-# below this angle the sin-quotient coefficients switch to their Taylor limits
+# below this angle the sin-quotient coefficients switch to their Taylor limits; a
+# path's own angle is 0 or >= ~1.41e-6, as bhattacharyya_angle clamps at 1 - 1e-12
 SMALL_ANGLE = 1e-8
 
 # densities must stay at least this far from zero (the transport loop divides by them)
@@ -38,18 +39,19 @@ def quadrature(field: ScalarField) -> float:
 
 @dataclass(frozen=True)
 class Density:
-    """Strictly positive unit-mass density sampled on a grid."""
+    """Strictly positive unit-mass density sampled on a grid; ``mass`` is computed."""
 
     field: ScalarField
-    mass: float
+    mass: float = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.field.values.min() < POSITIVITY_FLOOR:
             raise PositivityError(
                 f"density min {self.field.values.min():.3e} below floor {POSITIVITY_FLOOR:.0e}"
             )
+        object.__setattr__(self, "mass", quadrature(self.field))
         if abs(self.mass - 1.0) > MASS_TOL:
-            raise InvalidInputError(f"density mass {float(self.mass)!r} is not 1")
+            raise InvalidInputError(f"density mass {self.mass!r} is not 1")
 
     @property
     def grid(self) -> PeriodicGrid:
@@ -68,9 +70,7 @@ def normalize(raw: ScalarField) -> Density:
         raise DegenerateInputError("cannot normalize the zero field")
     if v.min() <= 0.0:
         raise PositivityError(f"field has non-positive value {float(v.min())!r}")
-    total = quadrature(raw)
-    scaled = ScalarField(raw.grid, v / total)
-    return Density(scaled, quadrature(scaled))
+    return Density(ScalarField(raw.grid, v / quadrature(raw)))
 
 
 def uniform_density(grid: PeriodicGrid) -> Density:
@@ -120,12 +120,18 @@ def bhattacharyya_angle(mu0: Density, mu1: Density) -> float:
 
 @dataclass(frozen=True)
 class GeodesicPath:
-    """Fisher-Rao geodesic from ``mu0`` to ``mu1`` with cached square-root ratio."""
+    """Fisher-Rao geodesic from ``mu0`` to ``mu1``; angle and square-root ratio are computed."""
 
     mu0: Density
     mu1: Density
-    angle: float
-    sqrt_ratio: ScalarField
+    angle: float = field(init=False, compare=False, repr=False)
+    sqrt_ratio: ScalarField = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self) -> None:
+        # the angle checks the grids, before any arithmetic on the two fields
+        object.__setattr__(self, "angle", bhattacharyya_angle(self.mu0, self.mu1))
+        ratio = np.sqrt(self.mu1.field.values / self.mu0.field.values)
+        object.__setattr__(self, "sqrt_ratio", ScalarField(self.mu0.grid, ratio))
 
     def coefficients(self, t: float) -> tuple[float, float, float, float]:
         """Scalar coefficients (c1, c2, c1_dot, c2_dot) of a(t) = c1 + c2*r.
@@ -148,12 +154,7 @@ class GeodesicPath:
 
 
 def geodesic_path(mu0: Density, mu1: Density) -> GeodesicPath:
-    if mu0.grid != mu1.grid:
-        raise GridMismatchError("densities live on different grids")
-    ratio = np.sqrt(mu1.field.values / mu0.field.values)
-    return GeodesicPath(
-        mu0, mu1, bhattacharyya_angle(mu0, mu1), ScalarField(mu0.grid, ratio)
-    )
+    return GeodesicPath(mu0, mu1)
 
 
 def geodesic_eval(path: GeodesicPath, t: float) -> tuple[Density, ScalarField]:
@@ -174,7 +175,7 @@ def geodesic_eval(path: GeodesicPath, t: float) -> tuple[Density, ScalarField]:
     if t == 1.0:
         return path.mu1, mu_dot
     mu_field = ScalarField(path.mu0.grid, a * a * mu0v)
-    return Density(mu_field, quadrature(mu_field)), mu_dot
+    return Density(mu_field), mu_dot
 
 
 def log_density_rate(path: GeodesicPath, t: float) -> ScalarField:

@@ -408,23 +408,24 @@ def _jacobian_det_arrays(grid: PeriodicGrid, pad_dx: np.ndarray, pad_dy: np.ndar
 class DiffeoMap:
     """Torus diffeomorphism stored as a periodic displacement field.
 
-    The map is ``x -> wrap(x + disp(x))``.  ``inv_disp``, when present, is
-    the displacement of the inverse map; construction checks the round-trip
-    ``phi^-1(phi(x)) ~= x`` to within 10 grid spacings.
+    The map is ``x -> wrap(x + disp(x))`` on ``disp``'s grid.  ``inv_disp``, when
+    present, is the inverse map's displacement, on that grid; construction
+    checks the round-trip ``phi^-1(phi(x)) ~= x`` to within 10 grid spacings.
 
     Construction pads the forward displacement once, into the read-only
     ``_padded``; the map's checks, ``apply``, ``jacobian_det``, the
     pushforward residual and the sampler all gather through those pads.
     """
 
-    grid: PeriodicGrid
     disp: VectorField
     inv_disp: VectorField | None = None
     _padded: tuple[np.ndarray, np.ndarray] = field(init=False, compare=False, repr=False)
 
+    @property
+    def grid(self) -> PeriodicGrid:
+        return self.disp.grid
+
     def __post_init__(self) -> None:
-        if self.disp.grid != self.grid:
-            raise GridMismatchError("displacement grid mismatch")
         dx = self.disp.u_x.values
         dy = self.disp.u_y.values
         if max(np.abs(dx).max(), np.abs(dy).max()) > TWO_PI:

@@ -27,7 +27,8 @@ _MASK64 = 2**64 - 1
 
 @dataclass(frozen=True)
 class SampleBatch:
-    """Ordered points in [-pi, pi)^2."""
+    """Ordered points in [-pi, pi)^2.  A C-contiguous float64 array is kept, not
+    copied (a 1e7-point batch is 160 MB), and becomes read-only."""
 
     points: np.ndarray
 

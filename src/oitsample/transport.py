@@ -271,7 +271,6 @@ def build_transport_map(target: Density, cfg: TransportConfig) -> TransportResul
     fwd_x, fwd_y, inv_x, inv_y, cfl, poisson_mean, min_jac = _integrate(path, grid, cfg.steps)
 
     mapping = DiffeoMap(
-        grid,
         VectorField.from_arrays(grid, fwd_x, fwd_y),
         VectorField.from_arrays(grid, inv_x, inv_y),
     )

@@ -28,19 +28,17 @@ _MIN_EXPECTED = 5.0
 
 @dataclass(frozen=True)
 class BinnedHistogram:
-    """Counts over an equal-width periodic binning of the torus."""
+    """Counts over an equal-width periodic binning of the torus, shaped as the
+    binning; construction keeps a read-only copy of the caller's array."""
 
-    b_x: int
-    b_y: int
     counts: np.ndarray
 
     def __post_init__(self) -> None:
-        c = np.asarray(self.counts, dtype=np.int64)
-        if c.shape != (self.b_x, self.b_y):
-            raise InvalidInputError(f"counts shape {c.shape} != ({self.b_x}, {self.b_y})")
+        c = np.array(self.counts, dtype=np.int64, order="C")
+        if c.ndim != 2:
+            raise InvalidInputError(f"counts must be a 2-D array, got shape {c.shape}")
         if (c < 0).any():
             raise InvalidInputError("counts must be nonnegative")
-        c = np.ascontiguousarray(c)
         c.setflags(write=False)
         object.__setattr__(self, "counts", c)
 
@@ -59,7 +57,7 @@ def histogram(batch: SampleBatch, b_x: int, b_y: int) -> BinnedHistogram:
     np.clip(ix, 0, b_x - 1, out=ix)
     np.clip(iy, 0, b_y - 1, out=iy)
     counts = np.bincount(ix * b_y + iy, minlength=b_x * b_y)
-    return BinnedHistogram(b_x, b_y, counts.reshape(b_x, b_y))
+    return BinnedHistogram(counts.reshape(b_x, b_y))
 
 
 def expected_bin_mass(target: Density, b_x: int, b_y: int) -> np.ndarray:
@@ -215,12 +213,12 @@ def chi_squared_gof(hist: BinnedHistogram, expected_mass: np.ndarray):
     Returns (statistic, dof, p_value).
     """
     mass = np.asarray(expected_mass, dtype=np.float64).reshape(-1)
-    if mass.size != hist.b_x * hist.b_y:
+    if mass.size != hist.counts.size:
         raise InvalidInputError("expected-mass size does not match binning")
     if hist.total == 0:
         raise DegenerateInputError("goodness-of-fit test needs a nonempty histogram")
     expected = hist.total * mass
-    return _pearson(hist.b_x, hist.b_y, expected, [(hist.counts.reshape(-1), expected)])
+    return _pearson(*hist.counts.shape, expected, [(hist.counts.reshape(-1), expected)])
 
 
 def two_sample_chi_squared(a: BinnedHistogram, b: BinnedHistogram):
@@ -230,7 +228,7 @@ def two_sample_chi_squared(a: BinnedHistogram, b: BinnedHistogram):
     surviving group has at least 5 expected in both samples.
     Returns (statistic, dof, p_value).
     """
-    if (a.b_x, a.b_y) != (b.b_x, b.b_y):
+    if a.counts.shape != b.counts.shape:
         raise InvalidInputError("histograms use different binnings")
     n_a = a.total
     n_b = b.total
@@ -241,7 +239,7 @@ def two_sample_chi_squared(a: BinnedHistogram, b: BinnedHistogram):
     pooled = (obs_a + obs_b) / (n_a + n_b)
     exp_a = n_a * pooled
     exp_b = n_b * pooled
-    return _pearson(a.b_x, a.b_y, np.minimum(exp_a, exp_b),
+    return _pearson(*a.counts.shape, np.minimum(exp_a, exp_b),
                     [(obs_a, exp_a), (obs_b, exp_b)])
 
 

@@ -56,7 +56,7 @@ def identity_map(grid: PeriodicGrid):
 
     zero = ScalarField.constant(grid, 0.0)
     disp = VectorField(zero, zero)
-    return DiffeoMap(grid, disp, disp)
+    return DiffeoMap(disp, disp)
 
 
 def smooth_test_map(grid: PeriodicGrid, amp: float = 0.15, phase: float = 0.0):
@@ -73,7 +73,7 @@ def smooth_test_map(grid: PeriodicGrid, amp: float = 0.15, phase: float = 0.0):
         ScalarField.from_function(grid, dx),
         ScalarField.from_function(grid, dy),
     )
-    return DiffeoMap(grid, disp)
+    return DiffeoMap(disp)
 
 
 @pytest.fixture(scope="session")
@@ -93,4 +93,4 @@ def wavy_map():
                 v += 0.04 * gen.standard_normal() * np.sin(kx * X + ky * Y + gen.uniform(0, 6.3))
         return v
 
-    return DiffeoMap(g, VectorField.from_arrays(g, component(2.0), component(-1.3)))
+    return DiffeoMap(VectorField.from_arrays(g, component(2.0), component(-1.3)))

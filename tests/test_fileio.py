@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from oitsample import (
+    DiffeoMap,
     FileFormatError,
     InvalidInputError,
     PeriodicGrid,
@@ -246,6 +247,13 @@ class TestOitmMaps:
         write_map_oitm(p1, small_build, "sine-test")
         write_map_oitm(p2, small_build, "sine-test")
         assert p1.read_bytes() == p2.read_bytes()
+
+    def test_write_refuses_a_map_without_inverse(self, tmp_path, small_build):
+        """A forward-only map is refused before any file is opened."""
+        forward_only = dataclasses.replace(small_build, map=DiffeoMap(small_build.map.disp))
+        with pytest.raises(InvalidInputError, match="inverse"):
+            write_map_oitm(tmp_path / "map.oitm", forward_only, "x")
+        assert list(tmp_path.iterdir()) == []
 
     def test_read_traced_peak_stays_under_16_grid_arrays(self, tmp_path):
         """The reader's columns are views of the file's bytes, and the

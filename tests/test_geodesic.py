@@ -153,6 +153,24 @@ class TestAngle:
         assert np.cos(path.angle) == pytest.approx(affinity, abs=1e-10)
 
 
+class TestGeodesicPath:
+    def test_grid_mismatch_is_checked_first(self):
+        """Unequal grids raise GridMismatchError, before any array arithmetic
+        on the two endpoints could raise a broadcasting error."""
+        with pytest.raises(GridMismatchError):
+            GeodesicPath(uniform_density(PeriodicGrid(8, 8)),
+                         uniform_density(PeriodicGrid(8, 16)))
+
+    def test_derives_angle_and_ratio_from_the_endpoints(self):
+        g = PeriodicGrid(32, 32)
+        mu0 = make_density("sine-perturbation", g)
+        mu1 = make_density("two-bump", g)
+        path = GeodesicPath(mu0, mu1)
+        assert path.angle == bhattacharyya_angle(mu0, mu1)
+        assert np.array_equal(path.sqrt_ratio.values,
+                              np.sqrt(mu1.field.values / mu0.field.values))
+
+
 @pytest.fixture(scope="module")
 def path():
     g = PeriodicGrid(64, 64)
@@ -192,14 +210,17 @@ class TestGeodesicEval:
             geodesic_eval(path, 1.01)
 
     def test_branch_continuity_at_angle_switch(self):
-        # same endpoints, angle nudged across the small-angle threshold
+        # same endpoints, angle nudged across the small-angle threshold; the
+        # derived angle of these endpoints is 0 (bhattacharyya_angle clamps
+        # affinity deficits below 1e-12), so the test sets it directly
         g = PeriodicGrid(32, 32)
         mu0 = uniform_density(g)
         amp = 2.8e-8  # affinity deficit ~ amp^2/16, angle ~ 1e-8
         mu1 = normalize(ScalarField.from_function(g, lambda X, Y: 1.0 + amp * np.sin(X)))
-        ratio = ScalarField(g, np.sqrt(mu1.field.values / mu0.field.values))
-        below = GeodesicPath(mu0, mu1, 0.99e-8, ratio)
-        above = GeodesicPath(mu0, mu1, 1.01e-8, ratio)
+        below = GeodesicPath(mu0, mu1)
+        above = GeodesicPath(mu0, mu1)
+        object.__setattr__(below, "angle", 0.99e-8)
+        object.__setattr__(above, "angle", 1.01e-8)
         for t in (0.25, 0.5, 0.75):
             mu_b, dot_b = geodesic_eval(below, t)
             mu_a, dot_a = geodesic_eval(above, t)
@@ -219,13 +240,21 @@ class TestDensityInvariants:
     def test_rejects_wrong_mass(self):
         g = PeriodicGrid(8, 8)
         with pytest.raises(InvalidInputError):
-            Density(ScalarField.constant(g, 1.0), quadrature(ScalarField.constant(g, 1.0)))
+            Density(ScalarField.constant(g, 1.0))
+
+    def test_computes_its_own_mass(self):
+        """A field ten times a unit-mass density is refused, naming its mass."""
+        g = PeriodicGrid(32, 32)
+        field = ScalarField(g, 10 * make_density("two-bump", g).field.values)
+        with pytest.raises(InvalidInputError) as exc:
+            Density(field)
+        assert str(exc.value) == f"density mass {quadrature(field)!r} is not 1"
 
     def test_wrong_mass_prints_as_a_plain_float(self):
         g = PeriodicGrid(8, 8)
-        field = ScalarField.constant(g, 1.0 / (4 * np.pi**2))
+        field = ScalarField.constant(g, 2.0 / (4 * np.pi**2))  # mass exactly 2.0
         with pytest.raises(InvalidInputError) as exc:
-            Density(field, np.float64(2.0))
+            Density(field)
         assert str(exc.value) == "density mass 2.0 is not 1"
 
     def test_rejects_below_floor(self):
@@ -233,4 +262,4 @@ class TestDensityInvariants:
         values = np.full(g.shape, 1.0 / (4 * np.pi**2))
         values[0, 0] = 1e-13
         with pytest.raises(PositivityError):
-            Density(ScalarField(g, values), float(values.sum() * g.cell_volume))
+            Density(ScalarField(g, values))

@@ -78,7 +78,7 @@ class TestTransformSamples:
 
     def test_half_turn_translation_wraps(self):
         g = PeriodicGrid(16, 16)
-        mapping = DiffeoMap(g, VectorField(ScalarField.constant(g, np.pi),
+        mapping = DiffeoMap(VectorField(ScalarField.constant(g, np.pi),
                                            ScalarField.constant(g, 0.0)))
         batch = SampleBatch(np.array([[np.pi / 2, 0.0]]))
         out = transform(mapping, batch)
@@ -87,7 +87,7 @@ class TestTransformSamples:
 
     def test_boundary_inputs_stay_in_range(self):
         g = PeriodicGrid(16, 16)
-        mapping = DiffeoMap(g, VectorField(ScalarField.constant(g, 2 * np.pi - 1e-9),
+        mapping = DiffeoMap(VectorField(ScalarField.constant(g, 2 * np.pi - 1e-9),
                                            ScalarField.constant(g, -2 * np.pi + 1e-9)))
         edge = np.nextafter(np.pi, -1)
         batch = SampleBatch(np.array([[-np.pi, -np.pi], [edge, edge], [0.0, 0.0]]))
@@ -116,7 +116,7 @@ class TestTransformSamples:
 
     def test_input_batch_unchanged_and_order_preserved(self):
         g = PeriodicGrid(16, 16)
-        mapping = DiffeoMap(g, VectorField(ScalarField.constant(g, 0.1),
+        mapping = DiffeoMap(VectorField(ScalarField.constant(g, 0.1),
                                            ScalarField.constant(g, 0.0)))
         batch = draw_uniform(50, seed=2)
         before = batch.points.copy()
@@ -141,7 +141,7 @@ class TestSampleTarget:
 
     def test_composition_of_draw_and_transform(self):
         g = PeriodicGrid(32, 32)
-        mapping = DiffeoMap(g, VectorField(ScalarField.constant(g, 0.25),
+        mapping = DiffeoMap(VectorField(ScalarField.constant(g, 0.25),
                                            ScalarField.constant(g, -0.5)))
         direct = sample_target(mapping, 10_000, seed=14)
         manual = transform(mapping, draw_uniform(10_000, seed=14))
@@ -155,7 +155,7 @@ class TestSampleTarget:
 
     def test_workers_match_serial(self):
         g = PeriodicGrid(16, 16)
-        mapping = DiffeoMap(g, VectorField(ScalarField.constant(g, 1.1),
+        mapping = DiffeoMap(VectorField(ScalarField.constant(g, 1.1),
                                            ScalarField.constant(g, 0.2)))
         n = 2 * (1 << 20) + 5
         a = sample_target(mapping, n, seed=21, workers=1)

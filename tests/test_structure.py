@@ -20,6 +20,12 @@ reads ``grid._pad``, one periodic extension.  And only ``DiffeoMap``'s
 construction pads a map's forward displacement: one padded map, whose pads
 every reader gathers through.
 
+The value types take only the data that fixes them and compute the rest:
+``Density`` takes its field (its mass is computed), ``GeodesicPath`` its two
+endpoints (angle and square-root ratio are computed), ``DiffeoMap`` its
+displacements (its grid is theirs) and ``BinnedHistogram`` its counts (the
+binning is their shape).
+
 The package exports only what it is used through: every function in
 ``oitsample.__all__`` is named in ``cli.py``, in the acceptance suite or in
 a README ```python block (classes, exceptions included, pass as types), and
@@ -27,12 +33,15 @@ a README ```python block (classes, exceptions included, pass as types), and
 """
 
 import ast
+import dataclasses
 import re
 from pathlib import Path
 
 import pytest
 
 import oitsample
+from oitsample import BinnedHistogram, Density, DiffeoMap
+from oitsample.geodesic import GeodesicPath
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src"
@@ -126,6 +135,20 @@ def pads_of_a_map_displacement():
 
 def test_one_padded_map():
     assert pads_of_a_map_displacement() == [("grid.py", "DiffeoMap.__post_init__")]
+
+
+# value type -> its constructor fields, in order
+INIT_FIELDS = {
+    Density: ("field",),
+    GeodesicPath: ("mu0", "mu1"),
+    DiffeoMap: ("disp", "inv_disp"),
+    BinnedHistogram: ("counts",),
+}
+
+
+@pytest.mark.parametrize("cls", INIT_FIELDS, ids=lambda cls: cls.__name__)
+def test_value_types_take_only_their_data(cls):
+    assert tuple(f.name for f in dataclasses.fields(cls) if f.init) == INIT_FIELDS[cls]
 
 
 def caller_text():

@@ -176,7 +176,7 @@ class TestPushforwardResidual:
     def test_translation_preserves_uniform(self):
         g = PeriodicGrid(32, 32)
         disp = VectorField(ScalarField.constant(g, 0.8), ScalarField.constant(g, -1.3))
-        mapping = DiffeoMap(g, disp)
+        mapping = DiffeoMap(disp)
         assert pushforward_residual(mapping, uniform_density(g)) <= 1e-10
 
     def test_decreases_when_steps_double(self):

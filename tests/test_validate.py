@@ -56,6 +56,26 @@ class TestHistogram:
             histogram(draw_uniform(10, seed=0), 0, 4)
 
 
+class TestBinnedHistogram:
+    def test_keeps_a_read_only_copy(self):
+        c = np.array([[1, 2], [3, 4]], dtype=np.int64)
+        h = BinnedHistogram(c)
+        assert c.flags.writeable
+        c[0, 0] = 9
+        assert h.counts.tolist() == [[1, 2], [3, 4]]
+        with pytest.raises(ValueError, match="read-only"):
+            h.counts[0, 0] = 0
+
+    @pytest.mark.parametrize("counts", [np.arange(4), np.ones((2, 2, 2), dtype=int)])
+    def test_needs_a_2d_array(self, counts):
+        with pytest.raises(InvalidInputError, match="2-D"):
+            BinnedHistogram(counts)
+
+    def test_negative_count_rejected(self):
+        with pytest.raises(InvalidInputError):
+            BinnedHistogram(np.array([[1, -1]]))
+
+
 class TestExpectedBinMass:
     def test_uniform_masses(self):
         g = PeriodicGrid(64, 64)
@@ -131,14 +151,14 @@ class TestGammaFunction:
 
 class TestChiSquaredGof:
     def test_exact_match_gives_zero(self):
-        h = BinnedHistogram(2, 1, np.array([[30], [70]]))
+        h = BinnedHistogram(np.array([[30], [70]]))
         stat, dof, p = chi_squared_gof(h, np.array([0.3, 0.7]))
         assert stat == 0.0
         assert dof == 1
         assert p == 1.0
 
     def test_hand_computed_case(self):
-        h = BinnedHistogram(2, 1, np.array([[10], [20]]))
+        h = BinnedHistogram(np.array([[10], [20]]))
         stat, dof, p = chi_squared_gof(h, np.array([0.5, 0.5]))
         assert stat == pytest.approx(10.0 / 3.0, rel=1e-12)
         assert dof == 1
@@ -163,46 +183,46 @@ class TestChiSquaredGof:
                            [50, 50, 50, 50],
                            [50, 50, 50, 50]])
         mass = counts / counts.sum()
-        h = BinnedHistogram(4, 4, counts)
+        h = BinnedHistogram(counts)
         stat, dof, p = chi_squared_gof(h, mass.reshape(-1))
         # the 2-expected bin merges into a neighbor: 16 bins -> 15 groups
         assert dof == 14
         assert stat == pytest.approx(0.0, abs=1e-12)
 
     def test_all_bins_merged_is_degenerate(self):
-        h = BinnedHistogram(2, 2, np.array([[1, 1], [1, 1]]))
+        h = BinnedHistogram(np.array([[1, 1], [1, 1]]))
         with pytest.raises(DegenerateInputError):
             chi_squared_gof(h, np.full(4, 0.25))
 
     def test_empty_histogram_is_degenerate(self):
-        h = BinnedHistogram(4, 4, np.zeros((4, 4), dtype=int))
+        h = BinnedHistogram(np.zeros((4, 4), dtype=int))
         with pytest.raises(DegenerateInputError,
                            match="^goodness-of-fit test needs a nonempty histogram$"):
             chi_squared_gof(h, np.full(16, 1 / 16))
 
     def test_size_mismatch(self):
-        h = BinnedHistogram(2, 2, np.ones((2, 2), dtype=int))
+        h = BinnedHistogram(np.ones((2, 2), dtype=int))
         with pytest.raises(InvalidInputError):
             chi_squared_gof(h, np.full(8, 0.125))
 
 
 class TestTwoSample:
     def test_identical_histograms(self):
-        h = BinnedHistogram(2, 1, np.array([[40], [60]]))
+        h = BinnedHistogram(np.array([[40], [60]]))
         stat, dof, p = two_sample_chi_squared(h, h)
         assert stat == 0.0
         assert p == 1.0
 
     def test_hand_computed_case(self):
-        a = BinnedHistogram(2, 1, np.array([[10], [20]]))
-        b = BinnedHistogram(2, 1, np.array([[20], [10]]))
+        a = BinnedHistogram(np.array([[10], [20]]))
+        b = BinnedHistogram(np.array([[20], [10]]))
         stat, dof, _ = two_sample_chi_squared(a, b)
         assert stat == pytest.approx(20.0 / 3.0, rel=1e-12)
         assert dof == 1
 
     def test_binning_mismatch(self):
-        a = BinnedHistogram(2, 1, np.array([[1], [1]]))
-        b = BinnedHistogram(1, 2, np.array([[1, 1]]))
+        a = BinnedHistogram(np.array([[1], [1]]))
+        b = BinnedHistogram(np.array([[1, 1]]))
         with pytest.raises(InvalidInputError):
             two_sample_chi_squared(a, b)
 
