@@ -18,6 +18,7 @@ each displacement component n_x*n_y float64 row-major.
 
 from __future__ import annotations
 
+import io
 import os
 import stat
 from collections.abc import Callable, Iterator
@@ -506,31 +507,30 @@ def write_warp_mesh_csv(path: str | Path, mapping: DiffeoMap) -> None:
     full period, which is the programmatic periodicity check.
     """
     grid = mapping.grid
+    n_x, n_y = grid.shape
     dx = mapping.disp.u_x.values
     dy = mapping.disp.u_y.values
     two_pi = 2.0 * np.pi
-    # vertex v of a polyline sits on node v % n; only the closing vertex is
-    # shifted by a period, but the others still add 0.0, which turns a -0.0
-    # coordinate into 0.0
-    wrap_y = np.arange(grid.n_y + 1) % grid.n_y
-    wrap_x = np.arange(grid.n_x + 1) % grid.n_x
-    shift_y = np.zeros(grid.n_y + 1)
-    shift_y[-1] = two_pi
-    shift_x = np.zeros(grid.n_x + 1)
-    shift_x[-1] = two_pi
+    i = np.arange(0, n_x, 4)[:, None]  # one polyline per row
+    j = np.arange(0, n_y, 4)[:, None]
+    # vertex v of a polyline sits on node v % n and is shifted by v // n
+    # periods: only the closing vertex moves, but the others still add 0.0,
+    # which turns a -0.0 coordinate into 0.0
+    v_y = np.arange(n_y + 1)
+    wrap_y = v_y % n_y
+    v_x = np.arange(n_x + 1)
+    wrap_x = v_x % n_x
+    x_lines = np.stack((grid.xs[i] + dx[i, wrap_y],
+                        grid.ys[wrap_y] + dy[i, wrap_y] + v_y // n_y * two_pi), -1)
+    y_lines = np.stack((grid.xs[wrap_x] + dx[wrap_x, j] + v_x // n_x * two_pi,
+                        grid.ys[j] + dy[wrap_x, j]), -1)
+    rows = io.BytesIO()
+    for lines in (x_lines, y_lines):
+        _write_csv_rows(rows, lines.reshape(-1, 2))
+    rows.seek(0)
+    lead = (b"%s,%d,%d," % (direction, line, v)
+            for direction, n_lines, n_vertices in ((b"x", n_x, n_y + 1), (b"y", n_y, n_x + 1))
+            for line in range(0, n_lines, 4) for v in range(n_vertices))
     with _output(path) as fh:
         fh.write(b"direction,line_index,vertex_index,x,y\n")
-        for i in range(0, grid.n_x, 4):
-            x = grid.xs[i] + dx[i, wrap_y]
-            y = grid.ys[wrap_y] + dy[i, wrap_y] + shift_y
-            fh.write(_polyline_rows(b"x", i, x, y))
-        for j in range(0, grid.n_y, 4):
-            x = grid.xs[wrap_x] + dx[wrap_x, j] + shift_x
-            y = grid.ys[j] + dy[wrap_x, j]
-            fh.write(_polyline_rows(b"y", j, x, y))
-
-
-def _polyline_rows(direction: bytes, line: int, x: np.ndarray, y: np.ndarray) -> bytes:
-    fmt = b"%s,%d,%%d,%%.17g,%%.17g\n" % (direction, line)
-    cells = chain.from_iterable(zip(range(len(x)), x.tolist(), y.tolist()))
-    return (fmt * len(x)) % tuple(cells)
+        fh.writelines(map(bytes.__add__, lead, rows))  # a BytesIO iterates by line

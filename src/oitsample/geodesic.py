@@ -107,15 +107,7 @@ def bhattacharyya_angle(mu0: Density, mu1: Density) -> float:
     angle 0: quadrature roundoff cannot resolve smaller angles, and the
     clamp stays inside the 1e-10 cosine-consistency contract.
     """
-    if mu0.grid != mu1.grid:
-        raise GridMismatchError("densities live on different grids")
-    affinity = float(
-        (np.sqrt(mu1.field.values / mu0.field.values) * mu0.field.values).sum()
-        * mu0.grid.cell_volume
-    )
-    if affinity >= 1.0 - 1e-12:
-        return 0.0
-    return float(np.arccos(affinity))
+    return GeodesicPath(mu0, mu1).angle
 
 
 @dataclass(frozen=True)
@@ -128,10 +120,15 @@ class GeodesicPath:
     sqrt_ratio: ScalarField = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
-        # the angle checks the grids, before any arithmetic on the two fields
-        object.__setattr__(self, "angle", bhattacharyya_angle(self.mu0, self.mu1))
-        ratio = np.sqrt(self.mu1.field.values / self.mu0.field.values)
+        if self.mu0.grid != self.mu1.grid:
+            raise GridMismatchError("densities live on different grids")
+        mu0 = self.mu0.field.values
+        ratio = np.sqrt(self.mu1.field.values / mu0)
         object.__setattr__(self, "sqrt_ratio", ScalarField(self.mu0.grid, ratio))
+        affinity = float((ratio * mu0).sum() * self.mu0.grid.cell_volume)
+        # the clamp bhattacharyya_angle documents
+        angle = 0.0 if affinity >= 1.0 - 1e-12 else float(np.arccos(affinity))
+        object.__setattr__(self, "angle", angle)
 
     def coefficients(self, t: float) -> tuple[float, float, float, float]:
         """Scalar coefficients (c1, c2, c1_dot, c2_dot) of a(t) = c1 + c2*r.

@@ -15,6 +15,7 @@ from oitsample import (
     SampleBatch,
     ScalarField,
     TransportConfig,
+    VectorField,
     build_transport_map,
     normalize,
 )
@@ -470,8 +471,9 @@ class TestCsvMatchesPercentFormat:
 
 class TestMeshMatchesScalarWriter:
     # the writer takes every 4th line; 4 divides 16 and 24, and on 18 x 21
-    # the last line of each direction is closer than 4 to the seam
-    @pytest.mark.parametrize("n_x,n_y", [(16, 24), (18, 21)])
+    # the last line of each direction is closer than 4 to the seam; on
+    # 8 x 10004 line and vertex indices pass 10**4
+    @pytest.mark.parametrize("n_x,n_y", [(16, 24), (18, 21), (8, 10_004)])
     def test_identity(self, tmp_path, n_x, n_y):
         mapping = identity_map(PeriodicGrid(n_x, n_y))
         got = tmp_path / "got.csv"
@@ -488,6 +490,21 @@ class TestMeshMatchesScalarWriter:
         write_warp_mesh_csv(got, mapping)
         reference_write_warp_mesh_csv(want, mapping)
         assert got.read_bytes() == want.read_bytes()
+
+    def test_values_below_the_fast_range(self, tmp_path):
+        # a translation by 1e-5: the vertices on the node at coordinate 0
+        # read 1e-5, below the CSV encoder's 1e-4 fast range, so their rows
+        # take its "%.17g" path
+        grid = PeriodicGrid(16, 16)
+        there = ScalarField.constant(grid, 1e-5)
+        back = ScalarField.constant(grid, -1e-5)
+        mapping = DiffeoMap(VectorField(there, there), VectorField(back, back))
+        got = tmp_path / "got.csv"
+        want = tmp_path / "want.csv"
+        write_warp_mesh_csv(got, mapping)
+        reference_write_warp_mesh_csv(want, mapping)
+        assert got.read_bytes() == want.read_bytes()
+        assert b"x,8,0,1.0000000000000001e-05," in got.read_bytes()
 
 
 # ---------------------------------------------------------------------------

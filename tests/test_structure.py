@@ -18,7 +18,9 @@ complex-input FFT (``fft2``, ``ifft2``, ``fftn``, ``ifftn``, ``fft``,
 ``src/`` calls ``np.roll`` nowhere: every read across the periodic seam
 reads ``grid._pad``, one periodic extension.  And only ``DiffeoMap``'s
 construction pads a map's forward displacement: one padded map, whose pads
-every reader gathers through.
+every reader gathers through.  Float text has one encoder: a ``.17g``
+conversion appears in code only in ``fileio._write_csv_rows``, which every
+sample, scatter and warp-mesh CSV goes through.
 
 The value types take only the data that fixes them and compute the rest:
 ``Density`` takes its field (its mass is computed), ``GeodesicPath`` its two
@@ -135,6 +137,28 @@ def pads_of_a_map_displacement():
 
 def test_one_padded_map():
     assert pads_of_a_map_displacement() == [("grid.py", "DiffeoMap.__post_init__")]
+
+
+def float_text_sites():
+    """(file name, innermost enclosing function) of each string constant in
+    ``src/`` code that holds a ``.17g`` conversion; a string that stands
+    alone as a statement (a docstring) is not code, nor is a comment."""
+    found = []
+    for path in sorted(SRC.rglob("*.py")):
+        tree = ast.parse(path.read_text())
+        funcs = [f for f in ast.walk(tree) if isinstance(f, ast.FunctionDef)]
+        docs = {id(n.value) for n in ast.walk(tree) if isinstance(n, ast.Expr)}
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Constant) and isinstance(node.value, (str, bytes))
+                    and ".17g" in str(node.value) and id(node) not in docs):
+                # ast.walk meets outer functions first: the last match is innermost
+                owner = [f.name for f in funcs if f.lineno <= node.lineno <= f.end_lineno]
+                found.append((path.name, owner[-1] if owner else None))
+    return found
+
+
+def test_one_csv_float_encoder():
+    assert set(float_text_sites()) == {("fileio.py", "_write_csv_rows")}
 
 
 # value type -> its constructor fields, in order
