@@ -26,17 +26,21 @@ class FileFormatError(InvalidInputError):
 
 
 class OrientationLossError(RuntimeError):
-    """The transport map folded: Jacobian determinant hit zero or below.
+    """The transport map folded: a cell-corner Jacobian determinant hit zero
+    or below.
 
-    Carries the time-step index at which orientation was lost.
+    Carries the step index, the least determinant, the step's CFL number and
+    the time (step+1)/K.  Only a CFL number above 1 earns the advice of more
+    steps; below it the fold comes from the target's contrast.
     """
 
-    def __init__(self, step: int, min_det: float):
-        self.step = step
-        self.min_det = min_det
+    def __init__(self, step: int, min_det: float, cfl: float, time: float):
+        self.step, self.min_det, self.cfl, self.time = step, min_det, cfl, time
+        advice = ("try more time steps" if cfl > 1.0 else "the fold comes from the "
+                  "target's contrast; more time steps are unlikely to help")
         super().__init__(
-            f"orientation lost at step {step}: min Jacobian determinant "
-            f"{min_det:.3e} <= 0 (try more time steps)"
+            f"orientation lost at step {step} (t = {time:.3f}, CFL {cfl:.3f}): "
+            f"min Jacobian determinant {min_det:.3e} <= 0 ({advice})"
         )
 
 

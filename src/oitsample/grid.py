@@ -361,19 +361,15 @@ def interp_scalar(field: ScalarField, points: np.ndarray) -> np.ndarray:
 # diffeomorphisms
 
 
-def _central_diff(grid: PeriodicGrid, padded: np.ndarray, axis: int,
-                  rows: slice = slice(None)) -> np.ndarray:
+def _central_diff(grid: PeriodicGrid, padded: np.ndarray, axis: int) -> np.ndarray:
     """Periodic centred difference ``(v[i+1] - v[i-1]) / (2*h)`` along
-    ``axis``, at the grid rows ``rows`` of the field whose ``_pad``
-    extension is ``padded``.
+    ``axis`` of the field whose ``_pad`` extension is ``padded``.
 
     One difference of two shifted slices of the pad: the halo holds the
     wrapped neighbours, so the first and last rows and columns need no
-    seam code, and a row range gives those rows of the whole-field result,
-    bit for bit.
+    seam code.
     """
-    r0, r1, _ = rows.indices(grid.n_x)
-    p = padded.reshape(grid.n_x + 2, grid.n_y + 2)[r0:r1 + 2]  # the rows and their halo
+    p = padded.reshape(grid.n_x + 2, grid.n_y + 2)
     if axis == 0:
         out = np.subtract(p[2:, 1:-1], p[:-2, 1:-1])
     else:
@@ -382,35 +378,75 @@ def _central_diff(grid: PeriodicGrid, padded: np.ndarray, axis: int,
     return out
 
 
-def _jacobian_det_arrays(grid: PeriodicGrid, pad_dx: np.ndarray, pad_dy: np.ndarray,
-                         rows: slice = slice(None)) -> np.ndarray:
-    """det(I + Dd) from centred differences of the displacement ``(dx, dy)``.
+def _jacobian_det_arrays(grid: PeriodicGrid, pad_dx: np.ndarray,
+                         pad_dy: np.ndarray) -> np.ndarray:
+    """Nodal det(I + Dd) from centred differences of the displacement ``(dx, dy)``.
 
     ``pad_dx`` and ``pad_dy`` are the ``_pad`` extensions of ``dx`` and
-    ``dy``; the result covers the grid rows ``rows`` only, and equals those
-    rows of the whole-grid result bit for bit, since every difference reads
-    the same nodes of the pad.  The entries are combined in place, so the
-    call holds three arrays of its rows at most.
+    ``dy``.  Second-order accurate at the nodes, but blind to the node
+    between the two it differences, so it is no fold test: see
+    :func:`_corner_det`.  The entries are combined in place, so the call
+    holds three grid arrays at most.
     """
-    a11 = _central_diff(grid, pad_dx, 0, rows)
+    a11 = _central_diff(grid, pad_dx, 0)
     a11 += 1.0
-    a22 = _central_diff(grid, pad_dy, 1, rows)
+    a22 = _central_diff(grid, pad_dy, 1)
     a22 += 1.0
     a11 *= a22
     del a22
-    a12 = _central_diff(grid, pad_dx, 1, rows)
-    a12 *= _central_diff(grid, pad_dy, 0, rows)
+    a12 = _central_diff(grid, pad_dx, 1)
+    a12 *= _central_diff(grid, pad_dy, 0)
     a11 -= a12
     return a11
+
+
+def _corner_det(grid: PeriodicGrid, pad_dx: np.ndarray, pad_dy: np.ndarray,
+                rows: slice = slice(None)) -> np.ndarray:
+    """Least corner determinant det(I + Dd_h) of each cell of the grid rows
+    ``rows``; cell ``(i, j)`` spans nodes ``i, i+1`` and ``j, j+1``.
+
+    det D(x + d_h) is bilinear on a cell, so its least value is at a corner
+    and the map folds exactly where this is <= 0.  ``pad_dx`` and ``pad_dy``
+    are the ``_pad`` extensions of ``(dx, dy)``; each corner entry is an
+    edge difference read off them, so a row range gives those rows of the
+    whole-grid result bit for bit.
+    """
+    r0, r1, _ = rows.indices(grid.n_x)
+
+    def edges(padded):
+        # nodes r0..r1 by 0..n_y: each cell's corners, the halo closing the seam
+        p = padded.reshape(grid.n_x + 2, grid.n_y + 2)[r0 + 1:r1 + 2, 1:]
+        along_x = np.subtract(p[1:], p[:-1])  # (cells, n_y+1): lower, upper edges
+        along_x /= grid.h_x
+        along_y = np.subtract(p[:, 1:], p[:, :-1])  # (cells+1, n_y): left, right edges
+        along_y /= grid.h_y
+        return along_x, along_y
+
+    a11, a12 = edges(pad_dx)
+    a21, a22 = edges(pad_dy)
+    a11 += 1.0
+    a22 += 1.0
+    lower, upper = slice(None, -1), slice(1, None)
+    out = np.full((r1 - r0, grid.n_y), np.inf)
+    det = np.empty_like(out)
+    tmp = np.empty_like(out)
+    for y in (lower, upper):  # the corner's y: the cell's lower or upper side
+        for x in (lower, upper):  # its x: the left or right side
+            np.multiply(a11[:, y], a22[x], out=det)
+            det -= np.multiply(a12[x], a21[:, y], out=tmp)
+            np.minimum(out, det, out=out)
+    return out
 
 
 @dataclass(frozen=True)
 class DiffeoMap:
     """Torus diffeomorphism stored as a periodic displacement field.
 
-    The map is ``x -> wrap(x + disp(x))`` on ``disp``'s grid.  ``inv_disp``, when
-    present, is the inverse map's displacement, on that grid; construction
-    checks the round-trip ``phi^-1(phi(x)) ~= x`` to within 10 grid spacings.
+    The map is ``x -> wrap(x + disp(x))`` on ``disp``'s grid, bilinear on each
+    cell; construction refuses it if it folds anywhere, which
+    :func:`_corner_det` decides exactly.  ``inv_disp``, when present, is the
+    inverse map's displacement, on that grid; construction checks the
+    round-trip ``phi^-1(phi(x)) ~= x`` to within 10 grid spacings.
 
     Construction pads the forward displacement once, into the read-only
     ``_padded``; the map's checks, ``apply``, ``jacobian_det``, the
@@ -434,10 +470,10 @@ class DiffeoMap:
         for p in padded:
             p.setflags(write=False)
         object.__setattr__(self, "_padded", padded)
-        det = _jacobian_det_arrays(self.grid, *padded)
-        if det.min() <= 0.0:
+        det = _corner_det(self.grid, *padded).min()
+        if det <= 0.0:
             raise InvalidInputError(
-                f"map is not orientation preserving (min det {det.min():.3e})"
+                f"map is not orientation preserving (min cell-corner det {det:.3e})"
             )
         if self.inv_disp is not None:
             if self.inv_disp.grid != self.grid:
@@ -466,7 +502,11 @@ class DiffeoMap:
 
 
 def jacobian_det(mapping: DiffeoMap) -> ScalarField:
-    """Jacobian determinant of the map, second-order accurate."""
+    """Jacobian determinant of the map at the nodes, second-order accurate.
+
+    A value, not a fold test: construction of the map has already refused
+    any fold of its bilinear interpolant.
+    """
     return ScalarField(mapping.grid, _jacobian_det_arrays(mapping.grid, *mapping._padded))
 
 

@@ -56,6 +56,7 @@ from .grid import (
     PeriodicGrid,
     VectorField,
     _central_diff,
+    _corner_det,
     _displaced_stencil,
     _jacobian_det_arrays,
     _pad,
@@ -91,8 +92,9 @@ class TransportResult:
     """Built map plus per-step diagnostics.
 
     ``cfl`` holds max |eps*v| / h per step, ``poisson_mean`` the source mean
-    removed by each solve, ``min_jacobian`` the minimum forward Jacobian
-    determinant after each step.  All three have length K.
+    removed by each solve, ``min_jacobian`` the least cell-corner
+    determinant of the forward map after each step (see ``grid._corner_det``).
+    All three have length K.
     """
 
     map: DiffeoMap
@@ -250,9 +252,9 @@ def _integrate(path: GeodesicPath, grid: PeriodicGrid, K: int):
         # the new forward map's pads serve the check and the next predictor
         pf_x = _pad(fwd_x, out=pads[0])
         pf_y = _pad(fwd_y, out=pads[1])
-        min_jac[k] = min(_jacobian_det_arrays(grid, pf_x, pf_y, b).min() for b in blocks)
+        min_jac[k] = min(_corner_det(grid, pf_x, pf_y, b).min() for b in blocks)
         if min_jac[k] <= 0.0:
-            raise OrientationLossError(k, float(min_jac[k]))
+            raise OrientationLossError(k, float(min_jac[k]), float(cfl[k]), (k + 1) / K)
 
     return fwd_x, fwd_y, inv_x, inv_y, cfl, poisson_mean, min_jac
 
@@ -260,8 +262,9 @@ def _integrate(path: GeodesicPath, grid: PeriodicGrid, K: int):
 def build_transport_map(target: Density, cfg: TransportConfig) -> TransportResult:
     """Run the K-step loop and return the transport map with diagnostics.
 
-    Raises OrientationLossError if the forward Jacobian determinant drops
-    to zero or below at any step (the usual cure is more steps), and
+    Raises OrientationLossError if the forward map folds at any step (a
+    cell-corner Jacobian determinant at zero or below; more steps cure it
+    only when that step's CFL number exceeds 1, and the error says so), and
     NumericalBlowupError if any field stops being finite.
     """
     if target.grid != cfg.grid:

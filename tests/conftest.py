@@ -76,6 +76,19 @@ def smooth_test_map(grid: PeriodicGrid, amp: float = 0.15, phase: float = 0.0):
     return DiffeoMap(disp)
 
 
+def alternating_fold(grid: PeriodicGrid):
+    """Displacement arrays ``(dx, dy)``: +-0.6 h_x along x, alternating row by
+    row of nodes (``grid.n_x`` even), and no y displacement.
+
+    Each centred difference spans two nodes of one sign, so the nodal
+    determinant reads 1.0 at every node; yet on every other cell the
+    bilinear map's determinant is 1 - 1.2 = -0.2, and the map folds.
+    """
+    sign = np.where(np.arange(grid.n_x) % 2, -1.0, 1.0)
+    dx = np.repeat(0.6 * grid.h_x * sign[:, None], grid.n_y, axis=1)
+    return dx, np.zeros(grid.shape)
+
+
 @pytest.fixture(scope="session")
 def wavy_map():
     """A random smooth displacement on a non-square grid, shifted so that

@@ -187,6 +187,20 @@ class TestBuild:
                    "--out", str(tmp_path / "x.oitm"))
         assert code == 2
 
+    def test_fold_between_nodes_is_exit_two(self, tmp_path, capsys):
+        """At ratio 300 the forward map's bilinear interpolant folds at step
+        98 of 100 while its nodal determinant stays positive; the CFL number
+        is about 0.18, so the error does not advise more steps, and no map
+        is written."""
+        out = tmp_path / "x.oitm"
+        assert run("build", "--density", "two-bump", "--ratio", "300", "--grid", "64",
+                   "--steps", "100", "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: orientation lost at step 98 "
+                              "(t = 0.990, CFL 0.182)")
+        assert "try more time steps" not in err
+        assert not out.exists()
+
     @pytest.mark.filterwarnings("error")
     def test_residual_above_tolerance_warns_on_stderr(self, tmp_path, capsys):
         """A coarse build that misses the residual tolerance still writes its

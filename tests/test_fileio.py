@@ -34,7 +34,7 @@ from oitsample.fileio import (
     write_warp_mesh_csv,
 )
 from oitsample.sampler import draw_uniform
-from conftest import identity_map
+from conftest import alternating_fold, identity_map
 
 
 def sine_build(n):
@@ -629,6 +629,20 @@ class TestOitmMatchesSeparateCodec:
         data[40] = 0xFF
         p.write_bytes(bytes(data))
         with pytest.raises(FileFormatError, match="identifier"):
+            read_map_oitm(p)
+
+    def test_map_folded_between_nodes_is_a_format_error(self, tmp_path):
+        """A map whose nodal determinant reads 1.0 but whose bilinear
+        interpolant folds fails the map check; the error names the path."""
+        g = PeriodicGrid(16, 12)
+        dx, dy = alternating_fold(g)
+        head = (fileio.OITM_MAGIC, g.n_x, g.n_y, 1, 0.0, 0.0, 0, 0)
+        p = tmp_path / "folded.oitm"
+        p.write_bytes(np.array(head, fileio._OITM_HEAD).tobytes()
+                      + np.zeros(3, "<f8").tobytes()  # one step's three diagnostics
+                      + np.concatenate([dx, dy, -dx, -dy]).astype("<f8").tobytes())
+        with pytest.raises(FileFormatError,
+                           match=f"^{re.escape(str(p))}: map is not orientation preserving"):
             read_map_oitm(p)
 
 

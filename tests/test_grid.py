@@ -16,6 +16,7 @@ from oitsample.grid import (
     _SHIFT_BOUND,
     _central_diff,
     _compose_disp_arrays,
+    _corner_det,
     _index_frac,
     _jacobian_det_arrays,
     _pad,
@@ -23,7 +24,7 @@ from oitsample.grid import (
     _wrap_shift,
     wrap_angle,
 )
-from conftest import identity_map, smooth_test_map
+from conftest import alternating_fold, identity_map, smooth_test_map
 
 TWO_PI = 2.0 * np.pi
 
@@ -350,11 +351,7 @@ class TestStencilMatchesReference:
         v = np.asarray(np.random.default_rng(9).standard_normal(g.shape), order=order)
         spacing = g.h_x if axis == 0 else g.h_y
         ref = reference_central_diff(v, axis, spacing)
-        padded = _pad(v)
-        assert np.array_equal(_central_diff(g, padded, axis), ref)
-        # row ranges: the first and last rows read wrapped neighbours
-        for rows in (slice(0, 1), slice(0, 5), slice(5, 11), slice(36, 37), slice(30, 37)):
-            assert np.array_equal(_central_diff(g, padded, axis, rows), ref[rows]), rows
+        assert np.array_equal(_central_diff(g, _pad(v), axis), ref)
 
 
 class TestInterpScalar:
@@ -507,19 +504,67 @@ class TestJacobianDet:
 
     @pytest.mark.parametrize("shape, rows", ROW_CASES)
     def test_row_range_gives_those_rows_of_the_whole_grid(self, rng, shape, rows):
+        """The cell-corner kernel's row range, as the build loop's fold check
+        reads it block by block."""
         g = PeriodicGrid(*shape)
         assert g.n_x % rows
         dx = 0.05 * rng.standard_normal(g.shape)
         dy = 0.05 * rng.standard_normal(g.shape)
         pads = _pad(dx), _pad(dy)
-        whole = _jacobian_det_arrays(g, *pads)
+        whole = _corner_det(g, *pads)
         # the first row, the last row, a one-row range inside, then the blocks
         ranges = [slice(0, 1), slice(g.n_x - 1, g.n_x), slice(3, 4)]
         ranges += [slice(r, min(r + rows, g.n_x)) for r in range(0, g.n_x, rows)]
         for r in ranges:
-            assert np.array_equal(_jacobian_det_arrays(g, *pads, r), whole[r]), r
+            assert np.array_equal(_corner_det(g, *pads, r), whole[r]), r
         # the blocks' minima are the whole grid's, as the build loop reads them
-        assert min(_jacobian_det_arrays(g, *pads, r).min() for r in ranges[3:]) == whole.min()
+        assert min(_corner_det(g, *pads, r).min() for r in ranges[3:]) == whole.min()
+
+    @pytest.mark.parametrize("amp", [0.05, 0.3, 1.0])
+    def test_corner_det_is_the_cell_minimum_of_the_bilinear_det(self, rng, amp):
+        """On each cell det D(x + d_h) is bilinear, so its least value over a
+        9x9 lattice of the cell, corners included, is the kernel's.  The
+        largest amplitude folds some cells."""
+        g = PeriodicGrid(24, 20)
+        X, Y = g.node_mesh()
+
+        def smooth():
+            v = np.zeros(g.shape)
+            for kx in range(4):
+                for ky in range(4):
+                    v += amp * rng.standard_normal() * np.sin(kx * X + ky * Y
+                                                             + rng.uniform(0, 6.3)) / 4
+            return v
+
+        dx, dy = smooth(), smooth()
+        s = np.linspace(0.0, 1.0, 9)[:, None]  # local x, along lattice axis 2
+        t = np.linspace(0.0, 1.0, 9)[None, :]  # local y, along lattice axis 3
+
+        def corners(v):  # v at cell (i, j)'s corners (i + a, j + b), lattice-ready
+            return [np.roll(v, (-a, -b), axis=(0, 1))[:, :, None, None]
+                    for a, b in ((0, 0), (1, 0), (0, 1), (1, 1))]
+
+        x00, x10, x01, x11 = corners(dx)
+        y00, y10, y01, y11 = corners(dy)
+        j11 = 1.0 + ((1 - t) * (x10 - x00) + t * (x11 - x01)) / g.h_x
+        j12 = ((1 - s) * (x01 - x00) + s * (x11 - x10)) / g.h_y
+        j21 = ((1 - t) * (y10 - y00) + t * (y11 - y01)) / g.h_x
+        j22 = 1.0 + ((1 - s) * (y01 - y00) + s * (y11 - y10)) / g.h_y
+        lattice_min = (j11 * j22 - j12 * j21).min(axis=(2, 3))
+        got = _corner_det(g, _pad(dx), _pad(dy))
+        assert np.array_equal(got, lattice_min)
+        if amp == 1.0:
+            assert got.min() < 0.0
+
+    def test_alternating_fold_is_seen_only_by_the_corners(self):
+        """The nodal determinant reads 1.0 everywhere; the cell corners read
+        the fold."""
+        g = PeriodicGrid(16, 12)
+        pads = tuple(map(_pad, alternating_fold(g)))
+        assert np.all(_jacobian_det_arrays(g, *pads) == 1.0)
+        corner = _corner_det(g, *pads)
+        assert corner[0::2] == pytest.approx(np.full((8, 12), -0.2), abs=1e-12)
+        assert corner[1::2] == pytest.approx(np.full((8, 12), 2.2), abs=1e-12)
 
     def test_whole_grid_is_the_product_formula(self, rng):
         g = PeriodicGrid(40, 40)
@@ -583,6 +628,18 @@ class TestDiffeoMapInvariants:
         )
         with pytest.raises(InvalidInputError):
             DiffeoMap(disp)
+
+    @pytest.mark.parametrize("with_inverse", [False, True])
+    def test_rejects_alternating_fold(self, with_inverse):
+        """A fold between nodes, which the nodal determinant cannot see; with
+        an inverse of -d its round trip is within bounds, so only the fold
+        test refuses it."""
+        g = PeriodicGrid(16, 12)
+        dx, dy = alternating_fold(g)
+        disp = VectorField.from_arrays(g, dx, dy)
+        inv = VectorField.from_arrays(g, -dx, -dy) if with_inverse else None
+        with pytest.raises(InvalidInputError, match="not orientation preserving"):
+            DiffeoMap(disp, inv)
 
     def test_rejects_oversized_displacement(self):
         g = PeriodicGrid(16, 16)

@@ -18,7 +18,11 @@ complex-input FFT (``fft2``, ``ifft2``, ``fftn``, ``ifftn``, ``fft``,
 ``src/`` calls ``np.roll`` nowhere: every read across the periodic seam
 reads ``grid._pad``, one periodic extension.  And only ``DiffeoMap``'s
 construction pads a map's forward displacement: one padded map, whose pads
-every reader gathers through.  Float text has one encoder: a ``.17g``
+every reader gathers through.  Orientation has one test: only
+``DiffeoMap``'s construction and the build loop call the exact cell-corner
+kernel ``grid._corner_det``, and the nodal ``_jacobian_det_arrays`` serves
+only the two Jacobian values, ``jacobian_det`` and the pushforward
+residual.  Float text has one encoder: a ``.17g``
 conversion appears in code only in ``fileio._write_csv_rows``, which every
 sample, scatter and warp-mesh CSV goes through.
 
@@ -137,6 +141,17 @@ def pads_of_a_map_displacement():
 
 def test_one_padded_map():
     assert pads_of_a_map_displacement() == [("grid.py", "DiffeoMap.__post_init__")]
+
+
+def call_sites(name):
+    return {(file, owner) for file, owner, _ in matching_lines(rf"(?<!def )\b{name}\(")}
+
+
+def test_one_fold_test():
+    assert call_sites("_corner_det") == {("grid.py", "__post_init__"),
+                                         ("transport.py", "_integrate")}
+    assert call_sites("_jacobian_det_arrays") == {("grid.py", "jacobian_det"),
+                                                  ("transport.py", "pushforward_residual")}
 
 
 def float_text_sites():

@@ -120,11 +120,31 @@ class TestDiagnosticsAndErrors:
             assert np.abs(curl).max() <= 1e-10
 
     def test_orientation_loss_reports_step(self):
+        """One step is far too coarse (CFL about 25): the error says to take
+        more time steps."""
         g = PeriodicGrid(64, 64)
         with pytest.raises(OrientationLossError) as err:
             build_transport_map(make_density("two-bump", g),
                                 TransportConfig(steps=1, grid=g))
         assert err.value.step == 0
+        assert err.value.time == 1.0
+        assert err.value.cfl > 1.0
+        assert str(err.value).endswith("(try more time steps)")
+
+    def test_orientation_loss_below_cfl_one_blames_the_contrast(self):
+        """A ratio-1000 target folds late at CFL about 0.19: more steps would
+        not resolve it, and the error does not advise them."""
+        g = PeriodicGrid(32, 32)
+        with pytest.raises(OrientationLossError) as err:
+            build_transport_map(make_density("two-bump", g, ratio=1000.0),
+                                TransportConfig(steps=50, grid=g))
+        assert err.value.step == 47
+        assert err.value.time == 48 / 50
+        assert err.value.cfl < 1.0
+        assert err.value.min_det < 0.0
+        assert "more time steps" in str(err.value)
+        assert "try more time steps" not in str(err.value)
+        assert "target's contrast" in str(err.value)
 
     def test_grid_mismatch(self):
         g = PeriodicGrid(32, 32)
@@ -266,7 +286,9 @@ def reference_integrate(path, g, K):
     """The K-step loop on whole grids, in fresh arrays, in the order of its
     phases: the source and the solve, the inverse Euler update, then every
     pad (old forward map, new inverse map, its four centred differences),
-    then the predictor and its Newton updates, and last the Jacobian check."""
+    then the predictor and its Newton updates, and last the fold check, the
+    least of every cell's four corner determinants from edge differences of
+    the forward map's pads."""
     eps = 1.0 / K
     ws = PoissonWorkspace(g)
     X, Y = g.node_mesh()
@@ -306,10 +328,17 @@ def reference_integrate(path, g, K):
         fwd_x = y_x.reshape(g.shape) - X
         fwd_y = y_y.reshape(g.shape) - Y
 
-        pf_x, pf_y = _pad(fwd_x), _pad(fwd_y)
-        det = ((1.0 + _central_diff(g, pf_x, 0)) * (1.0 + _central_diff(g, pf_y, 1))
-               - _central_diff(g, pf_x, 1) * _central_diff(g, pf_y, 0))
-        min_jac[k] = det.min()
+        p_x, p_y = (_pad(a).reshape(g.n_x + 2, g.n_y + 2) for a in (fwd_x, fwd_y))
+
+        def along_x(p, j):  # at each cell's lower (j = 0) or upper (j = 1) edge
+            return (p[2:, 1 + j:g.n_y + 1 + j] - p[1:-1, 1 + j:g.n_y + 1 + j]) / g.h_x
+
+        def along_y(p, i):  # at each cell's left (i = 0) or right (i = 1) edge
+            return (p[1 + i:g.n_x + 1 + i, 2:] - p[1 + i:g.n_x + 1 + i, 1:-1]) / g.h_y
+
+        min_jac[k] = min(((1.0 + along_x(p_x, j)) * (1.0 + along_y(p_y, i))
+                          - along_y(p_x, i) * along_x(p_y, j)).min()
+                         for i in (0, 1) for j in (0, 1))
     return fwd_x, fwd_y, inv_x, inv_y, cfl, poisson_mean, min_jac
 
 
