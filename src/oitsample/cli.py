@@ -42,6 +42,7 @@ from .validate import (
 )
 
 SIGNIFICANCE = 0.01
+_WRITTEN = ("out", "table")  # the keys that name a file a command writes
 
 
 class UsageError(Exception):
@@ -88,7 +89,7 @@ def parse_config_text(text: str) -> dict:
             raise UsageError(f"config line {lineno}: expected key=value, got {raw!r}")
         if key not in _KEY_TYPES:
             raise UsageError(f"config line {lineno}: unknown key {key!r}")
-        if key in ("out", "table"):  # a file a command writes; shared, the next would overwrite it
+        if key in _WRITTEN:  # a file a command writes; shared, the next would overwrite it
             raise UsageError(f"config line {lineno}: pass --{key} as a flag")
         try:
             values[key] = _KEY_TYPES[key](value)
@@ -115,8 +116,6 @@ def _effective_config(args: argparse.Namespace) -> RunConfig:
 def _resolve_density(cfg: RunConfig, grid: PeriodicGrid) -> tuple[Density, str]:
     """``make_density`` of ``--density`` (a built-in is built on ``grid``);
     returns (density, identifier), which records ``--ratio``."""
-    if not cfg.density:
-        raise UsageError("a density (built-in name or OITF file) is required")
     suffix = "" if cfg.ratio is None else f"@ratio={cfg.ratio}"
     return make_density(cfg.density, grid, cfg.ratio), Path(cfg.density).name + suffix
 
@@ -126,8 +125,6 @@ def _resolve_density(cfg: RunConfig, grid: PeriodicGrid) -> tuple[Density, str]:
 
 
 def cmd_build(cfg: RunConfig) -> int:
-    if not cfg.out:
-        raise UsageError("build requires --out for the map file")
     target, ident = _resolve_density(cfg, PeriodicGrid(cfg.grid, cfg.grid))
     tcfg = TransportConfig(steps=cfg.steps, grid=target.grid)
     t0 = time.perf_counter()
@@ -150,10 +147,6 @@ def cmd_build(cfg: RunConfig) -> int:
 
 
 def cmd_sample(cfg: RunConfig) -> int:
-    if not cfg.map:
-        raise UsageError("sample requires --map")
-    if not cfg.out:
-        raise UsageError("sample requires --out")
     mapping, _meta = fileio.read_map_oitm(cfg.map)
     write_time = 0.0
     t0 = time.perf_counter()
@@ -179,8 +172,6 @@ def cmd_sample(cfg: RunConfig) -> int:
 
 
 def cmd_validate(cfg: RunConfig) -> int:
-    if not cfg.map:
-        raise UsageError("validate requires --map")
     mapping, meta = fileio.read_map_oitm(cfg.map)
     target, ident = _resolve_density(cfg, mapping.grid)
     mass = expected_bin_mass(target, cfg.bins, cfg.bins)  # checks --bins before sampling
@@ -223,17 +214,11 @@ def cmd_validate(cfg: RunConfig) -> int:
 
 
 def cmd_export(cfg: RunConfig) -> int:
-    if not cfg.out:
-        raise UsageError("export requires --out")
-    chosen = [k for k in ("map", "density", "samples") if getattr(cfg, k)]
-    if len(chosen) != 1:
-        raise UsageError("export needs exactly one of --map, --density, --samples")
-    kind = chosen[0]
-    if kind == "map":
+    if cfg.map:  # exactly one of map, density, samples is set
         mapping, _meta = fileio.read_map_oitm(cfg.map)
         fileio.write_warp_mesh_csv(cfg.out, mapping)
         print(f"mesh: {cfg.out}")
-    elif kind == "density":
+    elif cfg.density:
         target, _ident = _resolve_density(cfg, PeriodicGrid(cfg.grid, cfg.grid))
         fileio.write_heatmap_pgm(cfg.out, target.field)
         print(f"heatmap: {cfg.out}")
@@ -256,17 +241,19 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-# command -> (function, help, the RunConfig keys it reads, which are its flags)
+# command -> (function, help, the RunConfig keys it reads, which are its flags, the
+# inputs it needs: each a key that must be set, or a tuple of which exactly one is)
 _COMMANDS = {
     "build": (cmd_build, "construct a transport map and save it as OITM",
-              ("density", "ratio", "grid", "steps", "out")),
+              ("density", "ratio", "grid", "steps", "out"), ("density", "out")),
     "sample": (cmd_sample, "draw samples through a prebuilt map",
-               ("map", "n", "seed", "format", "workers", "out")),
+               ("map", "n", "seed", "format", "workers", "out"), ("map", "out")),
     "validate": (cmd_validate, "chi-squared checks of map samples against the target",
                  ("map", "density", "ratio", "n", "seed", "bins", "workers", "out",
-                  "table")),
+                  "table"), ("map", "density")),
     "export": (cmd_export, "figure-ready artifacts: heatmap PGM, warp-mesh CSV, scatter CSV",
-               ("map", "density", "ratio", "grid", "samples", "n", "out")),
+               ("map", "density", "ratio", "grid", "samples", "n", "out"),
+               ("out", ("map", "density", "samples"))),
 }
 
 # key -> flag help; build_parser appends the RunConfig default where there is one
@@ -293,14 +280,24 @@ def build_parser() -> _Parser:
                                  "flat torus through a measure-transport warp.")
     subs = parser.add_subparsers(dest="command", required=True)
     defaults = RunConfig()
-    for name, (_, doc, keys) in _COMMANDS.items():
+    for name, (_, doc, keys, _) in _COMMANDS.items():
         sub = subs.add_parser(name, help=doc)
-        sub.add_argument("--config", help="key=value file, any key but out, table; flags win")
+        sub.add_argument("--config",
+                         help=f"key=value file, any key but {', '.join(_WRITTEN)}; flags win")
         for key in keys:
             default = getattr(defaults, key)
             tail = "" if default is None else f" (default {default})"
             sub.add_argument(f"--{key}", type=_KEY_TYPES[key], help=_HELP[key] + tail)
     return parser
+
+
+def _check_needs(command: str, cfg: RunConfig) -> None:
+    """Refuse a run that lacks an input its command needs, before any file is read."""
+    for need in _COMMANDS[command][3]:
+        if isinstance(need, str) and not getattr(cfg, need):
+            raise UsageError(f"{command} requires --{need}")
+        if isinstance(need, tuple) and sum(bool(getattr(cfg, k)) for k in need) != 1:
+            raise UsageError(f"{command} needs exactly one of {', '.join('--' + k for k in need)}")
 
 
 def _same_file(a: str, b: str) -> bool:
@@ -316,7 +313,7 @@ def _check_paths(cfg: RunConfig, keys: tuple[str, ...], config: str | None) -> N
     and the table would overwrite each other, and an output would replace
     an input (the config file, map, sample CSV or density field) before or
     while the command reads it.  Only the keys the command reads count."""
-    written = [(k, getattr(cfg, k)) for k in ("out", "table") if getattr(cfg, k)]
+    written = [(k, getattr(cfg, k)) for k in _WRITTEN if getattr(cfg, k)]
     read = [("config", config)] + [(k, getattr(cfg, k)) for k in ("map", "samples", "density")
                                     if k in keys]
     read = [(k, p) for k, p in read if p and not (k == "density" and names_builtin(p))]
@@ -349,8 +346,9 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         cfg = _effective_config(args)
+        _check_needs(args.command, cfg)
         _check_paths(cfg, _COMMANDS[args.command][2], args.config)
-        with redirect_stdout(_report_stream(cfg.out, cfg.table)):
+        with redirect_stdout(_report_stream(*(getattr(cfg, k) for k in _WRITTEN))):
             return _COMMANDS[args.command][0](cfg)
     except (UsageError, InvalidInputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

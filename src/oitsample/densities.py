@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from . import fileio
-from .errors import InvalidInputError
+from .errors import DegenerateInputError, FileFormatError, InvalidInputError, PositivityError
 from .geodesic import Density, normalize, set_dynamic_range
 from .grid import PeriodicGrid, ScalarField
 
@@ -89,16 +89,24 @@ def make_density(spec: str, grid: PeriodicGrid, ratio: float | None = None) -> D
     ``grid``; anything else is a scalar OITF field file, which keeps its own
     grid.  ``ratio`` overrides the registry default (two-bump and
     one-gaussian-bump pin max/min = 100 unless told otherwise; a file has
-    no default).
+    no default).  A field file whose field cannot be range-shifted or
+    normalized (a non-positive entry, all zeros, a constant field given a
+    ratio) raises ``FileFormatError`` naming the file; a built-in's error
+    names none.
     """
-    if names_builtin(spec) or not (
-            spec.endswith(".oitf") or Path(spec).is_file()):
+    builtin = names_builtin(spec) or not (spec.endswith(".oitf") or Path(spec).is_file())
+    if builtin:
         name, param = parse_density_spec(spec)
         builder, default_ratio, _ = REGISTRY[name]
         raw = builder(grid, param)
     else:
         raw, default_ratio = fileio.read_field_oitf(spec), None
     effective = default_ratio if ratio is None else ratio
-    if effective is not None:
-        raw = set_dynamic_range(raw, effective)
-    return normalize(raw)
+    try:
+        if effective is not None:
+            raw = set_dynamic_range(raw, effective)
+        return normalize(raw)
+    except (PositivityError, DegenerateInputError) as exc:
+        if builtin:
+            raise
+        raise FileFormatError(f"{spec}: {exc}") from exc

@@ -193,7 +193,10 @@ def read_samples_oitf(path: str | Path) -> np.ndarray:
     if n_y != 1 or len(columns) != 2:
         raise FileFormatError(
             f"{path}: not a sample-batch OITF (n_y={n_y}, comps={len(columns)})")
-    return np.stack(columns, axis=1)
+    try:
+        return SampleBatch(np.stack(columns, axis=1)).points  # every point in [-pi, pi)
+    except InvalidInputError as exc:
+        raise FileFormatError(f"{path}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------

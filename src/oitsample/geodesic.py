@@ -92,7 +92,7 @@ def set_dynamic_range(raw: ScalarField, ratio: float) -> ScalarField:
     vmax = float(v.max())
     vmin = float(v.min())
     if vmin < 0.0:
-        raise InvalidInputError("field must be nonnegative")
+        raise PositivityError("field must be nonnegative")
     if vmax == vmin:
         raise DegenerateInputError("constant field has no dynamic range to set")
     beta = (vmax - ratio * vmin) / (ratio - 1.0)

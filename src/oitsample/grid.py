@@ -446,7 +446,7 @@ class DiffeoMap:
     cell; construction refuses it if it folds anywhere, which
     :func:`_corner_det` decides exactly.  ``inv_disp``, when present, is the
     inverse map's displacement, on that grid; construction checks the
-    round-trip ``phi^-1(phi(x)) ~= x`` to within 10 grid spacings.
+    round-trip ``phi^-1(phi(x)) ~= x`` to within 2 grid spacings.
 
     Construction pads the forward displacement once, into the read-only
     ``_padded``; the map's checks, ``apply``, ``jacobian_det``, the
@@ -479,7 +479,7 @@ class DiffeoMap:
             if self.inv_disp.grid != self.grid:
                 raise GridMismatchError("inverse displacement grid mismatch")
             err = self._round_trip_error()
-            bound = 10.0 * max(self.grid.h_x, self.grid.h_y)
+            bound = 2.0 * max(self.grid.h_x, self.grid.h_y)
             if err > bound:
                 raise InvalidInputError(
                     f"inverse is inconsistent: round-trip error {err:.3e} > {bound:.3e}"

@@ -911,6 +911,24 @@ class TestMalformedInputFiles:
                          "--steps", "2", "--out", str(tmp_path / "m.oitm"))
         assert str(field_path) in err and "finite" in err
 
+    @pytest.mark.parametrize("fill,entry,ratio,message", [
+        (1.0, -1.0, None, "field has non-positive value -1.0"),
+        (0.0, 0.0, None, "cannot normalize the zero field"),
+        (1.0, 1.0, "5", "constant field has no dynamic range to set"),
+    ], ids=["negative-entry", "all-zero", "constant-with-ratio"])
+    def test_density_field_that_cannot_be_normalized(self, tmp_path, capsys, fill, entry,
+                                                     ratio, message):
+        """A field with a -1 entry, an all-zero field and a constant field
+        given a ratio: the error names the file, as a malformed one does."""
+        values = np.full((16, 16), fill)
+        values[3, 4] = entry
+        field_path = tmp_path / "target.oitf"
+        write_field_oitf(field_path, ScalarField(PeriodicGrid(16, 16), values))
+        args = ["build", "--density", str(field_path), "--steps", "2",
+                "--out", str(tmp_path / "m.oitm")]
+        err = self.check(capsys, *args, *(["--ratio", ratio] if ratio else []))
+        assert err == f"error: {field_path}: {message}\n"
+
 
 def cfg_reads(func):
     """The RunConfig keys a command function reads: its ``cfg.<key>``
@@ -924,12 +942,49 @@ def cfg_reads(func):
     return keys
 
 
+# key -> a value for a command line that sets it; no file exists at any of these paths
+_NEED_VALUES = {"density": "uniform", "map": "none.oitm", "samples": "none.csv",
+                "out": "out.bin"}
+
+
+def _needs():
+    """(command, need) for each input each command needs, from ``_COMMANDS``."""
+    return [(name, need) for name, (*_, needs) in _COMMANDS.items() for need in needs]
+
+
+class TestCommandNeeds:
+    """``main`` refuses a command that lacks an input it needs before any
+    file is read."""
+
+    @pytest.mark.parametrize("name,need", _needs(),
+                             ids=lambda v: v if isinstance(v, str) else "|".join(v))
+    def test_leaving_a_need_out_is_usage_error(self, tmp_path, monkeypatch, capsys, name,
+                                               need):
+        monkeypatch.chdir(tmp_path)
+        args = [name]
+        for other in _COMMANDS[name][3]:
+            if other != need:  # a group is met by its first key
+                key = other if isinstance(other, str) else other[0]
+                args += [f"--{key}", _NEED_VALUES[key]]
+        assert run(*args) == 1
+        if isinstance(need, str):
+            assert capsys.readouterr().err == f"error: {name} requires --{need}\n"
+        else:
+            flags = ", ".join(f"--{k}" for k in need)
+            assert capsys.readouterr().err == f"error: {name} needs exactly one of {flags}\n"
+        assert os.listdir(tmp_path) == []
+
+    def test_missing_density_is_named_before_the_map_is_read(self, tmp_path, capsys):
+        assert run("validate", "--map", str(tmp_path / "none.oitm"), "--n", "10") == 1
+        assert capsys.readouterr().err == "error: validate requires --density\n"
+
+
 class TestCommandFlags:
     """Each command takes --config and one flag per setting it reads."""
 
     @pytest.mark.parametrize("name", sorted(_COMMANDS))
     def test_flags_are_the_keys_the_command_reads(self, name):
-        func, _, keys = _COMMANDS[name]
+        func, _, keys, _ = _COMMANDS[name]
         assert len(set(keys)) == len(keys)
         assert cfg_reads(func) == set(keys)
 
@@ -952,11 +1007,11 @@ class TestCommandFlags:
                         if opt not in ("-h", "--help")}
                  for name, sub in subs.choices.items()}
         assert flags == {name: {"--config"} | {f"--{key}" for key in keys}
-                         for name, (_, _, keys) in _COMMANDS.items()}
+                         for name, (_, _, keys, _) in _COMMANDS.items()}
         assert sum(len(f) for f in flags.values()) == 31
 
     @pytest.mark.parametrize("name,prefix", [
-        (name, prefix) for name, (_, _, keys) in _COMMANDS.items()
+        (name, prefix) for name, (_, _, keys, _) in _COMMANDS.items()
         for prefix, key in (("--wor", "workers"), ("--ma", "map"), ("--o", "out"),
                             ("--conf", "config"))
         if key in keys + ("config",)])
@@ -968,7 +1023,7 @@ class TestCommandFlags:
         assert f"unrecognized arguments: {prefix} 1" in capsys.readouterr().err
 
     @pytest.mark.parametrize("name,key", [
-        (name, key) for name, (_, _, keys) in _COMMANDS.items()
+        (name, key) for name, (_, _, keys, _) in _COMMANDS.items()
         for key in _KEY_TYPES if key not in keys])
     def test_unread_flag_is_usage_error(self, name, key, capsys):
         assert run(name, f"--{key}", "1") == 1

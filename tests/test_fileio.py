@@ -123,6 +123,17 @@ class TestSampleFiles:
         with pytest.raises(FileFormatError):
             read_samples_oitf(p)
 
+    @pytest.mark.parametrize("bad", [np.nan, 7.0, -9.0, np.pi])
+    def test_oitf_point_outside_the_torus_is_a_format_error(self, tmp_path, bad):
+        """Each coordinate must lie in [-pi, pi), as a sample CSV's must; the
+        error names the path."""
+        x = np.array([0.5, bad, -1.0])
+        y = np.array([0.0, 0.1, 0.2])
+        p = tmp_path / "bad.oitf"
+        p.write_bytes(fileio._oitf_header(3, 1, 2) + np.concatenate([x, y]).astype("<f8").tobytes())
+        with pytest.raises(FileFormatError, match=f"^{re.escape(str(p))}: sample coordinates"):
+            read_samples_oitf(p)
+
     def test_csv_round_trip_is_exact(self, tmp_path):
         batch = draw_uniform(2000, seed=6)
         p = tmp_path / "pts.csv"
@@ -643,6 +654,21 @@ class TestOitmMatchesSeparateCodec:
                       + np.concatenate([dx, dy, -dx, -dy]).astype("<f8").tobytes())
         with pytest.raises(FileFormatError,
                            match=f"^{re.escape(str(p))}: map is not orientation preserving"):
+            read_map_oitm(p)
+
+    def test_inverse_three_grid_spacings_off_is_a_format_error(self, tmp_path):
+        """The identity map stored with an inverse shifted by 3 grid spacings
+        fails the round-trip check; the error names the path."""
+        g = PeriodicGrid(32, 32)
+        zero = np.zeros(g.shape)
+        head = (fileio.OITM_MAGIC, g.n_x, g.n_y, 1, 0.0, 0.0, 0, 0)
+        p = tmp_path / "offset.oitm"
+        p.write_bytes(np.array(head, fileio._OITM_HEAD).tobytes()
+                      + np.zeros(3, "<f8").tobytes()  # one step's three diagnostics
+                      + np.concatenate([zero, zero, np.full(g.shape, 3.0 * g.h_x), zero])
+                      .astype("<f8").tobytes())
+        with pytest.raises(FileFormatError,
+                           match=f"^{re.escape(str(p))}: inverse is inconsistent"):
             read_map_oitm(p)
 
 

@@ -654,6 +654,20 @@ class TestDiffeoMapInvariants:
         with pytest.raises(InvalidInputError):
             DiffeoMap(phi.disp, bogus)
 
+    @pytest.mark.parametrize("cells,refused", [(1.5, False), (3.0, True)])
+    def test_inverse_within_two_grid_spacings(self, cells, refused):
+        """The identity map with a stored inverse that is a constant shift
+        along x: 1.5 grid spacings off is within the bound, 3 are refused."""
+        g = PeriodicGrid(32, 32)
+        zero = np.zeros(g.shape)
+        disp = VectorField.from_arrays(g, zero, zero)
+        inv = VectorField.from_arrays(g, np.full(g.shape, cells * g.h_x), zero)
+        if not refused:
+            DiffeoMap(disp, inv)
+            return
+        with pytest.raises(InvalidInputError, match="inverse is inconsistent"):
+            DiffeoMap(disp, inv)
+
     def test_kept_pads_are_the_read_only_extensions(self):
         """The map keeps the ``_pad`` extensions of its forward displacement,
         and writing to them raises."""

@@ -24,7 +24,9 @@ kernel ``grid._corner_det``, and the nodal ``_jacobian_det_arrays`` serves
 only the two Jacobian values, ``jacobian_det`` and the pushforward
 residual.  Float text has one encoder: a ``.17g``
 conversion appears in code only in ``fileio._write_csv_rows``, which every
-sample, scatter and warp-mesh CSV goes through.
+sample, scatter and warp-mesh CSV goes through.  A command has one
+contract: ``cli.main`` checks the inputs ``cli._COMMANDS`` says it needs,
+and no ``cmd_*`` function nor ``_resolve_density`` raises ``UsageError``.
 
 The value types take only the data that fixes them and compute the rest:
 ``Density`` takes its field (its mass is computed), ``GeodesicPath`` its two
@@ -145,6 +147,15 @@ def test_one_padded_map():
 
 def call_sites(name):
     return {(file, owner) for file, owner, _ in matching_lines(rf"(?<!def )\b{name}\(")}
+
+
+def test_one_command_contract():
+    """``cli.main`` checks what each command needs, from ``cli._COMMANDS``:
+    no command function and not ``_resolve_density`` raises ``UsageError``,
+    so a command runs only once its contract holds."""
+    assert [(owner, where) for name, owner, where in matching_lines(r"raise UsageError\b")
+            if name == "cli.py" and owner is not None
+            and (owner.startswith("cmd_") or owner == "_resolve_density")] == []
 
 
 def test_one_fold_test():
