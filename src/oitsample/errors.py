@@ -18,7 +18,8 @@ class DegenerateInputError(InvalidInputError):
 
 
 class FileFormatError(InvalidInputError):
-    """A field, map or sample file is malformed; the message names the file.
+    """A field, map or sample file is malformed; ``fileio._reading`` starts
+    the message with the file's path.
 
     Raised for a bad magic, length or encoding, and for content that fails
     the grid, field or map checks (a non-finite value, a folded map).

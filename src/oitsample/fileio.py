@@ -30,7 +30,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import FileFormatError, InvalidInputError
-from .grid import _POINT_BLOCK, DiffeoMap, PeriodicGrid, ScalarField, VectorField
+from .grid import DiffeoMap, PeriodicGrid, ScalarField, VectorField
 from .sampler import SampleBatch
 from .transport import TransportResult
 
@@ -47,54 +47,56 @@ _F64 = np.dtype("<f8")
 _CSV_HEADER = b"x,y\n"
 
 
-def _take(path: str | Path, buf: bytes, offset: int, dtype: np.dtype,
-          count: int, what: str) -> tuple[np.ndarray, int]:
-    """``count`` values of ``dtype`` at ``offset`` of ``path``'s bytes (a
-    read-only view), and the offset just past them."""
+@contextmanager
+def _reading(path: str | Path) -> Iterator[None]:
+    """Re-raise the block's ``InvalidInputError`` (a bad layout, or content
+    failing a grid, field, map or batch check) as ``FileFormatError`` whose
+    message starts with ``path``: the one place a reader names its file."""
+    try:
+        yield
+    except InvalidInputError as exc:
+        raise FileFormatError(f"{path}: {exc}") from exc
+
+
+def _take(buf: bytes, offset: int, dtype: np.dtype, count: int,
+          what: str) -> tuple[np.ndarray, int]:
+    """``count`` values of ``dtype`` at ``offset`` of ``buf`` (a read-only
+    view), and the offset just past them."""
     end = offset + dtype.itemsize * count
     if end > len(buf):
-        raise FileFormatError(f"{path}: truncated file while reading {what}")
+        raise FileFormatError(f"truncated file while reading {what}")
     return np.frombuffer(buf, dtype, count, offset), end
 
 
-def _read_head(path: str | Path, buf: bytes, layout: np.dtype,
-               magic: bytes) -> tuple[dict, int]:
+def _read_head(buf: bytes, layout: np.dtype, magic: bytes) -> tuple[dict, int]:
     """The header's fields as Python scalars (so n_x * n_y cannot wrap in
     uint32), and the offset after it."""
-    raw, offset = _take(path, buf, 0, layout, 1, "header")
+    raw, offset = _take(buf, 0, layout, 1, "header")
     if raw["magic"][0] != magic:
-        raise FileFormatError(f"{path}: not an {magic[:4].decode()} file")
+        raise FileFormatError(f"not an {magic[:4].decode()} file")
     return {name: raw[name][0].item() for name in layout.names}, offset
 
 
-def _read_columns(path: str | Path, buf: bytes, offset: int,
-                  counts: dict[str, int]) -> dict[str, np.ndarray]:
+def _read_columns(buf: bytes, offset: int, counts: dict[str, int]) -> dict[str, np.ndarray]:
     """The rest of the file: for each name in order, a float64 column of its
     count of values.  A column is a read-only view of ``buf`` wherever the
     host's byte order is the file's, so a caller copies what it keeps and
     the bytes can go once it has."""
     columns = {}
     for name, count in counts.items():
-        col, offset = _take(path, buf, offset, _F64, count, name)
+        col, offset = _take(buf, offset, _F64, count, name)
         columns[name] = col.astype(np.float64, copy=False)
     if offset != len(buf):
-        raise FileFormatError(f"{path}: {len(buf) - offset} trailing bytes")
+        raise FileFormatError(f"{len(buf) - offset} trailing bytes")
     return columns
 
 
 def _write_columns(fh, columns: list[np.ndarray]) -> None:
-    """Each column's values as float64, in row-major order.
-
-    Every column goes out in blocks through one reused buffer, so no
-    full-length copy of a column is ever made.
-    """
-    buf = np.empty(min(max(col.size for col in columns), _POINT_BLOCK), _F64)
+    """Each column's values as float64, in row-major order, one write per
+    column: a C-contiguous float64 column (a field, a map component, a
+    diagnostic array) goes out without a copy."""
     for col in columns:
-        flat = col.reshape(-1)
-        for s in range(0, flat.size, _POINT_BLOCK):
-            block = buf[:min(flat.size - s, _POINT_BLOCK)]
-            block[...] = flat[s:s + len(block)]
-            fh.write(block)
+        fh.write(np.ascontiguousarray(col, _F64))
 
 
 @contextmanager
@@ -158,12 +160,11 @@ def _read_oitf(path: str | Path) -> tuple[int, int, list[np.ndarray]]:
     """n_x, n_y and the flat float64 columns of an OITF file, as
     ``_read_columns`` gives them."""
     buf = Path(path).read_bytes()
-    head, offset = _read_head(path, buf, _OITF_HEAD, OITF_MAGIC)
+    head, offset = _read_head(buf, _OITF_HEAD, OITF_MAGIC)
     n_x, n_y, comps = head["n_x"], head["n_y"], head["comps"]
     if comps not in (1, 2):
-        raise FileFormatError(f"{path}: component count {comps} not in (1, 2)")
-    columns = _read_columns(path, buf, offset,
-                            {f"component {c}": n_x * n_y for c in range(comps)})
+        raise FileFormatError(f"component count {comps} not in (1, 2)")
+    columns = _read_columns(buf, offset, {f"component {c}": n_x * n_y for c in range(comps)})
     return n_x, n_y, list(columns.values())
 
 
@@ -174,13 +175,11 @@ def write_field_oitf(path: str | Path, field: ScalarField) -> None:
 
 
 def read_field_oitf(path: str | Path) -> ScalarField:
-    n_x, n_y, columns = _read_oitf(path)
-    if len(columns) != 1:
-        raise FileFormatError(f"{path}: not a field OITF ({len(columns)} components)")
-    try:
+    with _reading(path):
+        n_x, n_y, columns = _read_oitf(path)
+        if len(columns) != 1:
+            raise FileFormatError(f"not a field OITF ({len(columns)} components)")
         return ScalarField(PeriodicGrid(n_x, n_y), columns[0].reshape(n_x, n_y))
-    except InvalidInputError as exc:  # a bad grid size or a non-finite value
-        raise FileFormatError(f"{path}: {exc}") from exc
 
 
 def write_samples_oitf(path: str | Path, batch: SampleBatch) -> None:
@@ -189,14 +188,12 @@ def write_samples_oitf(path: str | Path, batch: SampleBatch) -> None:
 
 
 def read_samples_oitf(path: str | Path) -> np.ndarray:
-    n, n_y, columns = _read_oitf(path)
-    if n_y != 1 or len(columns) != 2:
-        raise FileFormatError(
-            f"{path}: not a sample-batch OITF (n_y={n_y}, comps={len(columns)})")
-    try:
+    with _reading(path):
+        n, n_y, columns = _read_oitf(path)
+        if n_y != 1 or len(columns) != 2:
+            raise FileFormatError(
+                f"not a sample-batch OITF (n_y={n_y}, comps={len(columns)})")
         return SampleBatch(np.stack(columns, axis=1)).points  # every point in [-pi, pi)
-    except InvalidInputError as exc:
-        raise FileFormatError(f"{path}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -237,25 +234,23 @@ def write_map_oitm(path: str | Path, result: TransportResult, density_id: str) -
 
 
 def read_map_oitm(path: str | Path) -> tuple[DiffeoMap, MapMetadata]:
-    buf = Path(path).read_bytes()
-    head, offset = _read_head(path, buf, _OITM_HEAD, OITM_MAGIC)
-    ident, offset = _take(path, buf, offset, np.dtype("u1"), head["id_len"], "identifier")
-    try:
-        density_id = ident.tobytes().decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise FileFormatError(f"{path}: density identifier is not UTF-8 ({exc})") from exc
-    n_x, n_y, steps = head["n_x"], head["n_y"], head["steps"]
-    columns = _read_columns(path, buf, offset, {**dict.fromkeys(_OITM_DIAGS, steps),
-                                                **dict.fromkeys(_OITM_DISP, n_x * n_y)})
-    diags = {name: columns[name].copy() for name in _OITM_DIAGS}
-    try:
+    with _reading(path):
+        buf = Path(path).read_bytes()
+        head, offset = _read_head(buf, _OITM_HEAD, OITM_MAGIC)
+        ident, offset = _take(buf, offset, np.dtype("u1"), head["id_len"], "identifier")
+        try:
+            density_id = ident.tobytes().decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise FileFormatError(f"density identifier is not UTF-8 ({exc})") from exc
+        n_x, n_y, steps = head["n_x"], head["n_y"], head["steps"]
+        columns = _read_columns(buf, offset, {**dict.fromkeys(_OITM_DIAGS, steps),
+                                              **dict.fromkeys(_OITM_DISP, n_x * n_y)})
+        diags = {name: columns[name].copy() for name in _OITM_DIAGS}
         grid = PeriodicGrid(n_x, n_y)
         fwd_x, fwd_y, inv_x, inv_y = (ScalarField(grid, columns[name].reshape(n_x, n_y))
                                       for name in _OITM_DISP)
         del buf, ident, columns  # all copied out: the file's bytes go before the map check
         mapping = DiffeoMap(VectorField(fwd_x, fwd_y), VectorField(inv_x, inv_y))
-    except InvalidInputError as exc:  # a bad grid size, value or map
-        raise FileFormatError(f"{path}: {exc}") from exc
     meta = MapMetadata(
         steps=steps,
         angle=head["angle"],
@@ -422,7 +417,8 @@ def stream_samples(path: str | Path, n: int,
     and ``write_samples_oitf`` are the one call ``write(0, points)``.  The
     file reaches ``path`` as ``_output`` says.  The OITF header is
     written last, so ``n`` is only encoded once every row is in.  An OITF
-    going to a pipe, which cannot seek, holds the points until then.
+    going to a pipe, which cannot seek, holds the chunks until then and
+    writes them column by column, with no second copy of the batch.
     """
     if fmt not in ("csv", "oitf"):
         raise InvalidInputError(f"format must be csv or oitf, got {fmt!r}")
@@ -434,9 +430,8 @@ def stream_samples(path: str | Path, n: int,
         if not fh.seekable():
             chunks: list[np.ndarray] = []
             yield lambda start, points: chunks.append(points)
-            pts = np.concatenate(chunks) if chunks else np.empty((0, 2))
             fh.write(_oitf_header(n, 1, 2))
-            _write_columns(fh, [pts[:, 0], pts[:, 1]])
+            _write_columns(fh, [c[:, 0] for c in chunks] + [c[:, 1] for c in chunks])
             return
         head = _OITF_HEAD.itemsize
 
@@ -457,11 +452,11 @@ def read_samples_csv(path: str | Path, max_rows: int | None = None) -> np.ndarra
     not a row."""
     if max_rows is not None and max_rows < 0:
         raise InvalidInputError(f"row count must be nonnegative, got {max_rows}")
-    with open(path) as fh:
+    with _reading(path), open(path) as fh:
         try:
             header = fh.readline().strip()
             if header != "x,y":
-                raise FileFormatError(f"{path}: expected header 'x,y', got {header!r}")
+                raise FileFormatError(f"expected header 'x,y', got {header!r}")
             rows = filterfalse(str.isspace, fh)  # a line of only whitespace is blank
             if max_rows == 0 or (first := next(rows, None)) is None:
                 return np.empty((0, 2))
@@ -470,13 +465,10 @@ def read_samples_csv(path: str | Path, max_rows: int | None = None) -> np.ndarra
         except FileFormatError:
             raise
         except ValueError as exc:  # a field that is not a number, or undecodable text
-            raise FileFormatError(f"{path}: unreadable sample CSV ({exc})") from exc
-    if data.shape[1] != 2:
-        raise FileFormatError(f"{path}: expected two columns")
-    try:
+            raise FileFormatError(f"unreadable sample CSV ({exc})") from exc
+        if data.shape[1] != 2:
+            raise FileFormatError("expected two columns")
         return SampleBatch(data).points  # a batch's range check: every point in [-pi, pi)
-    except InvalidInputError as exc:
-        raise FileFormatError(f"{path}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------

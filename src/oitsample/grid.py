@@ -168,9 +168,8 @@ class VectorField:
 
 # The one block size for large point sets.  It sets the sampler's chunk (one
 # uniform draw, one thread task and one map evaluation each), the rejection
-# oracle's proposal block (one draw and one density evaluation), the row
-# blocks of nodes that the build loop's pointwise phases run over, and the
-# buffer through which float64 columns go to a binary file.  A block's
+# oracle's proposal block (one draw and one density evaluation) and the row
+# blocks of nodes that the build loop's pointwise phases run over.  A block's
 # stencil and gather temporaries, a few 256 KB arrays, stay in a core's L2
 # cache; a 2^20-point pass streams every one of them through memory.  On a
 # 2-core host with 2 MB of L2 per core, 2^20 sampler points
@@ -493,12 +492,14 @@ class DiffeoMap:
         return float(np.hypot(wrap_angle(bx), wrap_angle(by)).max())
 
     def apply(self, points: np.ndarray) -> np.ndarray:
-        """Evaluate the map at points; result wrapped into [-pi, pi)."""
+        """Evaluate the map at one (2,) point or at (N, 2) points, with the
+        input's shape; result wrapped into [-pi, pi)."""
         pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
         st = _point_stencil(self.grid, pts)
         moved = np.stack([st.gather(p) for p in self._padded], axis=1)
         moved += pts
-        return wrap_angle(moved)
+        out = wrap_angle(moved)
+        return out[0] if np.ndim(points) == 1 else out
 
 
 def jacobian_det(mapping: DiffeoMap) -> ScalarField:

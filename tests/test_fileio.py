@@ -1,6 +1,7 @@
 import dataclasses
 import os
 import re
+import threading
 import tracemalloc
 from decimal import Decimal
 
@@ -90,9 +91,8 @@ class TestOitfFields:
         with pytest.raises(FileFormatError):
             read_field_oitf(p)
 
-    def test_blocked_writes_match_whole_columns(self, tmp_path, monkeypatch, rng):
-        monkeypatch.setattr(fileio, "_POINT_BLOCK", 4)
-        g = PeriodicGrid(5, 7)  # 35 values: several blocks and a partial one
+    def test_blocked_writes_match_whole_columns(self, tmp_path, rng):
+        g = PeriodicGrid(5, 7)
         values = rng.standard_normal(g.shape)
         p = tmp_path / "field.oitf"
         write_field_oitf(p, ScalarField(g, values))
@@ -108,8 +108,7 @@ class TestSampleFiles:
         assert np.array_equal(read_samples_oitf(p), batch.points)
 
     @pytest.mark.parametrize("n", [0, 1, 8, 11])
-    def test_oitf_blocked_writes_match_whole_columns(self, tmp_path, monkeypatch, n):
-        monkeypatch.setattr(fileio, "_POINT_BLOCK", 4)
+    def test_oitf_blocked_writes_match_whole_columns(self, tmp_path, n):
         batch = draw_uniform(n, seed=5)
         p = tmp_path / "pts.oitf"
         write_samples_oitf(p, batch)
@@ -133,6 +132,41 @@ class TestSampleFiles:
         p.write_bytes(fileio._oitf_header(3, 1, 2) + np.concatenate([x, y]).astype("<f8").tobytes())
         with pytest.raises(FileFormatError, match=f"^{re.escape(str(p))}: sample coordinates"):
             read_samples_oitf(p)
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs a FIFO")
+    def test_piped_oitf_holds_no_second_copy(self, tmp_path):
+        """A pipe cannot seek, so the OITF writer holds the points until the
+        header is known and then writes each column from them: the traced
+        peak is one column's copy, not a copy of the batch.  Measured on
+        2^18 points: 0.50 of the batch's bytes; 1.06 when the held points
+        were first joined into one array."""
+        batch = draw_uniform(1 << 18, seed=6)  # 4 MB of points
+        ref = tmp_path / "pts.oitf"
+        write_samples_oitf(ref, batch)
+        expected = ref.read_bytes()
+        got = bytearray(len(expected))  # the reader's buffer exists before tracing
+        fifo = tmp_path / "pipe.oitf"
+        os.mkfifo(fifo)
+
+        def drain():
+            view = memoryview(got)
+            pos = 0
+            with open(fifo, "rb", buffering=0) as fh:
+                while n := fh.readinto(view[pos:pos + (1 << 16)]):
+                    pos += n
+
+        reader = threading.Thread(target=drain, daemon=True)
+        reader.start()
+        tracemalloc.start()
+        try:
+            write_samples_oitf(fifo, batch)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        reader.join(60)
+        assert not reader.is_alive()
+        assert got == expected
+        assert peak < 0.75 * batch.points.nbytes
 
     def test_csv_round_trip_is_exact(self, tmp_path):
         batch = draw_uniform(2000, seed=6)
@@ -681,3 +715,32 @@ class TestMalformedCsv:
         p.write_bytes(body)
         with pytest.raises(FileFormatError, match="bad.csv"):
             read_samples_csv(p)
+
+
+def _oitm_head(n_x, n_y, steps):
+    return np.array((fileio.OITM_MAGIC, n_x, n_y, steps, 0.0, 0.0, 0, 0),
+                    fileio._OITM_HEAD).tobytes()
+
+
+# reader -> the bytes of one file it refuses
+MALFORMED = {
+    "oitm-truncated": (read_map_oitm, _oitm_head(4, 4, 1) + np.zeros(5, "<f8").tobytes()),
+    "oitf-field-magic": (read_field_oitf, b"OITM1\n" + np.zeros(16, "<u1").tobytes()),
+    "oitf-samples-nan": (read_samples_oitf, fileio._oitf_header(2, 1, 2)
+                         + np.array([0.5, np.nan, 0.0, 0.1], "<f8").tobytes()),
+    "csv-header": (read_samples_csv, b"x;y\n0.3,0.1\n"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_every_reader_names_the_file_once(tmp_path, case):
+    """Each reader's format and content errors get the path from
+    ``fileio._reading`` once: a reader nested in another would name it twice."""
+    read, data = MALFORMED[case]
+    p = tmp_path / "bad.bin"
+    p.write_bytes(data)
+    with pytest.raises(FileFormatError) as info:
+        read(p)
+    message = str(info.value)
+    assert message.startswith(f"{p}: ")
+    assert message.count(str(p)) == 1

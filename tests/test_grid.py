@@ -723,7 +723,20 @@ class TestPointEntry:
         row = point[None, :]
         assert np.ndim(q["interp_scalar"](point)) == 0
         assert q["interp_scalar"](point) == q["interp_scalar"](row)[0]
-        assert np.array_equal(q["apply"](point), row)
+        assert np.array_equal(q["apply"](point), point)
+
+    @pytest.mark.parametrize("points, shape", [
+        ([0.5, -1.0], (2,)),
+        ([[0.5, -1.0]], (1, 2)),
+        (np.zeros((3, 2)), (3, 2)),
+    ], ids=["point", "one-row", "rows"])
+    def test_apply_keeps_the_input_shape(self, points, shape):
+        """One (2,) point moves to one (2,) point, as interp_scalar gives one
+        value for it; rows move to as many rows."""
+        m = smooth_test_map(self.GRID, amp=0.3)
+        moved = m.apply(points)
+        assert moved.shape == shape
+        assert np.array_equal(moved.reshape(-1, 2), m.apply(np.reshape(points, (-1, 2))))
 
     def test_empty_batch(self):
         q = self.queries()

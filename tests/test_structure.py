@@ -8,8 +8,9 @@ pool), CLI flags are added only in ``cli.build_parser``, from
 ``cli._COMMANDS`` (one flag table), a path is opened for writing only in
 ``fileio._output`` (one opener), a density field is read from a file or
 range-shifted only in ``densities.make_density`` (one density pipeline),
-and ``np.mod`` wraps coordinates only in ``grid.wrap_angle`` (one general
-wrap).
+``np.mod`` wraps coordinates only in ``grid.wrap_angle`` (one general
+wrap), and a reader's ``FileFormatError`` gets its path only in
+``fileio._reading`` (one file namer).
 
 Every field the package transforms is real, so ``src/`` calls no
 complex-input FFT (``fft2``, ``ifft2``, ``fftn``, ``ifftn``, ``fft``,
@@ -66,6 +67,7 @@ RULES = {
     "density-pipeline": (r"(?<!def )\b(read_field_oitf|set_dynamic_range)\(",
                          ("densities.py", "make_density")),
     "general-wrap": (r"np\.mod\(", ("grid.py", "wrap_angle")),
+    "file-namer": (r'FileFormatError\(f"\{path\}', ("fileio.py", "_reading")),
 }
 
 

@@ -80,7 +80,7 @@ class TestNearIdentity:
         coarse = build_transport_map(target, TransportConfig(steps=2, grid=g))
         fine = build_transport_map(target, TransportConfig(steps=16, grid=g))
         assert round_trip(fine) < round_trip(coarse)
-        assert round_trip(fine) <= 10 * g.h_x
+        assert round_trip(fine) <= 1e-6 * g.h_x
 
 
 class TestDiagnosticsAndErrors:
