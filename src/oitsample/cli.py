@@ -23,7 +23,7 @@ from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 from . import fileio
-from .densities import make_density, names_builtin
+from .densities import make_density, names_field_file
 from .errors import (
     InvalidInputError,
     NumericalBlowupError,
@@ -316,7 +316,7 @@ def _check_paths(cfg: RunConfig, keys: tuple[str, ...], config: str | None) -> N
     written = [(k, getattr(cfg, k)) for k in _WRITTEN if getattr(cfg, k)]
     read = [("config", config)] + [(k, getattr(cfg, k)) for k in ("map", "samples", "density")
                                     if k in keys]
-    read = [(k, p) for k, p in read if p and not (k == "density" and names_builtin(p))]
+    read = [(k, p) for k, p in read if p and (k != "density" or names_field_file(p))]
     for i, (key, path) in enumerate(written):
         for other, other_path in written[i + 1:] + read:
             if _same_file(path, other_path):

@@ -57,10 +57,12 @@ REGISTRY = {
 }
 
 
-def names_builtin(spec: str) -> bool:
-    """Whether ``spec`` is a built-in: its name before any ``:`` is in the
-    registry, whatever files exist."""
-    return spec.partition(":")[0].strip() in REGISTRY
+def names_field_file(spec: str) -> bool:
+    """Whether ``spec`` names a scalar OITF field file: its name before any
+    ``:`` is not a built-in (whatever files exist), and it ends in ``.oitf``
+    or names an existing file."""
+    builtin = spec.partition(":")[0].strip() in REGISTRY
+    return not builtin and (spec.endswith(".oitf") or Path(spec).is_file())
 
 
 def parse_density_spec(spec: str) -> tuple[str, float | None]:
@@ -85,28 +87,28 @@ def make_density(spec: str, grid: PeriodicGrid, ratio: float | None = None) -> D
     """Resolve a density spec, as ``--density`` takes it: raw field, optional
     range shift, normalize.
 
-    A built-in (named before any ``:``, whatever files exist) is built on
-    ``grid``; anything else is a scalar OITF field file, which keeps its own
-    grid.  ``ratio`` overrides the registry default (two-bump and
-    one-gaussian-bump pin max/min = 100 unless told otherwise; a file has
-    no default).  A field file whose field cannot be range-shifted or
+    A spec that ``names_field_file`` is read from that file and keeps its
+    own grid; anything else is a built-in, built on ``grid`` (an unknown
+    name raises ``InvalidInputError``).  ``ratio`` overrides the registry
+    default (two-bump and one-gaussian-bump pin max/min = 100 unless told
+    otherwise; a file has no default).  A field file whose field cannot be range-shifted or
     normalized (a non-positive entry, all zeros, a constant field given a
     ratio) raises ``FileFormatError`` naming the file; a built-in's error
     names none.
     """
-    builtin = names_builtin(spec) or not (spec.endswith(".oitf") or Path(spec).is_file())
-    if builtin:
+    from_file = names_field_file(spec)
+    if from_file:
+        raw, default_ratio = fileio.read_field_oitf(spec), None
+    else:
         name, param = parse_density_spec(spec)
         builder, default_ratio, _ = REGISTRY[name]
         raw = builder(grid, param)
-    else:
-        raw, default_ratio = fileio.read_field_oitf(spec), None
     effective = default_ratio if ratio is None else ratio
     try:
         if effective is not None:
             raw = set_dynamic_range(raw, effective)
         return normalize(raw)
     except (PositivityError, DegenerateInputError) as exc:
-        if builtin:
+        if not from_file:
             raise
         raise FileFormatError(f"{spec}: {exc}") from exc

@@ -30,7 +30,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import FileFormatError, InvalidInputError
-from .grid import DiffeoMap, PeriodicGrid, ScalarField, VectorField
+from .grid import TWO_PI, DiffeoMap, PeriodicGrid, ScalarField, VectorField
 from .sampler import SampleBatch
 from .transport import TransportResult
 
@@ -505,7 +505,6 @@ def write_warp_mesh_csv(path: str | Path, mapping: DiffeoMap) -> None:
     n_x, n_y = grid.shape
     dx = mapping.disp.u_x.values
     dy = mapping.disp.u_y.values
-    two_pi = 2.0 * np.pi
     i = np.arange(0, n_x, 4)[:, None]  # one polyline per row
     j = np.arange(0, n_y, 4)[:, None]
     # vertex v of a polyline sits on node v % n and is shifted by v // n
@@ -516,8 +515,8 @@ def write_warp_mesh_csv(path: str | Path, mapping: DiffeoMap) -> None:
     v_x = np.arange(n_x + 1)
     wrap_x = v_x % n_x
     x_lines = np.stack((grid.xs[i] + dx[i, wrap_y],
-                        grid.ys[wrap_y] + dy[i, wrap_y] + v_y // n_y * two_pi), -1)
-    y_lines = np.stack((grid.xs[wrap_x] + dx[wrap_x, j] + v_x // n_x * two_pi,
+                        grid.ys[wrap_y] + dy[i, wrap_y] + v_y // n_y * TWO_PI), -1)
+    y_lines = np.stack((grid.xs[wrap_x] + dx[wrap_x, j] + v_x // n_x * TWO_PI,
                         grid.ys[j] + dy[wrap_x, j]), -1)
     rows = io.BytesIO()
     for lines in (x_lines, y_lines):

@@ -23,7 +23,7 @@ from .errors import (
 from .grid import PeriodicGrid, ScalarField
 
 # below this angle the sin-quotient coefficients switch to their Taylor limits; a
-# path's own angle is 0 or >= ~1.41e-6, as bhattacharyya_angle clamps at 1 - 1e-12
+# path's own angle is 0 or >= ~1.41e-6, as GeodesicPath clamps at 1 - 1e-12
 SMALL_ANGLE = 1e-8
 
 # densities must stay at least this far from zero (the transport loop divides by them)
@@ -99,20 +99,16 @@ def set_dynamic_range(raw: ScalarField, ratio: float) -> ScalarField:
     return ScalarField(raw.grid, v + beta)
 
 
-def bhattacharyya_angle(mu0: Density, mu1: Density) -> float:
-    """arccos of the affinity integral of sqrt(mu1/mu0) against mu0.
-
-    Zero iff the densities coincide; strictly below pi/2 for positive
-    densities (Cauchy-Schwarz).  Affinities within 1e-12 of 1 clamp to
-    angle 0: quadrature roundoff cannot resolve smaller angles, and the
-    clamp stays inside the 1e-10 cosine-consistency contract.
-    """
-    return GeodesicPath(mu0, mu1).angle
-
-
 @dataclass(frozen=True)
 class GeodesicPath:
-    """Fisher-Rao geodesic from ``mu0`` to ``mu1``; angle and square-root ratio are computed."""
+    """Fisher-Rao geodesic from ``mu0`` to ``mu1``; angle and square-root ratio are computed.
+
+    ``angle`` is the Bhattacharyya angle, the arccos of the affinity integral
+    of sqrt(mu1/mu0) against mu0: zero iff the densities coincide, strictly
+    below pi/2 for positive densities (Cauchy-Schwarz).  Affinities within
+    1e-12 of 1 clamp to angle 0: quadrature roundoff cannot resolve smaller
+    angles, and the clamp stays inside the 1e-10 cosine-consistency contract.
+    """
 
     mu0: Density
     mu1: Density
@@ -126,28 +122,28 @@ class GeodesicPath:
         ratio = np.sqrt(self.mu1.field.values / mu0)
         object.__setattr__(self, "sqrt_ratio", ScalarField(self.mu0.grid, ratio))
         affinity = float((ratio * mu0).sum() * self.mu0.grid.cell_volume)
-        # the clamp bhattacharyya_angle documents
         angle = 0.0 if affinity >= 1.0 - 1e-12 else float(np.arccos(affinity))
         object.__setattr__(self, "angle", angle)
 
-    def coefficients(self, t: float) -> tuple[float, float, float, float]:
-        """Scalar coefficients (c1, c2, c1_dot, c2_dot) of a(t) = c1 + c2*r.
+    def amplitude(self, t: float) -> tuple[np.ndarray, np.ndarray]:
+        """Arrays a(t) = c1 + c2*r and a_dot(t) = c1_dot + c2_dot*r, r = sqrt(mu1/mu0).
 
-        a(t) multiplies sqrt(mu0); below SMALL_ANGLE the Taylor limits
-        (1-t) + t*r and r - 1 are used to avoid 0/0.
+        a(t) multiplies sqrt(mu0), so mu(t) = a^2 * mu0; below SMALL_ANGLE
+        the Taylor limits (1-t) + t*r and r - 1 are used to avoid 0/0.
         """
         if not 0.0 <= t <= 1.0:
             raise InvalidInputError(f"geodesic time {t} outside [0, 1]")
         th = self.angle
         if th < SMALL_ANGLE:
-            return 1.0 - t, t, -1.0, 1.0
-        s = np.sin(th)
-        return (
-            float(np.sin((1.0 - t) * th) / s),
-            float(np.sin(t * th) / s),
-            float(-th * np.cos((1.0 - t) * th) / s),
-            float(th * np.cos(t * th) / s),
-        )
+            c1, c2, d1, d2 = 1.0 - t, t, -1.0, 1.0
+        else:
+            s = np.sin(th)
+            c1 = float(np.sin((1.0 - t) * th) / s)
+            c2 = float(np.sin(t * th) / s)
+            d1 = float(-th * np.cos((1.0 - t) * th) / s)
+            d2 = float(th * np.cos(t * th) / s)
+        r = self.sqrt_ratio.values
+        return c1 + c2 * r, d1 + d2 * r
 
 
 def geodesic_path(mu0: Density, mu1: Density) -> GeodesicPath:
@@ -157,15 +153,12 @@ def geodesic_path(mu0: Density, mu1: Density) -> GeodesicPath:
 def geodesic_eval(path: GeodesicPath, t: float) -> tuple[Density, ScalarField]:
     """Density mu(t) and its time derivative along the geodesic.
 
-    mu(t) = a(t)^2 * mu0 with a = c1 + c2*sqrt(mu1/mu0), and
-    mu_dot(t) = 2*a*a_dot*mu0.  The endpoints return the stored densities
+    mu(t) = a(t)^2 * mu0 and mu_dot(t) = 2*a*a_dot*mu0, with a from
+    ``GeodesicPath.amplitude``.  The endpoints return the stored densities
     so that mu(0) is mu0 and mu(1) is mu1 exactly.
     """
-    c1, c2, d1, d2 = path.coefficients(t)
-    r = path.sqrt_ratio.values
+    a, a_dot = path.amplitude(t)
     mu0v = path.mu0.field.values
-    a = c1 + c2 * r
-    a_dot = d1 + d2 * r
     mu_dot = ScalarField(path.mu0.grid, 2.0 * a * a_dot * mu0v)
     if t == 0.0:
         return path.mu0, mu_dot
@@ -181,7 +174,5 @@ def log_density_rate(path: GeodesicPath, t: float) -> ScalarField:
     This is the Poisson source of the transport loop; computing 2*a_dot/a
     directly avoids amplifying interpolation error where mu is small.
     """
-    c1, c2, d1, d2 = path.coefficients(t)
-    r = path.sqrt_ratio.values
-    a = c1 + c2 * r
-    return ScalarField(path.mu0.grid, 2.0 * (d1 + d2 * r) / a)
+    a, a_dot = path.amplitude(t)
+    return ScalarField(path.mu0.grid, 2.0 * a_dot / a)

@@ -76,6 +76,11 @@ def smooth_test_map(grid: PeriodicGrid, amp: float = 0.15, phase: float = 0.0):
     return DiffeoMap(disp)
 
 
+def nan_velocities(ws, source):
+    """A stand-in for ``transport._solve_gradient`` whose velocities are NaN."""
+    return np.full(source.shape, np.nan), np.full(source.shape, np.nan)
+
+
 def alternating_fold(grid: PeriodicGrid):
     """Displacement arrays ``(dx, dy)``: +-0.6 h_x along x, alternating row by
     row of nodes (``grid.n_x`` even), and no y displacement.

@@ -24,6 +24,7 @@ from oitsample.fileio import (
 )
 from oitsample import PeriodicGrid, ScalarField, sample_target
 from oitsample.grid import _POINT_BLOCK
+from conftest import nan_velocities
 
 
 def run(*args):
@@ -100,6 +101,17 @@ class TestConfig:
         from oitsample.cli import UsageError
         with pytest.raises(UsageError):
             parse_config_text("nope=1\n")
+
+    @pytest.mark.parametrize("text", ["\n", "   \n", "# a comment\n", "  # indented\n"])
+    def test_blank_and_comment_lines_are_skipped(self, text):
+        assert parse_config_text(f"{text}grid=16\n{text}") == {"grid": 16}
+
+    @pytest.mark.parametrize("line", ["grid 16", "=16"])
+    def test_line_without_key_and_equals_sign(self, line):
+        from oitsample.cli import UsageError
+        with pytest.raises(UsageError) as info:
+            parse_config_text(f"steps=2\n{line}\n")
+        assert str(info.value) == f"config line 2: expected key=value, got {line!r}"
 
     def test_config_file_with_flag_override(self, tmp_path):
         conf = tmp_path / "run.conf"
@@ -186,6 +198,17 @@ class TestBuild:
         code = run("build", "--density", "two-bump", "--grid", "64", "--steps", "1",
                    "--out", str(tmp_path / "x.oitm"))
         assert code == 2
+
+    def test_numerical_blowup_is_exit_two(self, tmp_path, monkeypatch, capsys):
+        import oitsample.transport as transport
+
+        monkeypatch.setattr(transport, "_solve_gradient", nan_velocities)
+        out = tmp_path / "x.oitm"
+        assert run("build", "--density", "two-bump", "--grid", "16", "--steps", "2",
+                   "--out", str(out)) == 2
+        assert capsys.readouterr().err == (
+            "numerical failure: numerical blow-up at step 0: velocity field is not finite\n")
+        assert not out.exists()
 
     def test_fold_between_nodes_is_exit_two(self, tmp_path, capsys):
         """At ratio 300 the forward map's bilinear interpolant folds at step
@@ -808,6 +831,17 @@ class TestOutputNamesAnInput:
         assert run(*args) == 1
         assert capsys.readouterr().err == f"error: --{out} and --{source} name the same file\n"
         assert {name: Path(name).read_bytes() for name in os.listdir(tmp_path)} == before
+
+    def test_an_unknown_name_is_no_input(self, tmp_path, monkeypatch, capsys):
+        """A spec that is neither a built-in nor a file names no input, so
+        it is reported as an unknown density, not as a clash with --out."""
+        monkeypatch.chdir(tmp_path)
+        assert run("build", "--density", "typo", "--grid", "16", "--steps", "2",
+                   "--out", "typo") == 1
+        assert capsys.readouterr().err == (
+            "error: unknown density 'typo' (built-ins: one-gaussian-bump, "
+            "sine-perturbation, two-bump, uniform)\n")
+        assert os.listdir(tmp_path) == []
 
     def test_a_builtin_name_is_no_input(self, tmp_path, monkeypatch):
         """A built-in density reads no file, so an output may take its name."""

@@ -68,6 +68,13 @@ class TestOitfFields:
         with pytest.raises(FileFormatError, match=f"^{re.escape(str(p))}: "):
             read_field_oitf(p)
 
+    def test_three_components_is_not_an_oitf(self, tmp_path):
+        p = tmp_path / "three.oitf"
+        p.write_bytes(fileio._oitf_header(4, 4, 3) + np.zeros(3 * 16).tobytes())
+        with pytest.raises(FileFormatError) as info:
+            read_field_oitf(p)
+        assert str(info.value) == f"{p}: component count 3 not in (1, 2)"
+
     def test_bad_magic(self, tmp_path):
         p = tmp_path / "bad.oitf"
         p.write_bytes(b"NOTIT1\n" + b"\x00" * 32)
@@ -91,7 +98,7 @@ class TestOitfFields:
         with pytest.raises(FileFormatError):
             read_field_oitf(p)
 
-    def test_blocked_writes_match_whole_columns(self, tmp_path, rng):
+    def test_file_is_header_then_values(self, tmp_path, rng):
         g = PeriodicGrid(5, 7)
         values = rng.standard_normal(g.shape)
         p = tmp_path / "field.oitf"
@@ -108,7 +115,7 @@ class TestSampleFiles:
         assert np.array_equal(read_samples_oitf(p), batch.points)
 
     @pytest.mark.parametrize("n", [0, 1, 8, 11])
-    def test_oitf_blocked_writes_match_whole_columns(self, tmp_path, n):
+    def test_oitf_file_is_header_then_x_then_y_column(self, tmp_path, n):
         batch = draw_uniform(n, seed=5)
         p = tmp_path / "pts.oitf"
         write_samples_oitf(p, batch)

@@ -17,7 +17,7 @@ from oitsample import (
     set_dynamic_range,
     uniform_density,
 )
-from oitsample.geodesic import GeodesicPath, bhattacharyya_angle, log_density_rate
+from oitsample.geodesic import GeodesicPath, log_density_rate
 
 
 class TestNormalize:
@@ -108,7 +108,7 @@ class TestAngle:
     def test_zero_for_identical_densities(self, n):
         g = PeriodicGrid(n, n)
         mu0 = uniform_density(g)
-        assert bhattacharyya_angle(mu0, mu0) == 0.0
+        assert GeodesicPath(mu0, mu0).angle == 0.0
 
     def test_oracle_for_sine_density(self):
         # independent 1-D quadrature of the affinity of 1 + 0.8 sin(x)
@@ -117,7 +117,7 @@ class TestAngle:
         oracle = np.arccos(np.mean(np.sqrt(1.0 + 0.8 * np.sin(x))))
         g = PeriodicGrid(256, 256)
         mu1 = normalize(ScalarField.from_function(g, lambda X, Y: 1.0 + 0.8 * np.sin(X)))
-        angle = bhattacharyya_angle(uniform_density(g), mu1)
+        angle = GeodesicPath(uniform_density(g), mu1).angle
         assert angle == pytest.approx(oracle, abs=1e-8)
 
     def test_bounded_below_right_angle(self, rng):
@@ -125,7 +125,7 @@ class TestAngle:
         mu0 = uniform_density(g)
         for _ in range(5):
             mu1 = normalize(ScalarField(g, rng.uniform(0.01, 5.0, g.shape)))
-            angle = bhattacharyya_angle(mu0, mu1)
+            angle = GeodesicPath(mu0, mu1).angle
             assert 0.0 <= angle < np.pi / 2
 
     def test_monotone_in_sine_amplitude(self):
@@ -134,14 +134,14 @@ class TestAngle:
         angles = []
         for s in (0.0, 0.2, 0.4, 0.6, 0.8):
             field = ScalarField.from_function(g, lambda X, Y: 1.0 + s * np.sin(X))
-            angles.append(bhattacharyya_angle(mu0, normalize(field)))
+            angles.append(GeodesicPath(mu0, normalize(field)).angle)
         assert angles[0] == 0.0
         assert all(a < b for a, b in zip(angles, angles[1:]))
 
     def test_grid_mismatch(self):
         with pytest.raises(GridMismatchError):
-            bhattacharyya_angle(uniform_density(PeriodicGrid(16, 16)),
-                                uniform_density(PeriodicGrid(32, 32)))
+            GeodesicPath(uniform_density(PeriodicGrid(16, 16)),
+                         uniform_density(PeriodicGrid(32, 32))).angle
 
     def test_path_angle_consistent_with_affinity(self):
         g = PeriodicGrid(64, 64)
@@ -166,7 +166,7 @@ class TestGeodesicPath:
         mu0 = make_density("sine-perturbation", g)
         mu1 = make_density("two-bump", g)
         path = GeodesicPath(mu0, mu1)
-        assert path.angle == bhattacharyya_angle(mu0, mu1)
+        assert path.angle == GeodesicPath(mu0, mu1).angle
         assert np.array_equal(path.sqrt_ratio.values,
                               np.sqrt(mu1.field.values / mu0.field.values))
 
@@ -211,7 +211,7 @@ class TestGeodesicEval:
 
     def test_branch_continuity_at_angle_switch(self):
         # same endpoints, angle nudged across the small-angle threshold; the
-        # derived angle of these endpoints is 0 (bhattacharyya_angle clamps
+        # derived angle of these endpoints is 0 (GeodesicPath clamps
         # affinity deficits below 1e-12), so the test sets it directly
         g = PeriodicGrid(32, 32)
         mu0 = uniform_density(g)

@@ -3,6 +3,7 @@ import pytest
 
 from oitsample import (
     DiffeoMap,
+    GridMismatchError,
     InvalidInputError,
     PeriodicGrid,
     ScalarField,
@@ -617,6 +618,31 @@ class TestCompose:
             errors.append(max(np.abs(left[0] - right[0]).max(),
                               np.abs(left[1] - right[1]).max()))
         assert errors[0] > errors[1] > errors[2]
+
+
+def _zero(n_x, n_y):
+    return ScalarField.constant(PeriodicGrid(n_x, n_y), 0.0)
+
+
+# case -> (a constructor call on data of the wrong shape or on mismatched
+# grids, the error it raises, the start of its message)
+MISMATCHED = {
+    "scalar-shape": (lambda: ScalarField(PeriodicGrid(8, 8), np.zeros((8, 4))),
+                     InvalidInputError, "values shape (8, 4) != grid (8, 8)"),
+    "vector-grids": (lambda: VectorField(_zero(8, 8), _zero(8, 16)),
+                     GridMismatchError, "vector components live on different grids"),
+    "inverse-grid": (lambda: DiffeoMap(VectorField(_zero(8, 8), _zero(8, 8)),
+                                       VectorField(_zero(16, 8), _zero(16, 8))),
+                     GridMismatchError, "inverse displacement grid mismatch"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MISMATCHED))
+def test_value_type_refuses_mismatched_data(case):
+    build, error, message = MISMATCHED[case]
+    with pytest.raises(error) as info:
+        build()
+    assert str(info.value).startswith(message)
 
 
 class TestDiffeoMapInvariants:

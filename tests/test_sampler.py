@@ -66,6 +66,10 @@ class TestDrawUniform:
         with pytest.raises(InvalidInputError):
             draw_uniform(-1, seed=0)
 
+    def test_negative_start_rejected(self):
+        with pytest.raises(InvalidInputError, match="start index must be nonnegative, got -1"):
+            draw_uniform(4, 0, start=-1)
+
 
 class TestTransformSamples:
     """The map evaluation each sampler chunk runs: y = wrap(x + d(x))."""

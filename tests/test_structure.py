@@ -9,8 +9,12 @@ pool), CLI flags are added only in ``cli.build_parser``, from
 ``fileio._output`` (one opener), a density field is read from a file or
 range-shifted only in ``densities.make_density`` (one density pipeline),
 ``np.mod`` wraps coordinates only in ``grid.wrap_angle`` (one general
-wrap), and a reader's ``FileFormatError`` gets its path only in
-``fileio._reading`` (one file namer).
+wrap), a reader's ``FileFormatError`` gets its path only in
+``fileio._reading`` (one file namer), a ``--density`` spec is told to be a
+file (``.endswith(".oitf")``, ``.is_file()``) only in
+``densities.names_field_file`` (one density-file rule), and the geodesic's
+square-root ratio is read only in ``geodesic.GeodesicPath.amplitude`` (one
+amplitude).
 
 Every field the package transforms is real, so ``src/`` calls no
 complex-input FFT (``fft2``, ``ifft2``, ``fftn``, ``ifftn``, ``fft``,
@@ -68,6 +72,9 @@ RULES = {
                          ("densities.py", "make_density")),
     "general-wrap": (r"np\.mod\(", ("grid.py", "wrap_angle")),
     "file-namer": (r'FileFormatError\(f"\{path\}', ("fileio.py", "_reading")),
+    "density-file-rule": (r'endswith\("\.oitf"\)|\.is_file\(\)',
+                          ("densities.py", "names_field_file")),
+    "geodesic-amplitude": (r"sqrt_ratio\.values", ("geodesic.py", "amplitude")),
 }
 
 

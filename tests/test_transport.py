@@ -7,6 +7,7 @@ import pytest
 from oitsample import (
     GridMismatchError,
     InvalidInputError,
+    NumericalBlowupError,
     OrientationLossError,
     PeriodicGrid,
     ScalarField,
@@ -27,7 +28,7 @@ from oitsample.geodesic import log_density_rate
 from oitsample.grid import _central_diff, _pad, _Stencil, wrap_angle
 from oitsample.poisson import _solve_gradient
 from oitsample.transport import _NEWTON_ITERS, _integrate, pushforward_residual
-from conftest import identity_map
+from conftest import identity_map, nan_velocities
 
 
 def sine_density(grid, amp):
@@ -119,6 +120,16 @@ class TestDiagnosticsAndErrors:
             ).real
             assert np.abs(curl).max() <= 1e-10
 
+    def test_non_finite_velocity_is_a_blowup(self, monkeypatch):
+        import oitsample.transport as transport
+
+        monkeypatch.setattr(transport, "_solve_gradient", nan_velocities)
+        g = PeriodicGrid(16, 16)
+        with pytest.raises(NumericalBlowupError) as err:
+            build_transport_map(sine_density(g, 0.2), TransportConfig(steps=2, grid=g))
+        assert str(err.value) == "numerical blow-up at step 0: velocity field is not finite"
+        assert err.value.step == 0
+
     def test_orientation_loss_reports_step(self):
         """One step is far too coarse (CFL about 25): the error says to take
         more time steps."""
@@ -192,6 +203,11 @@ class TestPushforwardResidual:
     def test_identity_on_uniform(self):
         g = PeriodicGrid(32, 32)
         assert pushforward_residual(identity_map(g), uniform_density(g)) <= 1e-10
+
+    def test_target_on_another_grid(self):
+        with pytest.raises(GridMismatchError, match="map and target grids differ"):
+            pushforward_residual(identity_map(PeriodicGrid(16, 16)),
+                                 uniform_density(PeriodicGrid(16, 32)))
 
     def test_translation_preserves_uniform(self):
         g = PeriodicGrid(32, 32)

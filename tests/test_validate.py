@@ -142,6 +142,11 @@ class TestGammaFunction:
                 ref = float(scipy_special.gammaincc(a, x))
                 assert mine == pytest.approx(ref, abs=1e-10)
 
+    @pytest.mark.parametrize("a, x", [(0.0, 1.0), (-1.0, 1.0), (1.0, -1e-9)])
+    def test_outside_the_domain(self, a, x):
+        with pytest.raises(InvalidInputError, match="need a > 0 and x >= 0"):
+            regularized_gamma_q(a, x)
+
     def test_survival_edge_cases(self):
         assert chi_squared_survival(0.0, 5) == 1.0
         assert chi_squared_survival(1e9, 5) == 0.0
@@ -220,6 +225,14 @@ class TestTwoSample:
         assert stat == pytest.approx(20.0 / 3.0, rel=1e-12)
         assert dof == 1
 
+    @pytest.mark.parametrize("empty_first", [True, False])
+    def test_empty_histogram(self, empty_first):
+        empty = BinnedHistogram(np.zeros((2, 1), dtype=np.int64))
+        full = BinnedHistogram(np.array([[1], [1]]))
+        a, b = (empty, full) if empty_first else (full, empty)
+        with pytest.raises(DegenerateInputError, match="needs nonempty histograms"):
+            two_sample_chi_squared(a, b)
+
     def test_binning_mismatch(self):
         a = BinnedHistogram(np.array([[1], [1]]))
         b = BinnedHistogram(np.array([[1, 1]]))
@@ -251,6 +264,11 @@ class TestRejectionOracle:
         assert np.array_equal(batch.points, -np.pi + 2.0 * np.pi * rows[:, :2])
         _, _, p = chi_squared_gof(histogram(batch, 16, 16), np.full(256, 1.0 / 256))
         assert p > 0.01
+
+    def test_negative_count_rejected(self):
+        target = uniform_density(PeriodicGrid(16, 16))
+        with pytest.raises(InvalidInputError, match="sample count must be nonnegative, got -1"):
+            rejection_sample_oracle(target, -1, 0)
 
     def test_determinism(self):
         g = PeriodicGrid(32, 32)
