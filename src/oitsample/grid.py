@@ -11,8 +11,9 @@ Interpolation is periodic bilinear throughout; the order is a deliberate
 constant of this package, not a knob.  Derivatives here are finite
 differences; the Fourier calculus lives in ``poisson.py``.
 
-There is one periodic extension, ``_pad`` (a one-node halo on every side):
-every gather, centred difference and bin-mass corner reads across the seam
+There is one periodic extension, ``_pad``: the 2-D ``(n_x+2, n_y+2)`` array
+with a one-node halo on every side, whose shape no other module spells.
+Every gather, centred difference and bin-mass corner reads across the seam
 through it, so no code special-cases the first or last row or column.  Its
 halo half, ``_refresh_halo``, serves a field that lives in its pad and is
 updated through the interior view, as the build loop's inverse map is.
@@ -179,35 +180,33 @@ _POINT_BLOCK = 1 << 15
 
 
 def _pad(values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """The flat periodic extension ``np.pad(values, 1, mode="wrap")`` of a field.
+    """The periodic extension ``np.pad(values, 1, mode="wrap")`` of a field.
 
-    Row-major ``(n_x+2) x (n_y+2)``, a one-node halo on every side, so
-    ``values[i, j]`` sits at ``(i+1, j+1)``.  ``out``, when given, is a
-    buffer of that many float64 values, filled and returned.  It is the
+    A C-contiguous ``(n_x+2, n_y+2)`` array, a one-node halo on every side,
+    so ``values[i, j]`` sits at ``[i+1, j+1]``.  ``out``, when given, is a
+    C-contiguous array of that shape, filled and returned.  It is the
     interior copy followed by :func:`_refresh_halo`.
     """
     n_x, n_y = values.shape
     if out is None:
-        out = np.empty((n_x + 2) * (n_y + 2))
-    out.reshape(n_x + 2, n_y + 2)[1:-1, 1:-1] = values
-    return _refresh_halo(out, values.shape)
+        out = np.empty((n_x + 2, n_y + 2))
+    out[1:-1, 1:-1] = values
+    return _refresh_halo(out)
 
 
-def _refresh_halo(padded: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
-    """Rewrite the halo of ``padded``, the flat ``_pad`` buffer of a field
-    of ``shape``, from its interior, and return it.
+def _refresh_halo(padded: np.ndarray) -> np.ndarray:
+    """Rewrite the halo of ``padded``, a ``_pad`` array, from its interior,
+    and return it.
 
     The side columns take the opposite interior columns, then the first
     and last rows take the opposite interior rows, corners included.  The
     interior is not written, so a field that lives in its pad is written
     through the interior view and refreshed here once it is complete.
     """
-    n_x, n_y = shape
-    f = padded.reshape(n_x + 2, n_y + 2)
-    f[1:-1, 0] = f[1:-1, -2]
-    f[1:-1, -1] = f[1:-1, 1]
-    f[0] = f[-2]
-    f[-1] = f[1]
+    padded[1:-1, 0] = padded[1:-1, -2]
+    padded[1:-1, -1] = padded[1:-1, 1]
+    padded[0] = padded[-2]
+    padded[-1] = padded[1]
     return padded
 
 
@@ -216,35 +215,34 @@ class _Stencil:
 
     Building the stencil once and gathering several fields through it is the
     main cost saver in the transport loop and the sampler.  ``base`` indexes
-    the lower-left corner of each point's cell, counted from node (0, 0) of
-    the field's periodic extension (``_pad``), so the other three corners
-    sit at fixed offsets (``stride`` is a padded row) and no seam needs
-    fixing up.  A gather reads a padded field only, so a caller pads each
-    field once and gathers it through any number of stencils.  Gathers use
-    the nested-lerp form ``v00 + f*(v10 - v00)``, which reproduces
-    constants and nodal values exactly.  The query arrays are never
-    written to.
+    the lower-left corner of each point's cell in the field's periodic
+    extension (``_pad``) read flat, counted from node (0, 0), so the other
+    three corners sit at fixed offsets (a padded row is ``shape[1]`` values)
+    and no seam needs fixing up.  A gather reads a padded field only, so a caller
+    pads each field once and gathers it through any number of stencils.
+    Gathers use the nested-lerp form ``v00 + f*(v10 - v00)``, which
+    reproduces constants and nodal values exactly.  The query arrays are
+    never written to.
     """
 
-    __slots__ = ("base", "fx", "fy", "stride", "size")
+    __slots__ = ("base", "fx", "fy", "shape")
 
     def __init__(self, grid: PeriodicGrid, px: np.ndarray, py: np.ndarray):
         ix, self.fx = _index_frac(wrap_angle(px), grid.xs, grid.h_x, grid.n_x)
         iy, self.fy = _index_frac(wrap_angle(py), grid.ys, grid.h_y, grid.n_y)
-        self.stride = grid.n_y + 2
-        self.size = (grid.n_x + 2) * self.stride
-        ix *= self.stride
+        self.shape = (grid.n_x + 2, grid.n_y + 2)
+        ix *= self.shape[1]
         ix += iy
         self.base = ix
 
     def gather(self, f: np.ndarray) -> np.ndarray:
         """The field whose ``_pad`` extension is ``f``, at the stencil's points."""
-        # "clip" below would turn a field of any other size into silent garbage
-        if f.shape != (self.size,):
+        # "clip" below would turn a field of any other shape into silent garbage
+        if f.shape != self.shape:
             raise InvalidInputError(
-                f"gather needs a padded field of {self.size} values, got shape {f.shape}")
-        m = self.stride
-        f = f[m + 1:]  # node (0, 0), past the halo's first row and column
+                f"gather needs a padded field of shape {self.shape}, got shape {f.shape}")
+        m = self.shape[1]
+        f = f.reshape(-1)[m + 1:]  # node (0, 0), past the halo's first row and column
         # indices are in range by construction, and "clip" lets take() write
         # straight into ``out`` instead of through a buffer
         lo = f.take(self.base, mode="clip")
@@ -368,11 +366,10 @@ def _central_diff(grid: PeriodicGrid, padded: np.ndarray, axis: int) -> np.ndarr
     wrapped neighbours, so the first and last rows and columns need no
     seam code.
     """
-    p = padded.reshape(grid.n_x + 2, grid.n_y + 2)
     if axis == 0:
-        out = np.subtract(p[2:, 1:-1], p[:-2, 1:-1])
+        out = np.subtract(padded[2:, 1:-1], padded[:-2, 1:-1])
     else:
-        out = np.subtract(p[1:-1, 2:], p[1:-1, :-2])
+        out = np.subtract(padded[1:-1, 2:], padded[1:-1, :-2])
     out /= 2.0 * (grid.h_x if axis == 0 else grid.h_y)
     return out
 
@@ -414,7 +411,7 @@ def _corner_det(grid: PeriodicGrid, pad_dx: np.ndarray, pad_dy: np.ndarray,
 
     def edges(padded):
         # nodes r0..r1 by 0..n_y: each cell's corners, the halo closing the seam
-        p = padded.reshape(grid.n_x + 2, grid.n_y + 2)[r0 + 1:r1 + 2, 1:]
+        p = padded[r0 + 1:r1 + 2, 1:]
         along_x = np.subtract(p[1:], p[:-1])  # (cells, n_y+1): lower, upper edges
         along_x /= grid.h_x
         along_y = np.subtract(p[:, 1:], p[:, :-1])  # (cells+1, n_y): left, right edges

@@ -134,17 +134,18 @@ def _integrate(path: GeodesicPath, grid: PeriodicGrid, K: int):
     whole-grid.  Per node the arithmetic is the unblocked loop's, so the
     block size changes no byte of the result.
 
-    Every field read across the seam is padded into one of six buffers
-    allocated once per call.  Buffers 4 and 5 hold the inverse map for the
-    whole build: ``inv_x`` and ``inv_y`` are their interior views, the
-    Euler update writes into them in place, and after the update pass the
-    halos alone are refreshed for the Newton gathers.  Each other buffer
-    belongs to one phase at a time:
+    Every field read across the seam is padded into one of six ``_pad``
+    buffers, allocated once per call.  Buffers 4 and 5 hold the inverse
+    map for the whole build: ``inv_x`` and ``inv_y`` are their interior
+    views, the Euler update writes into them in place, and after the
+    update pass the halos alone are refreshed for the Newton gathers.
+    Each other buffer belongs to one phase at a time:
 
-    - 0, 1: the forward map, padded by the Jacobian check (zeros before the
-      first step) and read by the next step's predictor;
+    - 0, 1: the forward map, padded by the Jacobian check (the identity's
+      pads before the first step) and read by the next step's predictor;
     - 2: the rate, for the source gather;
-    - 3: ``source``, a view of the buffer, from the gather through the solve;
+    - 3: ``source``, the buffer's contiguous prefix (a strided view could
+      reorder the sum of ``source.mean()``), from the gather through the solve;
     - 2, 3: the velocities, for the inverse update;
     - 0-3: the new inverse map's four Jacobian entries, for the Newton
       updates.
@@ -178,10 +179,10 @@ def _integrate(path: GeodesicPath, grid: PeriodicGrid, K: int):
 
     fwd_x = np.zeros(shape)
     fwd_y = np.zeros(shape)
-    pads = [np.zeros((grid.n_x + 2) * (n_y + 2)) for _ in range(6)]
-    pf_x, pf_y, pi_x, pi_y = pads[0], pads[1], pads[4], pads[5]  # the identity's pads
-    inv_x, inv_y = (p.reshape(grid.n_x + 2, n_y + 2)[1:-1, 1:-1] for p in (pi_x, pi_y))
-    source = pads[3][:fwd_x.size].reshape(shape)
+    pads = [_pad(fwd_x) for _ in range(6)]  # the identity's pads
+    pf_x, pf_y, pi_x, pi_y = pads[0], pads[1], pads[4], pads[5]
+    inv_x, inv_y = pi_x[1:-1, 1:-1], pi_y[1:-1, 1:-1]
+    source = pads[3].reshape(-1)[:fwd_x.size].reshape(shape)
 
     cfl = np.zeros(K)
     poisson_mean = np.zeros(K)
@@ -219,8 +220,8 @@ def _integrate(path: GeodesicPath, grid: PeriodicGrid, K: int):
             fwd_x[b] = y_x.reshape(-1, n_y)
             fwd_y[b] = y_y.reshape(-1, n_y)
 
-        _refresh_halo(pi_x, shape)
-        _refresh_halo(pi_y, shape)
+        _refresh_halo(pi_x)
+        _refresh_halo(pi_y)
         g_xx = _pad(_central_diff(grid, pi_x, 0), out=pads[0])
         g_xy = _pad(_central_diff(grid, pi_x, 1), out=pads[1])
         g_yx = _pad(_central_diff(grid, pi_y, 0), out=pads[2])
@@ -239,6 +240,9 @@ def _integrate(path: GeodesicPath, grid: PeriodicGrid, K: int):
                 a21 = st.gather(g_yx)
                 a22 = 1.0 + st.gather(g_yy)
                 det = a11 * a22 - a12 * a21
+                if not (np.all(np.isfinite(det)) and det.all()):
+                    raise NumericalBlowupError(
+                        k, "forward-map Newton Jacobian is singular or not finite")
                 y_x = y_x - (a22 * res_x - a12 * res_y) / det
                 y_y = y_y - (-a21 * res_x + a11 * res_y) / det
             if not (np.all(np.isfinite(y_x)) and np.all(np.isfinite(y_y))):
@@ -265,7 +269,8 @@ def build_transport_map(target: Density, cfg: TransportConfig) -> TransportResul
     Raises OrientationLossError if the forward map folds at any step (a
     cell-corner Jacobian determinant at zero or below; more steps cure it
     only when that step's CFL number exceeds 1, and the error says so), and
-    NumericalBlowupError if any field stops being finite.
+    NumericalBlowupError if any field stops being finite or a Newton
+    Jacobian is singular.
     """
     if target.grid != cfg.grid:
         raise GridMismatchError("target density is not on the configured grid")

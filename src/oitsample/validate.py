@@ -75,7 +75,7 @@ def expected_bin_mass(target: Density, b_x: int, b_y: int) -> np.ndarray:
         raise InvalidInputError(
             f"grid {grid.n_x}x{grid.n_y} is not a multiple of bins {b_x}x{b_y}"
         )
-    p = _pad(target.field.values).reshape(grid.n_x + 2, grid.n_y + 2)
+    p = _pad(target.field.values)
     cells = 0.25 * (p[1:-1, 1:-1] + p[2:, 1:-1] + p[1:-1, 2:] + p[2:, 2:]) * grid.cell_volume
     m_x = grid.n_x // b_x
     m_y = grid.n_y // b_y

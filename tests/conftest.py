@@ -81,6 +81,13 @@ def nan_velocities(ws, source):
     return np.full(source.shape, np.nan), np.full(source.shape, np.nan)
 
 
+def singular_newton_diff(grid, padded, axis):
+    """A stand-in for ``transport._central_diff`` that is -0.5 everywhere:
+    the Newton Jacobian then has a11 = a22 = 0.5 and a12 = a21 = -0.5, so
+    its determinant is 0 at every point."""
+    return np.full(grid.shape, -0.5)
+
+
 def alternating_fold(grid: PeriodicGrid):
     """Displacement arrays ``(dx, dy)``: +-0.6 h_x along x, alternating row by
     row of nodes (``grid.n_x`` even), and no y displacement.

@@ -24,7 +24,7 @@ from oitsample.fileio import (
 )
 from oitsample import PeriodicGrid, ScalarField, sample_target
 from oitsample.grid import _POINT_BLOCK
-from conftest import nan_velocities
+from conftest import nan_velocities, singular_newton_diff
 
 
 def run(*args):
@@ -208,6 +208,19 @@ class TestBuild:
                    "--out", str(out)) == 2
         assert capsys.readouterr().err == (
             "numerical failure: numerical blow-up at step 0: velocity field is not finite\n")
+        assert not out.exists()
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_singular_newton_jacobian_is_exit_two(self, tmp_path, monkeypatch, capsys):
+        import oitsample.transport as transport
+
+        monkeypatch.setattr(transport, "_central_diff", singular_newton_diff)
+        out = tmp_path / "x.oitm"
+        assert run("build", "--density", "sine-perturbation", "--grid", "16", "--steps", "2",
+                   "--out", str(out)) == 2
+        assert capsys.readouterr().err == (
+            "numerical failure: numerical blow-up at step 0: "
+            "forward-map Newton Jacobian is singular or not finite\n")
         assert not out.exists()
 
     def test_fold_between_nodes_is_exit_two(self, tmp_path, capsys):

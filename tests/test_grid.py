@@ -317,19 +317,20 @@ class TestStencilMatchesReference:
 
     def test_pad_is_the_periodic_extension(self):
         values = np.random.default_rng(11).standard_normal((5, 7))
-        expected = np.pad(values, 1, mode="wrap").reshape(-1)
+        expected = np.pad(values, 1, mode="wrap")
         assert np.array_equal(_pad(values), expected)
-        out = np.full(expected.size, np.nan)
+        out = np.full(expected.shape, np.nan)
         assert _pad(values, out=out) is out and np.array_equal(out, expected)
 
     def test_gather_refuses_a_field_of_another_size(self):
-        """``take(mode="clip")`` would read any other size as garbage; the
-        one-sided ``(n_x+1)*(n_y+1)`` extension of an earlier layout too."""
+        """``take(mode="clip")`` would read any other shape as garbage; the
+        one-sided ``(n_x+1)*(n_y+1)`` extension and the flat pad of earlier
+        layouts too."""
         values = np.random.default_rng(12).standard_normal(KERNEL_GRID.shape)
         st = _Stencil(KERNEL_GRID, np.array([0.5, -1.0]), np.array([0.25, 2.0]))
         one_sided = np.zeros((KERNEL_GRID.n_x + 1) * (KERNEL_GRID.n_y + 1))
         for field in (values, values.reshape(-1), _pad(values)[:-1], _pad(np.zeros((128, 96))),
-                      one_sided):
+                      one_sided, _pad(values).reshape(-1)):
             with pytest.raises(InvalidInputError, match="padded field"):
                 st.gather(field)
         assert st.gather(_pad(values)).shape == (2,)

@@ -21,7 +21,8 @@ complex-input FFT (``fft2``, ``ifft2``, ``fftn``, ``ifftn``, ``fft``,
 ``ifft``) anywhere: one transform convention, the real half spectrum.  And
 ``np.fft.`` appears in no file but ``poisson.py``: one Fourier module.
 ``src/`` calls ``np.roll`` nowhere: every read across the periodic seam
-reads ``grid._pad``, one periodic extension.  And only ``DiffeoMap``'s
+reads ``grid._pad``, one periodic extension, and ``n_x + 2`` or ``n_y + 2``
+appears in no file but ``grid.py``: one pad layout.  And only ``DiffeoMap``'s
 construction pads a map's forward displacement: one padded map, whose pads
 every reader gathers through.  Orientation has one test: only
 ``DiffeoMap``'s construction and the build loop call the exact cell-corner
@@ -114,6 +115,12 @@ def test_one_fourier_module():
 
 def test_one_periodic_extension():
     assert [where for _, _, where in matching_lines(r"np\.roll\(")] == []
+
+
+def test_one_pad_layout():
+    found = matching_lines(r"n_[xy] \+ 2")
+    assert any(name == "grid.py" for name, _, _ in found)
+    assert [where for name, _, where in found if name != "grid.py"] == []
 
 
 def pads_of_a_map_displacement():

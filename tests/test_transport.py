@@ -28,7 +28,7 @@ from oitsample.geodesic import log_density_rate
 from oitsample.grid import _central_diff, _pad, _Stencil, wrap_angle
 from oitsample.poisson import _solve_gradient
 from oitsample.transport import _NEWTON_ITERS, _integrate, pushforward_residual
-from conftest import identity_map, nan_velocities
+from conftest import identity_map, nan_velocities, singular_newton_diff
 
 
 def sine_density(grid, amp):
@@ -128,6 +128,21 @@ class TestDiagnosticsAndErrors:
         with pytest.raises(NumericalBlowupError) as err:
             build_transport_map(sine_density(g, 0.2), TransportConfig(steps=2, grid=g))
         assert str(err.value) == "numerical blow-up at step 0: velocity field is not finite"
+        assert err.value.step == 0
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_singular_newton_jacobian_is_a_blowup(self, monkeypatch):
+        """A zero Newton determinant raises before the step divides by it,
+        so no floating point warning comes first."""
+        import oitsample.transport as transport
+
+        monkeypatch.setattr(transport, "_central_diff", singular_newton_diff)
+        g = PeriodicGrid(16, 16)
+        with pytest.raises(NumericalBlowupError) as err:
+            build_transport_map(make_density("sine-perturbation", g),
+                                TransportConfig(steps=2, grid=g))
+        assert str(err.value) == ("numerical blow-up at step 0: "
+                                  "forward-map Newton Jacobian is singular or not finite")
         assert err.value.step == 0
 
     def test_orientation_loss_reports_step(self):
@@ -344,7 +359,7 @@ def reference_integrate(path, g, K):
         fwd_x = y_x.reshape(g.shape) - X
         fwd_y = y_y.reshape(g.shape) - Y
 
-        p_x, p_y = (_pad(a).reshape(g.n_x + 2, g.n_y + 2) for a in (fwd_x, fwd_y))
+        p_x, p_y = (_pad(a) for a in (fwd_x, fwd_y))
 
         def along_x(p, j):  # at each cell's lower (j = 0) or upper (j = 1) edge
             return (p[2:, 1 + j:g.n_y + 1 + j] - p[1:-1, 1 + j:g.n_y + 1 + j]) / g.h_x
