@@ -37,6 +37,8 @@ from .validate import (
     chi_squared_gof,
     expected_bin_mass,
     histogram,
+    inverse_law_mass,
+    law_certificate,
     rejection_sample_oracle,
     two_sample_chi_squared,
 )
@@ -184,6 +186,13 @@ def cmd_validate(cfg: RunConfig) -> int:
     oracle_hist = histogram(oracle, cfg.bins, cfg.bins)
     ts_stat, ts_dof, ts_p = two_sample_chi_squared(hist, oracle_hist)
 
+    # the sample-free certificate of the stored inverse's law, when it is one
+    inverse_mass = inverse_law_mass(mapping, cfg.bins, cfg.bins)
+    inverse_tv = inverse_n50 = "n/a"
+    if inverse_mass is not None:
+        tv, n50 = law_certificate(inverse_mass, mass, SIGNIFICANCE)
+        inverse_tv, inverse_n50 = f"{tv:.6e}", f"{n50:.3e}"
+
     passed = gof_p > SIGNIFICANCE and ts_p > SIGNIFICANCE
     report_lines = [
         f"map: {cfg.map}",
@@ -192,6 +201,8 @@ def cmd_validate(cfg: RunConfig) -> int:
         f"seed: {cfg.seed}",
         f"bins: {cfg.bins}x{cfg.bins}",
         f"map_residual: {meta.residual:.6e}",
+        f"inverse_law_tv: {inverse_tv}",
+        f"inverse_law_n50: {inverse_n50}",
         f"gof_statistic: {gof_stat:.6f}",
         f"gof_dof: {gof_dof}",
         f"gof_p_value: {gof_p:.6g}",

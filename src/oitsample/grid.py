@@ -17,6 +17,13 @@ Every gather, centred difference and bin-mass corner reads across the seam
 through it, so no code special-cases the first or last row or column.  Its
 halo half, ``_refresh_halo``, serves a field that lives in its pad and is
 updated through the interior view, as the build loop's inverse map is.
+
+There is one place that forms a map's four cell-corner determinants,
+``_reduce_corner_dets``, and it has two reductions: their minimum,
+``_corner_det``, is the exact fold test, and their mean, ``_corner_mean``,
+is the exact cell average of the Jacobian determinant, which gives the
+exact cell masses of the law whose density is u0 times that determinant
+(``validate.inverse_law_mass``).
 """
 
 from __future__ import annotations
@@ -396,16 +403,20 @@ def _jacobian_det_arrays(grid: PeriodicGrid, pad_dx: np.ndarray,
     return a11
 
 
-def _corner_det(grid: PeriodicGrid, pad_dx: np.ndarray, pad_dy: np.ndarray,
-                rows: slice = slice(None)) -> np.ndarray:
-    """Least corner determinant det(I + Dd_h) of each cell of the grid rows
-    ``rows``; cell ``(i, j)`` spans nodes ``i, i+1`` and ``j, j+1``.
+def _reduce_corner_dets(grid: PeriodicGrid, pad_dx: np.ndarray, pad_dy: np.ndarray,
+                        reduce: np.ufunc, rows: slice) -> np.ndarray:
+    """The four corner determinants det(I + Dd_h) of each cell of the grid
+    rows ``rows``, folded into one array by the binary ufunc ``reduce``;
+    cell ``(i, j)`` spans nodes ``i, i+1`` and ``j, j+1``.
 
-    det D(x + d_h) is bilinear on a cell, so its least value is at a corner
-    and the map folds exactly where this is <= 0.  ``pad_dx`` and ``pad_dy``
-    are the ``_pad`` extensions of ``(dx, dy)``; each corner entry is an
-    edge difference read off them, so a row range gives those rows of the
-    whole-grid result bit for bit.
+    On a cell, x + d_h is bilinear and det D(x + d_h) is affine: the term in
+    the product of the two cell offsets cancels.  So the corners bound the
+    determinant (:func:`_corner_det`) and their mean is its cell average
+    (:func:`_corner_mean`).  ``pad_dx`` and ``pad_dy`` are the ``_pad``
+    extensions of ``(dx, dy)``; each corner entry is an edge difference read
+    off them, so a row range gives those rows of the whole-grid result bit
+    for bit.  The corners are formed in one buffer and folded into the
+    first, in a fixed order.
     """
     r0, r1, _ = rows.indices(grid.n_x)
 
@@ -423,14 +434,37 @@ def _corner_det(grid: PeriodicGrid, pad_dx: np.ndarray, pad_dy: np.ndarray,
     a11 += 1.0
     a22 += 1.0
     lower, upper = slice(None, -1), slice(1, None)
-    out = np.full((r1 - r0, grid.n_y), np.inf)
+    out = np.empty((r1 - r0, grid.n_y))
     det = np.empty_like(out)
     tmp = np.empty_like(out)
+    into = out  # the first corner starts the fold
     for y in (lower, upper):  # the corner's y: the cell's lower or upper side
         for x in (lower, upper):  # its x: the left or right side
-            np.multiply(a11[:, y], a22[x], out=det)
-            det -= np.multiply(a12[x], a21[:, y], out=tmp)
-            np.minimum(out, det, out=out)
+            np.multiply(a11[:, y], a22[x], out=into)
+            into -= np.multiply(a12[x], a21[:, y], out=tmp)
+            if into is det:
+                reduce(out, det, out=out)
+            into = det
+    return out
+
+
+def _corner_det(grid: PeriodicGrid, pad_dx: np.ndarray, pad_dy: np.ndarray,
+                rows: slice = slice(None)) -> np.ndarray:
+    """Least corner determinant of each cell of the grid rows ``rows``: the
+    fold test, exact because the determinant's least value on a cell is at
+    a corner.  The map folds exactly where this is <= 0.
+    """
+    return _reduce_corner_dets(grid, pad_dx, pad_dy, np.minimum, rows)
+
+
+def _corner_mean(grid: PeriodicGrid, pad_dx: np.ndarray, pad_dy: np.ndarray,
+                 rows: slice = slice(None)) -> np.ndarray:
+    """Mean corner determinant of each cell of the grid rows ``rows``: the
+    exact cell average of det D(x + d_h), so ``h_x * h_y`` times it is the
+    area of the cell's image under the map.
+    """
+    out = _reduce_corner_dets(grid, pad_dx, pad_dy, np.add, rows)
+    out *= 0.25
     return out
 
 

@@ -5,8 +5,15 @@ density, which is also the law whose per-bin masses ``expected_bin_mass``
 integrates; comparing transported samples against either therefore
 isolates transport error from grid-discretization error.
 
+A sample-free certificate compares a second law with it exactly:
+``inverse_law_mass`` gives the bin masses of the law of the map's stored
+inverse, and ``law_certificate`` their total variation distance and N50,
+the sample size at which the chi-squared test on those bins would reject
+that law with probability 1/2.
+
 P-values come from an in-package regularized incomplete gamma (series +
-continued fraction), so no statistics library is required at runtime.
+continued fraction), and the noncentral tail behind N50 from a Poisson
+mixture of it, so no statistics library is required at runtime.
 """
 
 from __future__ import annotations
@@ -18,7 +25,7 @@ import numpy as np
 
 from .errors import DegenerateInputError, InvalidInputError
 from .geodesic import Density
-from .grid import _POINT_BLOCK, TWO_PI, _pad, _Stencil
+from .grid import _POINT_BLOCK, TWO_PI, DiffeoMap, _corner_mean, _pad, _Stencil
 from .sampler import SampleBatch, _uniform_stream
 
 _STREAM_ORACLE = 0x6F726163  # "orac"; keeps oracle draws off the sampler stream
@@ -77,9 +84,39 @@ def expected_bin_mass(target: Density, b_x: int, b_y: int) -> np.ndarray:
         )
     p = _pad(target.field.values)
     cells = 0.25 * (p[1:-1, 1:-1] + p[2:, 1:-1] + p[1:-1, 2:] + p[2:, 2:]) * grid.cell_volume
-    m_x = grid.n_x // b_x
-    m_y = grid.n_y // b_y
-    return cells.reshape(b_x, m_x, b_y, m_y).sum(axis=(1, 3))
+    return _bin_sums(cells, b_x, b_y)
+
+
+def _bin_sums(cells: np.ndarray, b_x: int, b_y: int) -> np.ndarray:
+    """Sums of cell values over the (b_x, b_y) bins, which the cell grid's
+    shape is a multiple of."""
+    n_x, n_y = cells.shape
+    return cells.reshape(b_x, n_x // b_x, b_y, n_y // b_y).sum(axis=(1, 3))
+
+
+def inverse_law_mass(mapping: DiffeoMap, b_x: int, b_y: int) -> np.ndarray | None:
+    """Per-bin mass of the inverse law, exactly: the law of y solving
+    psi(y) = u for uniform u, where psi is the bilinear interpolant of the
+    map's stored inverse.
+
+    Its density is u0 * det D psi, so a cell's mass is u0 * h_x * h_y times
+    the cell's mean corner determinant (``grid._corner_mean``), and a bin's
+    mass is the sum over its cells; the masses sum to 1.  Returns shape
+    (b_x, b_y), or None when the masses are no law on these bins: the map
+    has no inverse, the bins do not divide its grid, or psi folds, which
+    its construction as a ``DiffeoMap`` decides from the least corner
+    determinant.
+    """
+    grid = mapping.grid
+    if mapping.inv_disp is None or grid.n_x % b_x or grid.n_y % b_y:
+        return None
+    try:
+        inverse = DiffeoMap(mapping.inv_disp)
+    except InvalidInputError:  # psi folds, or moves a point by over a period
+        return None
+    cells = _corner_mean(grid, *inverse._padded)
+    cells *= grid.cell_volume / TWO_PI**2  # u0 * h_x * h_y
+    return _bin_sums(cells, b_x, b_y)
 
 
 # ---------------------------------------------------------------------------
@@ -138,6 +175,97 @@ def chi_squared_survival(x: float, dof: int) -> float:
     if dof < 1:
         raise InvalidInputError("dof must be positive")
     return regularized_gamma_q(0.5 * dof, 0.5 * x)
+
+
+def _noncentral_survival(x: float, dof: int, nc: float) -> float:
+    """P(X >= x) for X noncentral chi-squared with ``dof`` degrees of freedom
+    and noncentrality ``nc``: the Poisson(nc/2) mixture over j of the
+    central tails Q(dof/2 + j, x/2).
+
+    One incomplete gamma starts the tails, and Q(a+1, x) = Q(a, x) +
+    x^a e^-x / Gamma(a+1) gives the rest; the mixture stops 12 standard
+    deviations and 40 terms above the Poisson mean, where the weight left
+    is below 1e-30.
+    """
+    if nc == 0.0 or x == 0.0:
+        return chi_squared_survival(x, dof)
+    m, a, hx = 0.5 * nc, 0.5 * dof, 0.5 * x
+    log_m, log_hx = math.log(m), math.log(hx)
+    tail = regularized_gamma_q(a, hx)
+    total = 0.0
+    for j in range(int(m + 12.0 * math.sqrt(m)) + 41):
+        total += math.exp(j * log_m - m - math.lgamma(j + 1.0)) * tail
+        tail += math.exp(a * log_hx - hx - math.lgamma(a + 1.0))
+        a += 1.0
+    return min(total, 1.0)
+
+
+def _increasing_root(f, x: float) -> float:
+    """The root of ``f``, increasing with ``f(0) < 0``, by a secant solve.
+
+    ``x`` doubles until ``f(x) > 0``; secant steps then stay inside the
+    bracket (the Illinois variant of regula falsi) until ``|f|`` is below
+    1e-14 or the bracket below 1e-13 of its upper end, 100 steps at most.
+    """
+    lo, f_lo = 0.0, f(0.0)
+    hi, f_hi = x, f(x)
+    while f_hi <= 0.0:
+        lo, f_lo = hi, f_hi
+        hi *= 2.0
+        f_hi = f(hi)
+    side = 0
+    for _ in range(100):
+        x = hi - f_hi * (hi - lo) / (f_hi - f_lo)
+        fx = f(x)
+        if abs(fx) < 1e-14 or hi - lo <= 1e-13 * hi:
+            return x
+        if fx > 0.0:
+            hi, f_hi = x, fx
+            if side > 0:  # the same end moved twice: halve the other's weight
+                f_lo *= 0.5
+            side = 1
+        else:
+            lo, f_lo = x, fx
+            if side < 0:
+                f_hi *= 0.5
+            side = -1
+    return x
+
+
+def _chi_squared_critical(dof: int, significance: float) -> float:
+    """The c with P(Chi2_dof >= c) = ``significance``."""
+    return _increasing_root(lambda c: significance - chi_squared_survival(c, dof), float(dof))
+
+
+def _half_power_noncentrality(dof: int, significance: float) -> float:
+    """lambda_50: the noncentrality at which the chi-squared test of level
+    ``significance`` on ``dof`` degrees of freedom rejects with probability
+    1/2."""
+    crit = _chi_squared_critical(dof, significance)
+    return _increasing_root(lambda nc: _noncentral_survival(crit, dof, nc) - 0.5,
+                            max(crit - dof, 1.0))
+
+
+def law_certificate(mass: np.ndarray, expected_mass: np.ndarray,
+                    significance: float) -> tuple[float, float]:
+    """(TV, N50) of the bin masses ``mass`` against ``expected_mass``, on
+    the same bins.
+
+    TV is half the summed absolute difference.  A sample of N points from
+    ``mass``, tested against ``expected_mass`` on the same bins, gives a
+    Pearson statistic that is about noncentral chi-squared, with noncentrality
+    N * sum((mass - expected)^2 / expected) and one degree of freedom fewer
+    than bins.  N50 is the N at which that test, at level
+    ``significance``, rejects with probability 1/2; inf when the masses
+    are equal.
+    """
+    p = np.asarray(mass, dtype=np.float64).reshape(-1)
+    q = np.asarray(expected_mass, dtype=np.float64).reshape(-1)
+    tv = 0.5 * float(np.abs(p - q).sum())
+    per_sample = float(((p - q) ** 2 / q).sum())
+    if per_sample == 0.0:
+        return tv, math.inf
+    return tv, _half_power_noncentrality(p.size - 1, significance) / per_sample
 
 
 # ---------------------------------------------------------------------------

@@ -719,6 +719,34 @@ class TestValidate:
         assert code in (0, 3)
         assert "density: t32.oitf\n" in report.read_text()
 
+    def test_certificate_follows_the_map_residual(self, sine_map, tmp_path):
+        report = tmp_path / "r.txt"
+        code = run("validate", "--map", str(sine_map), "--density", "sine-perturbation:0.4",
+                   "--n", "2000", "--seed", "2", "--bins", "16", "--out", str(report))
+        assert code == 0
+        lines = report.read_text().splitlines()
+        keys = [line.partition(": ")[0] for line in lines]
+        assert keys[5:9] == ["map_residual", "inverse_law_tv", "inverse_law_n50",
+                             "gof_statistic"]
+        tv, n50 = (float(line.partition(": ")[2]) for line in lines[6:8])
+        assert 0.0 < tv < 0.01 and n50 > 1e5
+
+    def test_certificate_is_na_when_the_bins_do_not_divide_the_map(self, tmp_path):
+        """A 32x32 field at --bins 16 checks a 40x40 map: the chi-squared
+        tests run, and the inverse law has no masses on those bins."""
+        field_path = tmp_path / "t32.oitf"
+        write_field_oitf(field_path, ScalarField.from_function(
+            PeriodicGrid(32, 32), lambda x, y: 1.0 + 0.4 * np.sin(x)))
+        m40 = tmp_path / "m40.oitm"
+        assert run("build", "--density", "sine-perturbation:0.4", "--grid", "40",
+                   "--steps", "10", "--out", str(m40)) == 0
+        report = tmp_path / "r.txt"
+        code = run("validate", "--map", str(m40), "--density", str(field_path),
+                   "--n", "5000", "--seed", "2", "--bins", "16", "--out", str(report))
+        assert code in (0, 3)
+        text = report.read_text()
+        assert "\ninverse_law_tv: n/a\ninverse_law_n50: n/a\ngof_statistic: " in text
+
     def test_samples_flag_leaves_the_sample_csv(self, sine_map, tmp_path, capsys):
         """--samples names the CSV export reads; validate reads no samples,
         so the flag is refused and the CSV keeps its rows."""

@@ -18,6 +18,7 @@ from oitsample.grid import (
     _central_diff,
     _compose_disp_arrays,
     _corner_det,
+    _corner_mean,
     _index_frac,
     _jacobian_det_arrays,
     _pad,
@@ -32,6 +33,18 @@ TWO_PI = 2.0 * np.pi
 
 def random_points(rng, n=200, span=10.0):
     return rng.uniform(-span, span, size=(n, 2))
+
+
+def smooth_disp(rng, g, amp, modes):
+    """A random smooth periodic field: ``modes``^2 plane waves, each of
+    amplitude at most about ``amp / modes`` times a standard normal."""
+    X, Y = g.node_mesh()
+    v = np.zeros(g.shape)
+    for kx in range(modes):
+        for ky in range(modes):
+            v += amp * rng.standard_normal() * np.sin(kx * X + ky * Y
+                                                     + rng.uniform(0, 6.3)) / modes
+    return v
 
 
 class TestPeriodicGrid:
@@ -506,39 +519,32 @@ class TestJacobianDet:
 
     @pytest.mark.parametrize("shape, rows", ROW_CASES)
     def test_row_range_gives_those_rows_of_the_whole_grid(self, rng, shape, rows):
-        """The cell-corner kernel's row range, as the build loop's fold check
-        reads it block by block."""
+        """Both reductions of the cell-corner kernel, the minimum as the
+        build loop's fold check reads it block by block and the mean."""
         g = PeriodicGrid(*shape)
         assert g.n_x % rows
         dx = 0.05 * rng.standard_normal(g.shape)
         dy = 0.05 * rng.standard_normal(g.shape)
         pads = _pad(dx), _pad(dy)
-        whole = _corner_det(g, *pads)
         # the first row, the last row, a one-row range inside, then the blocks
         ranges = [slice(0, 1), slice(g.n_x - 1, g.n_x), slice(3, 4)]
         ranges += [slice(r, min(r + rows, g.n_x)) for r in range(0, g.n_x, rows)]
-        for r in ranges:
-            assert np.array_equal(_corner_det(g, *pads, r), whole[r]), r
+        for kernel in (_corner_det, _corner_mean):
+            whole = kernel(g, *pads)
+            for r in ranges:
+                assert np.array_equal(kernel(g, *pads, r), whole[r]), (kernel, r)
         # the blocks' minima are the whole grid's, as the build loop reads them
+        whole = _corner_det(g, *pads)
         assert min(_corner_det(g, *pads, r).min() for r in ranges[3:]) == whole.min()
 
     @pytest.mark.parametrize("amp", [0.05, 0.3, 1.0])
     def test_corner_det_is_the_cell_minimum_of_the_bilinear_det(self, rng, amp):
-        """On each cell det D(x + d_h) is bilinear, so its least value over a
-        9x9 lattice of the cell, corners included, is the kernel's.  The
-        largest amplitude folds some cells."""
+        """On each cell det D(x + d_h) is affine, so its least value over a
+        9x9 lattice of the cell, corners included, is the kernel's minimum,
+        and the lattice's mean is the kernel's mean.  The largest amplitude
+        folds some cells."""
         g = PeriodicGrid(24, 20)
-        X, Y = g.node_mesh()
-
-        def smooth():
-            v = np.zeros(g.shape)
-            for kx in range(4):
-                for ky in range(4):
-                    v += amp * rng.standard_normal() * np.sin(kx * X + ky * Y
-                                                             + rng.uniform(0, 6.3)) / 4
-            return v
-
-        dx, dy = smooth(), smooth()
+        dx, dy = smooth_disp(rng, g, amp, 4), smooth_disp(rng, g, amp, 4)
         s = np.linspace(0.0, 1.0, 9)[:, None]  # local x, along lattice axis 2
         t = np.linspace(0.0, 1.0, 9)[None, :]  # local y, along lattice axis 3
 
@@ -552,9 +558,11 @@ class TestJacobianDet:
         j12 = ((1 - s) * (x01 - x00) + s * (x11 - x10)) / g.h_y
         j21 = ((1 - t) * (y10 - y00) + t * (y11 - y01)) / g.h_x
         j22 = 1.0 + ((1 - s) * (y01 - y00) + s * (y11 - y10)) / g.h_y
-        lattice_min = (j11 * j22 - j12 * j21).min(axis=(2, 3))
+        lattice = j11 * j22 - j12 * j21
         got = _corner_det(g, _pad(dx), _pad(dy))
-        assert np.array_equal(got, lattice_min)
+        assert np.array_equal(got, lattice.min(axis=(2, 3)))
+        mean = _corner_mean(g, _pad(dx), _pad(dy))
+        assert np.abs(mean - lattice.mean(axis=(2, 3))).max() <= 1e-13 * np.abs(lattice).max()
         if amp == 1.0:
             assert got.min() < 0.0
 
@@ -577,6 +585,46 @@ class TestJacobianDet:
         a21 = reference_central_diff(dy, 0, g.h_x)
         a22 = 1.0 + reference_central_diff(dy, 1, g.h_y)
         assert np.array_equal(_jacobian_det_arrays(g, _pad(dx), _pad(dy)), a11 * a22 - a12 * a21)
+
+
+class TestCornerMean:
+    """``_corner_mean``: u0 * h_x * h_y times a cell's mean corner
+    determinant is the cell's mass under the law of density u0 * det of the
+    map, u0 = 1 / (4 pi^2) being the uniform density."""
+
+    @staticmethod
+    def cell_masses(g, dx, dy):
+        return _corner_mean(g, _pad(dx), _pad(dy)) * (g.cell_volume / TWO_PI**2)
+
+    @pytest.fixture
+    def smooth_map(self, rng):
+        g = PeriodicGrid(64, 64)
+        dx, dy = smooth_disp(rng, g, 0.15, 3), smooth_disp(rng, g, 0.15, 3)
+        assert _corner_det(g, _pad(dx), _pad(dy)).min() > 0.0  # a law, not a fold
+        return g, dx, dy
+
+    def test_cell_masses_sum_to_one(self, smooth_map):
+        assert abs(self.cell_masses(*smooth_map).sum() - 1.0) <= 1e-14
+
+    def test_cell_mass_is_the_shoelace_area_of_the_corner_images(self, smooth_map):
+        """The bilinear map sends a cell's edges to the segments between its
+        corner images, so the image is that quadrilateral."""
+        g, dx, dy = smooth_map
+
+        def image(a, b):  # corner (i + a, j + b), relative to node (i, j)
+            return (a * g.h_x + np.roll(dx, (-a, -b), axis=(0, 1)),
+                    b * g.h_y + np.roll(dy, (-a, -b), axis=(0, 1)))
+
+        quad = [image(0, 0), image(1, 0), image(1, 1), image(0, 1)]  # counterclockwise
+        area = 0.5 * sum(x0 * y1 - x1 * y0
+                         for (x0, y0), (x1, y1) in zip(quad, quad[1:] + quad[:1]))
+        mass = self.cell_masses(g, dx, dy)
+        assert np.abs(mass - area / TWO_PI**2).max() <= 1e-13
+
+    def test_identity_is_one_in_every_cell(self):
+        g = PeriodicGrid(20, 12)
+        zero = np.zeros(g.shape)
+        assert np.all(_corner_mean(g, _pad(zero), _pad(zero)) == 1.0)
 
 
 class TestCompose:

@@ -24,10 +24,13 @@ complex-input FFT (``fft2``, ``ifft2``, ``fftn``, ``ifftn``, ``fft``,
 reads ``grid._pad``, one periodic extension, and ``n_x + 2`` or ``n_y + 2``
 appears in no file but ``grid.py``: one pad layout.  And only ``DiffeoMap``'s
 construction pads a map's forward displacement: one padded map, whose pads
-every reader gathers through.  Orientation has one test: only
-``DiffeoMap``'s construction and the build loop call the exact cell-corner
-kernel ``grid._corner_det``, and the nodal ``_jacobian_det_arrays`` serves
-only the two Jacobian values, ``jacobian_det`` and the pushforward
+every reader gathers through.  One place forms a map's four cell-corner
+determinants, ``grid._reduce_corner_dets``, with two reductions: their
+minimum ``grid._corner_det`` is the one orientation test, which only
+``DiffeoMap``'s construction and the build loop call, and their mean
+``grid._corner_mean`` gives the cell masses, which only
+``validate.inverse_law_mass`` reads.  The nodal ``_jacobian_det_arrays``
+serves only the two Jacobian values, ``jacobian_det`` and the pushforward
 residual.  Float text has one encoder: a ``.17g``
 conversion appears in code only in ``fileio._write_csv_rows``, which every
 sample, scatter and warp-mesh CSV goes through.  A command has one
@@ -175,8 +178,11 @@ def test_one_command_contract():
 
 
 def test_one_fold_test():
+    assert call_sites("_reduce_corner_dets") == {("grid.py", "_corner_det"),
+                                                 ("grid.py", "_corner_mean")}
     assert call_sites("_corner_det") == {("grid.py", "__post_init__"),
                                          ("transport.py", "_integrate")}
+    assert call_sites("_corner_mean") == {("validate.py", "inverse_law_mass")}
     assert call_sites("_jacobian_det_arrays") == {("grid.py", "jacobian_det"),
                                                   ("transport.py", "pushforward_residual")}
 

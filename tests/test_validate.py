@@ -4,10 +4,12 @@ import pytest
 from oitsample import (
     BinnedHistogram,
     DegenerateInputError,
+    DiffeoMap,
     InvalidInputError,
     PeriodicGrid,
     SampleBatch,
     ScalarField,
+    VectorField,
     chi_squared_gof,
     chi_squared_survival,
     expected_bin_mass,
@@ -19,7 +21,14 @@ from oitsample import (
     uniform_density,
 )
 from oitsample.sampler import draw_uniform
-from oitsample.validate import regularized_gamma_q
+from oitsample.validate import (
+    _chi_squared_critical,
+    _half_power_noncentrality,
+    inverse_law_mass,
+    law_certificate,
+    regularized_gamma_q,
+)
+from conftest import alternating_fold, identity_map, smooth_test_map
 
 
 def sine_density(grid, amp=0.5):
@@ -152,6 +161,57 @@ class TestGammaFunction:
         assert chi_squared_survival(1e9, 5) == 0.0
         with pytest.raises(InvalidInputError):
             chi_squared_survival(1.0, 0)
+
+
+class TestCertificate:
+    """The inverse law's exact bin masses, and their TV and N50 against the
+    target's."""
+
+    @pytest.mark.parametrize("dof", [63, 255, 1023])
+    def test_critical_value_and_half_power_match_scipy(self, dof):
+        scipy_stats = pytest.importorskip("scipy.stats")
+        crit = float(scipy_stats.chi2.isf(0.01, dof))
+        assert _chi_squared_critical(dof, 0.01) == pytest.approx(crit, rel=1e-9, abs=0.0)
+        nc = _half_power_noncentrality(dof, 0.01)
+        assert float(scipy_stats.ncx2.sf(crit, dof, nc)) == pytest.approx(0.5, abs=1e-9)
+
+    def test_identity_map_has_the_uniform_law(self):
+        g = PeriodicGrid(64, 64)
+        mass = inverse_law_mass(identity_map(g), 16, 16)
+        assert mass == pytest.approx(np.full((16, 16), 1.0 / 256), rel=1e-15, abs=0.0)
+        tv, n50 = law_certificate(mass, expected_bin_mass(uniform_density(g), 16, 16), 0.01)
+        assert tv < 1e-15
+        assert n50 > 1e20
+
+    def test_masses_sum_to_one(self):
+        g = PeriodicGrid(48, 40)
+        psi = smooth_test_map(g, amp=0.3, phase=0.2).disp  # the stored inverse
+        forward = VectorField.from_arrays(g, -psi.u_x.values, -psi.u_y.values)  # near its inverse
+        mass = inverse_law_mass(DiffeoMap(forward, psi), 8, 5)
+        assert mass.shape == (8, 5)
+        assert abs(mass.sum() - 1.0) <= 1e-14
+
+    def test_no_law_without_a_stored_inverse(self):
+        assert inverse_law_mass(smooth_test_map(PeriodicGrid(32, 32)), 8, 8) is None
+
+    def test_no_law_when_the_bins_do_not_divide_the_grid(self):
+        assert inverse_law_mass(identity_map(PeriodicGrid(40, 40)), 16, 16) is None
+
+    def test_no_law_when_the_inverse_folds(self):
+        """An inverse 0.6 h_x off the identity passes the round-trip check,
+        but folds on every other cell."""
+        g = PeriodicGrid(16, 12)
+        zero = np.zeros(g.shape)
+        mapping = DiffeoMap(VectorField.from_arrays(g, zero, zero),
+                            VectorField.from_arrays(g, *alternating_fold(g)))
+        assert inverse_law_mass(mapping, 4, 4) is None
+
+    def test_hand_computed_case(self):
+        """Two bins at 0.6/0.4 against 0.5/0.5: TV 0.1, and lambda/N =
+        0.01/0.5 * 2 = 0.04 on one degree of freedom."""
+        tv, n50 = law_certificate(np.array([[0.6], [0.4]]), np.array([[0.5], [0.5]]), 0.01)
+        assert tv == pytest.approx(0.1, rel=1e-12)
+        assert n50 == pytest.approx(_half_power_noncentrality(1, 0.01) / 0.04, rel=1e-12)
 
 
 class TestChiSquaredGof:
