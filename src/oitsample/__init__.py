@@ -4,6 +4,9 @@ A density-matching diffeomorphism is built once by integrating Poisson
 velocity fields along the closed-form Fisher-Rao geodesic from the uniform
 density to the target; after that, fresh i.i.d. samples cost one uniform
 draw and one map evaluation each.
+
+The package issues no Python warning: it reports through return values,
+exceptions and the stderr lines of ``cli``.
 """
 
 from .densities import make_density

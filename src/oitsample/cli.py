@@ -17,7 +17,6 @@ import os
 import sys
 import time
 import typing
-import warnings
 from contextlib import redirect_stdout
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
@@ -130,10 +129,7 @@ def cmd_build(cfg: RunConfig) -> int:
     target, ident = _resolve_density(cfg, PeriodicGrid(cfg.grid, cfg.grid))
     tcfg = TransportConfig(steps=cfg.steps, grid=target.grid)
     t0 = time.perf_counter()
-    with warnings.catch_warnings():  # the residual warning is this command's own stderr line
-        warnings.filterwarnings("ignore", "pushforward residual .* above tolerance",
-                                RuntimeWarning)
-        result = build_transport_map(target, tcfg)
+    result = build_transport_map(target, tcfg)
     elapsed = time.perf_counter() - t0
     fileio.write_map_oitm(cfg.out, result, ident)
     print(f"density: {ident}")

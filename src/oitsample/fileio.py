@@ -449,7 +449,7 @@ def stream_samples(path: str | Path, n: int,
 def read_samples_csv(path: str | Path, max_rows: int | None = None) -> np.ndarray:
     """Sample points from a CSV; with ``max_rows``, rows after that many are
     not parsed.  A line of only whitespace is blank, wherever it is, and is
-    not a row."""
+    not a row; there are no comments, so a ``#`` line is an unreadable row."""
     if max_rows is not None and max_rows < 0:
         raise InvalidInputError(f"row count must be nonnegative, got {max_rows}")
     with _reading(path), open(path) as fh:
@@ -461,7 +461,7 @@ def read_samples_csv(path: str | Path, max_rows: int | None = None) -> np.ndarra
             if max_rows == 0 or (first := next(rows, None)) is None:
                 return np.empty((0, 2))
             data = np.loadtxt(chain([first], rows), delimiter=",", ndmin=2,
-                              max_rows=max_rows)
+                              max_rows=max_rows, comments=None)
         except FileFormatError:
             raise
         except ValueError as exc:  # a field that is not a number, or undecodable text

@@ -240,9 +240,9 @@ class TestBuild:
     @pytest.mark.filterwarnings("error")
     def test_residual_above_tolerance_warns_on_stderr(self, tmp_path, capsys):
         """A coarse build that misses the residual tolerance still writes its
-        map and exits 0, and says so on stderr in one line; the library's
-        RuntimeWarning saying the same does not escape ``main``.  The stdout
-        report is as for any build."""
+        map and exits 0, and says so on stderr in one line, worded here and
+        nowhere else: the library only sets ``residual_above_tol``.  The
+        stdout report is as for any build."""
         out = tmp_path / "coarse.oitm"
         code = run("build", "--density", "two-bump", "--grid", "64", "--steps", "12",
                    "--out", str(out))

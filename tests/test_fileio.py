@@ -716,12 +716,17 @@ class TestOitmMatchesSeparateCodec:
 class TestMalformedCsv:
     @pytest.mark.parametrize("body", [b"x,y\n0.3,abc\n", b"x,y\n0.3,0.1\n\xff,0.2\n",
                                       b"\xff,y\n0.3,0.1\n", b"x,y\n0.3,0.1,0.2\n",
-                                      b"x,y\n4.0,0.2\n", b"x,y\nnan,0.2\n"])
+                                      b"x,y\n4.0,0.2\n", b"x,y\nnan,0.2\n",
+                                      b"x,y\n# c\n0.1,0.2\n", b"x,y\n0.1,0.2 # note\n"])
     def test_format_error_names_the_path(self, tmp_path, body):
+        """The grammar is the writer's: a header, rows and blank lines.  A
+        ``#`` line or a trailing ``# note`` is no comment but an unreadable
+        row, whether or not the read stops after ``max_rows``."""
         p = tmp_path / "bad.csv"
         p.write_bytes(body)
-        with pytest.raises(FileFormatError, match="bad.csv"):
-            read_samples_csv(p)
+        for max_rows in (None, 5):
+            with pytest.raises(FileFormatError, match="bad.csv"):
+                read_samples_csv(p, max_rows)
 
 
 def _oitm_head(n_x, n_y, steps):

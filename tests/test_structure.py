@@ -36,6 +36,9 @@ conversion appears in code only in ``fileio._write_csv_rows``, which every
 sample, scatter and warp-mesh CSV goes through.  A command has one
 contract: ``cli.main`` checks the inputs ``cli._COMMANDS`` says it needs,
 and no ``cmd_*`` function nor ``_resolve_density`` raises ``UsageError``.
+No line of ``src/`` imports or calls ``warnings``: the package reports
+through return values, exceptions and ``cli``'s stderr lines, so a
+condition such as a coarse build is flagged in one place and worded in one.
 
 The value types take only the data that fixes them and compute the rest:
 ``Density`` takes its field (its mass is computed), ``GeodesicPath`` its two
@@ -118,6 +121,11 @@ def test_one_fourier_module():
 
 def test_one_periodic_extension():
     assert [where for _, _, where in matching_lines(r"np\.roll\(")] == []
+
+
+def test_no_python_warning():
+    assert [where for _, _, where in
+            matching_lines(r"\bimport warnings\b|\bfrom warnings\b|\bwarnings\.")] == []
 
 
 def test_one_pad_layout():
