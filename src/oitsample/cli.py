@@ -13,7 +13,6 @@ sample, validate run; flags override it.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 import time
 import typing
@@ -307,14 +306,6 @@ def _check_needs(command: str, cfg: RunConfig) -> None:
             raise UsageError(f"{command} needs exactly one of {', '.join('--' + k for k in need)}")
 
 
-def _same_file(a: str, b: str) -> bool:
-    """Whether two paths name one file, through any link, existing or not."""
-    try:
-        return os.path.samefile(a, b)
-    except OSError:  # a path that does not exist yet names the file it resolves to
-        return os.path.realpath(a) == os.path.realpath(b)
-
-
 def _check_paths(cfg: RunConfig, keys: tuple[str, ...], config: str | None) -> None:
     """Refuse a run whose output names another file of the run: the report
     and the table would overwrite each other, and an output would replace
@@ -326,26 +317,16 @@ def _check_paths(cfg: RunConfig, keys: tuple[str, ...], config: str | None) -> N
     read = [(k, p) for k, p in read if p and (k != "density" or names_field_file(p))]
     for i, (key, path) in enumerate(written):
         for other, other_path in written[i + 1:] + read:
-            if _same_file(path, other_path):
+            if fileio.same_file(path, other_path):
                 raise UsageError(f"--{key} and --{other} name the same file")
 
 
 def _report_stream(*files: str | None):
     """Where a command prints its report: stderr when one of the files it
-    writes is this process's own stdout (``--out /dev/stdout`` or
-    ``--table /dev/stdout``), so that the report never mixes into an output;
-    stdout otherwise, and whenever stdout has no file descriptor."""
-    try:
-        stdout = os.fstat(sys.stdout.fileno())
-    except (OSError, ValueError):  # no descriptor
-        return sys.stdout
-    for path in filter(None, files):
-        try:
-            if os.path.samestat(stdout, os.stat(path)):
-                return sys.stderr
-        except OSError:  # ``path`` does not exist yet
-            pass
-    return sys.stdout
+    writes is this process's stdout (``--out /dev/stdout``, or an output
+    path the shell has redirected stdout to), so that the report never
+    mixes into an output; stdout otherwise."""
+    return sys.stderr if any(fileio.same_file(p, 1) for p in files if p) else sys.stdout
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import io
 import os
+import shutil
 import stat
 from collections.abc import Callable, Iterator
 from contextlib import ExitStack, contextmanager
@@ -99,6 +100,15 @@ def _write_columns(fh, columns: list[np.ndarray]) -> None:
         fh.write(np.ascontiguousarray(col, _F64))
 
 
+def same_file(a: str | Path, b: str | Path | int) -> bool:
+    """Whether path ``a`` and ``b``, a path or an open descriptor, name one
+    file through any link; a path not there yet is the file it resolves to."""
+    try:
+        return os.path.samestat(os.stat(a), os.stat(b))
+    except OSError:  # a path not there yet, or a closed descriptor
+        return not isinstance(b, int) and os.path.realpath(a) == os.path.realpath(b)
+
+
 @contextmanager
 def _output(path: str | Path) -> Iterator:
     """A binary file whose contents become ``path``'s; every file this
@@ -108,8 +118,11 @@ def _output(path: str | Path) -> Iterator:
     file is a new one beside the target, which replaces the target when the
     block completes and is deleted when the block raises, so ``path`` never
     holds part of a file.  It keeps an existing target's permission bits,
-    but not its owner or its other hard links.  Anything else, such as a
-    pipe or a device, is opened and written in place.
+    but not its owner or its other hard links.  A regular file that is this
+    process's stdout or stderr is not replaced, which would cut it off from
+    the shell's redirect: once complete, the new file is copied through that
+    descriptor, at its offset, and deleted.  Anything else, such as a pipe
+    or a device, is opened and written in place.
     """
     path = os.fspath(path)
     try:
@@ -120,6 +133,7 @@ def _output(path: str | Path) -> Iterator:
         with open(path, "wb") as fh:
             yield fh
         return
+    std = next((fd for fd in (1, 2) if same_file(path, fd)), None)
     real = os.path.realpath(path)
     tmp = os.path.join(os.path.dirname(real),
                        f".{os.path.basename(real)}.{os.urandom(4).hex()}.tmp")
@@ -134,10 +148,16 @@ def _output(path: str | Path) -> Iterator:
             if mode is not None:
                 os.chmod(tmp, stat.S_IMODE(mode))
             yield fh
-        os.replace(tmp, real)
+        if std is None:
+            os.replace(tmp, real)
+        else:
+            with open(tmp, "rb") as done, open(os.dup(std), "wb") as fd_out:
+                shutil.copyfileobj(done, fd_out)
     except BaseException:
         os.unlink(tmp)
         raise
+    if std is not None:
+        os.unlink(tmp)
 
 
 def save_text(files: dict[str | Path, str]) -> None:

@@ -75,22 +75,20 @@ def expected_bin_mass(target: Density, b_x: int, b_y: int) -> np.ndarray:
     cell masses.  Requires the grid resolution to be a multiple of the bin
     resolution; returns shape (b_x, b_y), summing to the density's mass.
     """
-    if b_x < 1 or b_y < 1:
-        raise InvalidInputError("need at least one bin per axis")
     grid = target.grid
-    if grid.n_x % b_x or grid.n_y % b_y:
-        raise InvalidInputError(
-            f"grid {grid.n_x}x{grid.n_y} is not a multiple of bins {b_x}x{b_y}"
-        )
     p = _pad(target.field.values)
     cells = 0.25 * (p[1:-1, 1:-1] + p[2:, 1:-1] + p[1:-1, 2:] + p[2:, 2:]) * grid.cell_volume
     return _bin_sums(cells, b_x, b_y)
 
 
 def _bin_sums(cells: np.ndarray, b_x: int, b_y: int) -> np.ndarray:
-    """Sums of cell values over the (b_x, b_y) bins, which the cell grid's
-    shape is a multiple of."""
+    """Sums of cell values over the (b_x, b_y) bins; the one check that the
+    bins divide the cell grid."""
     n_x, n_y = cells.shape
+    if b_x < 1 or b_y < 1:
+        raise InvalidInputError("need at least one bin per axis")
+    if n_x % b_x or n_y % b_y:
+        raise InvalidInputError(f"grid {n_x}x{n_y} is not a multiple of bins {b_x}x{b_y}")
     return cells.reshape(b_x, n_x // b_x, b_y, n_y // b_y).sum(axis=(1, 3))
 
 
@@ -108,15 +106,15 @@ def inverse_law_mass(mapping: DiffeoMap, b_x: int, b_y: int) -> np.ndarray | Non
     determinant.
     """
     grid = mapping.grid
-    if mapping.inv_disp is None or grid.n_x % b_x or grid.n_y % b_y:
+    if mapping.inv_disp is None:
         return None
     try:
         inverse = DiffeoMap(mapping.inv_disp)
-    except InvalidInputError:  # psi folds, or moves a point by over a period
+        cells = _corner_mean(grid, *inverse._padded)
+        cells *= grid.cell_volume / TWO_PI**2  # u0 * h_x * h_y
+        return _bin_sums(cells, b_x, b_y)
+    except InvalidInputError:  # psi folds or moves a point by over a period, or bad bins
         return None
-    cells = _corner_mean(grid, *inverse._padded)
-    cells *= grid.cell_volume / TWO_PI**2  # u0 * h_x * h_y
-    return _bin_sums(cells, b_x, b_y)
 
 
 # ---------------------------------------------------------------------------

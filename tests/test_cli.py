@@ -31,12 +31,14 @@ def run(*args):
     return main(list(args))
 
 
-def run_process(*args):
-    """The CLI as a child process whose stdout and stderr are pipes."""
+def run_process(*args, stdout=subprocess.PIPE, stderr=subprocess.PIPE):
+    """The CLI as a child process whose stdout and stderr are pipes, or the
+    open files given, which it inherits as a shell's ``>`` or ``>>`` gives
+    them."""
     src = str(Path(fileio.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    return subprocess.run([sys.executable, "-m", "oitsample.cli", *args], capture_output=True,
-                          env={**os.environ, "PYTHONPATH": path}, check=False)
+    return subprocess.run([sys.executable, "-m", "oitsample.cli", *args], stdout=stdout,
+                          stderr=stderr, env={**os.environ, "PYTHONPATH": path}, check=False)
 
 
 def assert_left_as_it_was(out, before):
@@ -392,6 +394,87 @@ class TestSample:
         run("sample", "--map", str(sine_map), "--n", "2000", "--seed", "3",
             "--out", str(b), "--workers", "4")
         assert a.read_bytes() == b.read_bytes()
+
+
+class TestRedirectedStandardStream:
+    """An output that is the command's own stdout or stderr, redirected by
+    the shell to a regular file, is written through the shell's descriptor,
+    not replaced: ``>>`` appends, a later write to the same redirect stays,
+    and a failed command leaves the file as it was."""
+
+    @pytest.fixture(params=["csv", "oitf"])
+    def sample(self, request, sine_map, tmp_path):
+        """(sample arguments but --out, the bytes they write to a path)."""
+        args = ["sample", "--map", str(sine_map), "--n", "300", "--seed", "4",
+                "--format", request.param]
+        ref = tmp_path / "ref"
+        assert run(*args, "--out", str(ref)) == 0
+        return args, ref.read_bytes()
+
+    def test_append_keeps_the_earlier_bytes(self, sample, tmp_path):
+        args, ref = sample
+        log = tmp_path / "log"
+        log.write_bytes(b"kept\n")
+        with open(log, "ab") as fh:
+            done = run_process(*args, "--out", "/dev/stdout", stdout=fh)
+        assert done.returncode == 0
+        assert log.read_bytes() == b"kept\n" + ref
+        assert done.stderr.decode().splitlines()[-1] == "out: /dev/stdout"
+        assert sorted(os.listdir(tmp_path)) == ["log", "ref"]
+
+    def test_a_later_write_to_the_redirect_stays(self, sample, tmp_path):
+        """As in ``{ oitsample sample ... --out /dev/stdout; echo after; } > grp``."""
+        args, ref = sample
+        grp = tmp_path / "grp"
+        with open(grp, "wb") as fh:
+            assert run_process(*args, "--out", "/dev/stdout", stdout=fh).returncode == 0
+            os.write(fh.fileno(), b"after\n")
+        assert grp.read_bytes() == ref + b"after\n"
+
+    def test_stderr_append_keeps_the_earlier_bytes(self, sample, tmp_path):
+        args, ref = sample
+        log = tmp_path / "log"
+        log.write_bytes(b"kept\n")
+        with open(log, "ab") as fh:
+            done = run_process(*args, "--out", "/dev/stderr", stderr=fh)
+        assert done.returncode == 0
+        assert log.read_bytes() == b"kept\n" + ref
+        assert done.stdout.decode().splitlines()[-1] == "out: /dev/stderr"
+
+    def test_the_report_follows_the_output_under_2_and_1(self, sample, tmp_path):
+        args, ref = sample
+        both = tmp_path / "both"
+        with open(both, "wb") as fh:
+            done = run_process(*args, "--out", "/dev/stdout", stdout=fh,
+                               stderr=subprocess.STDOUT)
+        assert done.returncode == 0
+        text = both.read_bytes()
+        assert text[:len(ref)] == ref
+        report = text[len(ref):].decode().splitlines()
+        assert report[0] == "samples: 300" and report[-1] == "out: /dev/stdout"
+
+    def test_out_naming_the_redirect_target_gets_the_samples(self, sample, tmp_path):
+        args, ref = sample
+        out = tmp_path / "out"
+        with open(out, "wb") as fh:
+            done = run_process(*args, "--out", str(out), stdout=fh)
+        assert done.returncode == 0
+        assert out.read_bytes() == ref
+        assert done.stderr.decode().splitlines()[-1] == f"out: {out}"
+
+    def test_a_failed_command_leaves_the_redirect_as_it_was(self, sine_map, tmp_path):
+        """The table is complete when the report cannot be opened: no byte
+        of it may reach stdout's file."""
+        log = tmp_path / "log"
+        log.write_bytes(b"kept\n")
+        with open(log, "ab") as fh:
+            done = run_process("validate", "--map", str(sine_map), "--density",
+                               "sine-perturbation:0.4", "--n", "1000", "--bins", "8",
+                               "--out", str(tmp_path / "none" / "r.txt"),
+                               "--table", "/dev/stdout", stdout=fh)
+        assert done.returncode == 1
+        assert done.stderr.decode().startswith("error: [Errno 2] No such file or directory")
+        assert_left_as_it_was(log, b"kept\n")
 
 
 class TestSampleStreaming:

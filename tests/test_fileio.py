@@ -756,3 +756,35 @@ def test_every_reader_names_the_file_once(tmp_path, case):
     message = str(info.value)
     assert message.startswith(f"{p}: ")
     assert message.count(str(p)) == 1
+
+
+class TestSameFile:
+    """``fileio.same_file``, the package's one file-identity test."""
+
+    def test_spellings_and_links_of_one_file(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "a").write_bytes(b"a")
+        (tmp_path / "b").write_bytes(b"b")
+        os.link("a", "hard")
+        os.symlink("a", "soft")
+        for other in ("a", "./a", str(tmp_path / "a"), "hard", "soft"):
+            assert fileio.same_file("a", other)
+        assert not fileio.same_file("a", "b")
+
+    def test_a_path_not_there_yet_is_the_file_it_resolves_to(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        os.mkdir("dir")
+        os.symlink("dir", "link")
+        assert fileio.same_file("dir/new", "link/new")
+        assert fileio.same_file("dir/new", "./dir/../dir/new")
+        assert not fileio.same_file("dir/new", "dir/other")
+
+    def test_an_open_descriptor(self, tmp_path):
+        (tmp_path / "a").write_bytes(b"a")
+        (tmp_path / "b").write_bytes(b"b")
+        with open(tmp_path / "a", "rb") as fh:
+            fd = fh.fileno()
+            assert fileio.same_file(tmp_path / "a", fd)
+            assert not fileio.same_file(tmp_path / "b", fd)
+            assert not fileio.same_file(tmp_path / "none", fd)
+        assert not fileio.same_file(tmp_path / "a", fd)  # closed

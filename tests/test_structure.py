@@ -39,6 +39,10 @@ and no ``cmd_*`` function nor ``_resolve_density`` raises ``UsageError``.
 No line of ``src/`` imports or calls ``warnings``: the package reports
 through return values, exceptions and ``cli``'s stderr lines, so a
 condition such as a coarse build is flagged in one place and worded in one.
+Whether two names are one file (``samefile``, ``samestat``, ``realpath``,
+``fstat``, ``os.stat(``) is asked in no file but ``fileio.py``, whose
+``same_file`` both ``cli`` and the output opener call: one file-identity
+test.
 
 The value types take only the data that fixes them and compute the rest:
 ``Density`` takes its field (its mass is computed), ``GeodesicPath`` its two
@@ -126,6 +130,14 @@ def test_one_periodic_extension():
 def test_no_python_warning():
     assert [where for _, _, where in
             matching_lines(r"\bimport warnings\b|\bfrom warnings\b|\bwarnings\.")] == []
+
+
+def test_one_file_identity():
+    """Whether two names are one file is decided only in ``fileio``, by
+    ``fileio.same_file``."""
+    found = matching_lines(r"samefile|samestat|realpath|fstat|os\.stat\(")
+    assert any(name == "fileio.py" for name, _, _ in found)
+    assert [where for name, _, where in found if name != "fileio.py"] == []
 
 
 def test_one_pad_layout():

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -24,6 +26,7 @@ from oitsample.sampler import draw_uniform
 from oitsample.validate import (
     _chi_squared_critical,
     _half_power_noncentrality,
+    _increasing_root,
     inverse_law_mass,
     law_certificate,
     regularized_gamma_q,
@@ -167,6 +170,22 @@ class TestCertificate:
     """The inverse law's exact bin masses, and their TV and N50 against the
     target's."""
 
+    @pytest.mark.parametrize("f, root", [(lambda x: x**3 - 2.0, 2.0 ** (1.0 / 3.0)),
+                                         (lambda x: math.sqrt(x) - 1.5, 2.25)],
+                             ids=["convex", "concave"])
+    def test_illinois_step_on_either_side(self, f, root):
+        """A convex f keeps moving the low end, a concave one the high end;
+        halving the fixed end's weight reaches the root in a few steps
+        (without it, the convex case takes 40 evaluations)."""
+        calls = []
+
+        def counted(x):
+            calls.append(x)
+            return f(x)
+
+        assert _increasing_root(counted, 1.0) == pytest.approx(root, rel=1e-15, abs=0.0)
+        assert len(calls) <= 15
+
     @pytest.mark.parametrize("dof", [63, 255, 1023])
     def test_critical_value_and_half_power_match_scipy(self, dof):
         scipy_stats = pytest.importorskip("scipy.stats")
@@ -195,7 +214,9 @@ class TestCertificate:
         assert inverse_law_mass(smooth_test_map(PeriodicGrid(32, 32)), 8, 8) is None
 
     def test_no_law_when_the_bins_do_not_divide_the_grid(self):
-        assert inverse_law_mass(identity_map(PeriodicGrid(40, 40)), 16, 16) is None
+        mapping = identity_map(PeriodicGrid(40, 40))
+        for bins in [(16, 16), (0, 4), (4, -1)]:
+            assert inverse_law_mass(mapping, *bins) is None
 
     def test_no_law_when_the_inverse_folds(self):
         """An inverse 0.6 h_x off the identity passes the round-trip check,
