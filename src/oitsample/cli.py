@@ -2,7 +2,7 @@
 
 Commands are deterministic given their effective configuration (seeds
 included).  Exit codes: 0 success, 1 usage or configuration error,
-2 numerical failure, 3 validation failure.
+2 numerical failure, 3 a goodness-of-fit rejection at ``validate.SIGNIFICANCE``.
 
 Each command has one flag per setting it reads, spelled in full.  A
 ``--config`` file of ``key=value`` lines may hold any key but ``out`` and
@@ -32,6 +32,7 @@ from .grid import PeriodicGrid
 from .sampler import SampleBatch, _map_chunks, sample_target
 from .transport import TransportConfig, build_transport_map
 from .validate import (
+    SIGNIFICANCE,
     chi_squared_gof,
     expected_bin_mass,
     histogram,
@@ -41,7 +42,6 @@ from .validate import (
     two_sample_chi_squared,
 )
 
-SIGNIFICANCE = 0.01
 _WRITTEN = ("out", "table")  # the keys that name a file a command writes
 
 
@@ -177,7 +177,7 @@ def cmd_validate(cfg: RunConfig) -> int:
     hist = histogram(batch, cfg.bins, cfg.bins)
     gof_stat, gof_dof, gof_p = chi_squared_gof(hist, mass)
 
-    oracle = rejection_sample_oracle(target, cfg.n, cfg.seed)
+    oracle = rejection_sample_oracle(target, cfg.n, cfg.seed)  # a cross-check; decides nothing
     oracle_hist = histogram(oracle, cfg.bins, cfg.bins)
     ts_stat, ts_dof, ts_p = two_sample_chi_squared(hist, oracle_hist)
 
@@ -185,10 +185,10 @@ def cmd_validate(cfg: RunConfig) -> int:
     inverse_mass = inverse_law_mass(mapping, cfg.bins, cfg.bins)
     inverse_tv = inverse_n50 = "n/a"
     if inverse_mass is not None:
-        tv, n50 = law_certificate(inverse_mass, mass, SIGNIFICANCE)
+        tv, n50 = law_certificate(inverse_mass, mass)
         inverse_tv, inverse_n50 = f"{tv:.6e}", f"{n50:.3e}"
 
-    passed = gof_p > SIGNIFICANCE and ts_p > SIGNIFICANCE
+    passed = gof_p > SIGNIFICANCE  # the verdict: the GOF test alone
     report_lines = [
         f"map: {cfg.map}",
         f"density: {ident}",

@@ -86,8 +86,8 @@ def set_dynamic_range(raw: ScalarField, ratio: float) -> ScalarField:
     both widening and narrowing the range are safe.  Callers normalize
     afterwards.
     """
-    if not ratio > 1.0:
-        raise InvalidInputError(f"ratio must exceed 1, got {ratio}")
+    if not 1.0 < ratio < np.inf:
+        raise InvalidInputError(f"ratio must be a finite number above 1, got {ratio}")
     v = raw.values
     vmax = float(v.max())
     vmin = float(v.min())
@@ -96,6 +96,8 @@ def set_dynamic_range(raw: ScalarField, ratio: float) -> ScalarField:
     if vmax == vmin:
         raise DegenerateInputError("constant field has no dynamic range to set")
     beta = (vmax - ratio * vmin) / (ratio - 1.0)
+    if vmin + beta <= 0.0:  # (vmax - vmin)/(ratio - 1) rounds to 0
+        raise InvalidInputError(f"ratio {ratio} leaves this field no positive minimum")
     return ScalarField(raw.grid, v + beta)
 
 

@@ -8,8 +8,8 @@ isolates transport error from grid-discretization error.
 A sample-free certificate compares a second law with it exactly:
 ``inverse_law_mass`` gives the bin masses of the law of the map's stored
 inverse, and ``law_certificate`` their total variation distance and N50,
-the sample size at which the chi-squared test on those bins would reject
-that law with probability 1/2.
+the sample size at which the chi-squared test on those bins, at level
+``SIGNIFICANCE``, would reject that law with probability 1/2.
 
 P-values come from an in-package regularized incomplete gamma (series +
 continued fraction), and the noncentral tail behind N50 from a Poisson
@@ -31,6 +31,7 @@ from .sampler import SampleBatch, _uniform_stream
 _STREAM_ORACLE = 0x6F726163  # "orac"; keeps oracle draws off the sampler stream
 
 _MIN_EXPECTED = 5.0
+SIGNIFICANCE = 0.01  # level of the GOF test that decides `oitsample validate`, and of N50
 
 
 @dataclass(frozen=True)
@@ -244,8 +245,7 @@ def _half_power_noncentrality(dof: int, significance: float) -> float:
                             max(crit - dof, 1.0))
 
 
-def law_certificate(mass: np.ndarray, expected_mass: np.ndarray,
-                    significance: float) -> tuple[float, float]:
+def law_certificate(mass: np.ndarray, expected_mass: np.ndarray) -> tuple[float, float]:
     """(TV, N50) of the bin masses ``mass`` against ``expected_mass``, on
     the same bins.
 
@@ -254,7 +254,7 @@ def law_certificate(mass: np.ndarray, expected_mass: np.ndarray,
     Pearson statistic that is about noncentral chi-squared, with noncentrality
     N * sum((mass - expected)^2 / expected) and one degree of freedom fewer
     than bins.  N50 is the N at which that test, at level
-    ``significance``, rejects with probability 1/2; inf when the masses
+    ``SIGNIFICANCE``, rejects with probability 1/2; inf when the masses
     are equal.
     """
     p = np.asarray(mass, dtype=np.float64).reshape(-1)
@@ -263,7 +263,7 @@ def law_certificate(mass: np.ndarray, expected_mass: np.ndarray,
     per_sample = float(((p - q) ** 2 / q).sum())
     if per_sample == 0.0:
         return tv, math.inf
-    return tv, _half_power_noncentrality(p.size - 1, significance) / per_sample
+    return tv, _half_power_noncentrality(p.size - 1, SIGNIFICANCE) / per_sample
 
 
 # ---------------------------------------------------------------------------

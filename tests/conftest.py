@@ -76,6 +76,46 @@ def smooth_test_map(grid: PeriodicGrid, amp: float = 0.15, phase: float = 0.0):
     return DiffeoMap(disp)
 
 
+def _affine_quantile(a, b, u):
+    """The u-quantile on [0, 1] of the density proportional to a + b*s,
+    positive at both ends: the root of b/2 s^2 + a s = u (a + b/2), in the
+    form that stays exact as b goes to 0."""
+    q = u * (a + 0.5 * b)
+    return 2.0 * q / (a + np.sqrt(a * a + 2.0 * b * q))
+
+
+def draw_inverse_law(mapping, n: int, seed: int) -> np.ndarray:
+    """``n`` exact draws, shape (n, 2), from the inverse law of ``mapping``:
+    the law of y solving psi(y) = u for uniform u, where psi is the bilinear
+    interpolant of the stored inverse.  Its density u0 * det D psi is affine
+    on each cell.  A cell is picked by its exact mass, the mean of its four
+    corner determinants; inside it the x marginal, then y given x, is
+    inverted by a quadratic.  The corners are formed here from the stored
+    displacement, apart from the package's corner kernel."""
+    from oitsample.grid import wrap_angle
+
+    g = mapping.grid
+    dx, dy = (np.pad(f.values, ((0, 1), (0, 1)), mode="wrap")
+              for f in (mapping.inv_disp.u_x, mapping.inv_disp.u_y))
+    a11, a21 = 1.0 + np.diff(dx, axis=0) / g.h_x, np.diff(dy, axis=0) / g.h_x
+    a12, a22 = np.diff(dx, axis=1) / g.h_y, 1.0 + np.diff(dy, axis=1) / g.h_y
+
+    def corner(x, y):  # the corner on the cell's left/right (x) and lower/upper (y) side
+        return (a11[:, y:y + g.n_y] * a22[x:x + g.n_x]
+                - a12[x:x + g.n_x] * a21[:, y:y + g.n_y]).reshape(-1)
+
+    c00, c10, c01, c11 = corner(0, 0), corner(1, 0), corner(0, 1), corner(1, 1)
+    mass = c00 + c10 + c01 + c11
+    gen = np.random.Generator(np.random.Philox(key=seed))
+    cell = gen.choice(mass.size, size=n, p=mass / mass.sum())
+    u, v = gen.random((2, n))
+    c0, slope_x, slope_y = c00[cell], c10[cell] - c00[cell], c01[cell] - c00[cell]
+    s = _affine_quantile(c0 + 0.5 * slope_y, slope_x, u)
+    t = _affine_quantile(c0 + slope_x * s, slope_y, v)
+    i, j = np.divmod(cell, g.n_y)
+    return wrap_angle(np.column_stack((g.xs[i] + s * g.h_x, g.ys[j] + t * g.h_y)))
+
+
 def nan_velocities(ws, source):
     """A stand-in for ``transport._solve_gradient`` whose velocities are NaN."""
     return np.full(source.shape, np.nan), np.full(source.shape, np.nan)

@@ -190,11 +190,19 @@ class TestBuild:
         assert not out.exists()
 
     def test_overflowing_ratio_names_a_plain_float(self, tmp_path, capsys):
-        """The range shift underflows the floor to 0; the error prints it as
-        ``0.0`` under every numpy."""
-        assert run("build", "--density", "two-bump", "--ratio", "1e300", "--grid", "16",
-                   "--steps", "2", "--out", str(tmp_path / "x.oitm")) == 1
-        assert capsys.readouterr().err == "error: field has non-positive value 0.0\n"
+        """The range shift underflows the floor to 0; the error names the
+        ratio, as ``1e+300`` under every numpy.  A field file is well formed
+        here, so its error does not start with the file's path."""
+        field_path = tmp_path / "f.oitf"
+        write_field_oitf(field_path, ScalarField.from_function(
+            PeriodicGrid(16, 16), lambda x, y: 2.0 + np.sin(x)))
+        out = tmp_path / "x.oitm"
+        for density in ("two-bump", str(field_path)):
+            assert run("build", "--density", density, "--ratio", "1e300", "--grid", "16",
+                       "--steps", "2", "--out", str(out)) == 1
+            assert capsys.readouterr().err == (
+                "error: ratio 1e+300 leaves this field no positive minimum\n")
+            assert not out.exists()
 
     def test_orientation_loss_is_exit_two(self, tmp_path):
         code = run("build", "--density", "two-bump", "--grid", "64", "--steps", "1",
@@ -712,6 +720,27 @@ class TestValidate:
         text = report.read_text()
         assert "result: pass" in text
         assert "gof_p_value:" in text
+
+    def test_two_sample_rejection_alone_passes(self, sine_map, tmp_path, monkeypatch):
+        """The verdict is the goodness-of-fit test alone: a two-sample p of 0
+        is reported, and the run still passes with exit 0."""
+        monkeypatch.setattr("oitsample.cli.two_sample_chi_squared", lambda a, b: (1e9, 255, 0.0))
+        report = tmp_path / "r.txt"
+        assert run("validate", "--map", str(sine_map), "--density", "sine-perturbation:0.4",
+                   "--n", "20000", "--seed", "2", "--bins", "16", "--out", str(report)) == 0
+        text = report.read_text()
+        assert "\ntwo_sample_p_value: 0\n" in text
+        assert text.endswith("\nsignificance: 0.01\nresult: pass\n")
+
+    def test_goodness_of_fit_rejection_fails_with_exit_three(self, sine_map, tmp_path,
+                                                            monkeypatch):
+        monkeypatch.setattr("oitsample.cli.chi_squared_gof", lambda hist, mass: (1e9, 255, 0.0))
+        report = tmp_path / "r.txt"
+        assert run("validate", "--map", str(sine_map), "--density", "sine-perturbation:0.4",
+                   "--n", "20000", "--seed", "2", "--bins", "16", "--out", str(report)) == 3
+        text = report.read_text()
+        assert "\ngof_p_value: 0\n" in text
+        assert text.endswith("\nsignificance: 0.01\nresult: fail\n")
 
     def test_wrong_density_fails_with_exit_three(self, sine_map, tmp_path):
         code = run("validate", "--map", str(sine_map), "--density",

@@ -86,10 +86,15 @@ class TestSetDynamicRange:
         assert out.values.max() / out.values.min() == pytest.approx(ratio, rel=1e-12)
 
     def test_ratio_one_rejected(self):
+        """1 and inf are no ratio, and 1e300 rounds the shifted minimum
+        (2 - 1)/(1e300 - 1) to 0: each is refused as a ratio, by a plain
+        InvalidInputError, never as a non-positive field."""
         g = PeriodicGrid(8, 8)
         raw = ScalarField(g, np.linspace(1, 2, 64).reshape(8, 8))
-        with pytest.raises(InvalidInputError):
-            set_dynamic_range(raw, 1.0)
+        for ratio in (1.0, np.inf, 1e300):
+            with pytest.raises(InvalidInputError, match="ratio") as info:
+                set_dynamic_range(raw, ratio)
+            assert type(info.value) is InvalidInputError
 
     def test_constant_rejected(self):
         g = PeriodicGrid(8, 8)

@@ -11,7 +11,9 @@ from oitsample import (
     PeriodicGrid,
     SampleBatch,
     ScalarField,
+    TransportConfig,
     VectorField,
+    build_transport_map,
     chi_squared_gof,
     chi_squared_survival,
     expected_bin_mass,
@@ -24,14 +26,16 @@ from oitsample import (
 )
 from oitsample.sampler import draw_uniform
 from oitsample.validate import (
+    SIGNIFICANCE,
     _chi_squared_critical,
     _half_power_noncentrality,
     _increasing_root,
+    _noncentral_survival,
     inverse_law_mass,
     law_certificate,
     regularized_gamma_q,
 )
-from conftest import alternating_fold, identity_map, smooth_test_map
+from conftest import alternating_fold, draw_inverse_law, identity_map, smooth_test_map
 
 
 def sine_density(grid, amp=0.5):
@@ -198,7 +202,7 @@ class TestCertificate:
         g = PeriodicGrid(64, 64)
         mass = inverse_law_mass(identity_map(g), 16, 16)
         assert mass == pytest.approx(np.full((16, 16), 1.0 / 256), rel=1e-15, abs=0.0)
-        tv, n50 = law_certificate(mass, expected_bin_mass(uniform_density(g), 16, 16), 0.01)
+        tv, n50 = law_certificate(mass, expected_bin_mass(uniform_density(g), 16, 16))
         assert tv < 1e-15
         assert n50 > 1e20
 
@@ -230,9 +234,60 @@ class TestCertificate:
     def test_hand_computed_case(self):
         """Two bins at 0.6/0.4 against 0.5/0.5: TV 0.1, and lambda/N =
         0.01/0.5 * 2 = 0.04 on one degree of freedom."""
-        tv, n50 = law_certificate(np.array([[0.6], [0.4]]), np.array([[0.5], [0.5]]), 0.01)
+        tv, n50 = law_certificate(np.array([[0.6], [0.4]]), np.array([[0.5], [0.5]]))
         assert tv == pytest.approx(0.1, rel=1e-12)
         assert n50 == pytest.approx(_half_power_noncentrality(1, 0.01) / 0.04, rel=1e-12)
+
+
+class TestCertificatePower:
+    """N50 is a prediction: at N = N50 the GOF test at level SIGNIFICANCE
+    rejects the inverse law half the time.  Exact draws of that law
+    (``conftest.draw_inverse_law``) check it on two-bump 64x64, 12 steps,
+    with 16x16 bins, where N50 is about 2.5e4.  Each count below is over
+    fixed seeds, so the tests are deterministic; each bound is the central
+    99.9% range of the count's binomial law, so an exact sampler and a true
+    N50 land outside it with probability about 1e-3."""
+
+    @pytest.fixture(scope="class")
+    def law(self):
+        g = PeriodicGrid(64, 64)
+        target = make_density("two-bump", g)
+        mapping = build_transport_map(target, TransportConfig(steps=12, grid=g)).map
+        inverse, expected = inverse_law_mass(mapping, 16, 16), expected_bin_mass(target, 16, 16)
+        _, n50 = law_certificate(inverse, expected)
+        return mapping, inverse, expected, n50
+
+    @staticmethod
+    def rejections(law, n, seeds):
+        mapping, _, expected, _ = law
+        p = [chi_squared_gof(histogram(SampleBatch(draw_inverse_law(mapping, n, s)), 16, 16),
+                             expected)[2] for s in seeds]
+        return sum(pi <= SIGNIFICANCE for pi in p)
+
+    def test_draws_follow_their_own_exact_masses(self, law):
+        """At 10 x N50 the draws pass the GOF test against the inverse law's
+        own masses for 3 fixed seeds: the sampler and ``inverse_law_mass``,
+        which form the corner determinants apart, describe one law."""
+        mapping, inverse, _, n50 = law
+        for seed in (0, 1, 2):
+            hist = histogram(SampleBatch(draw_inverse_law(mapping, round(10 * n50), seed)), 16, 16)
+            assert chi_squared_gof(hist, inverse)[2] > SIGNIFICANCE
+
+    def test_half_of_the_runs_reject_at_n50(self, law):
+        """40 seeds at N = N50 against the target's masses: the rejections
+        lie in [10, 30], the central 99.9% range of binomial(40, 1/2)
+        (P(X <= 9) = P(X >= 31) = 3.4e-4)."""
+        assert 10 <= self.rejections(law, round(law[3]), range(40)) <= 30
+
+    def test_power_at_an_eighth_of_n50(self, law):
+        """At N50/8 the noncentral tail predicts power 0.0227 on the 255
+        unmerged degrees of freedom.  40 seeds reject in [0, 5], the central
+        99.9% range of binomial(40, 0.0227) (P(X >= 6) = 2.7e-4)."""
+        _, inverse, expected, n50 = law
+        nc = n50 / 8 * float(((inverse - expected) ** 2 / expected).sum())
+        power = _noncentral_survival(_chi_squared_critical(255, SIGNIFICANCE), 255, nc)
+        assert power == pytest.approx(0.0227, abs=5e-4)
+        assert self.rejections(law, round(n50 / 8), range(40)) <= 5
 
 
 class TestChiSquaredGof:
