@@ -38,6 +38,7 @@ from .validate import (
     histogram,
     inverse_law_mass,
     law_certificate,
+    law_chi2,
     rejection_sample_oracle,
     two_sample_chi_squared,
 )
@@ -131,10 +132,13 @@ def cmd_build(cfg: RunConfig) -> int:
     result = build_transport_map(target, tcfg)
     elapsed = time.perf_counter() - t0
     fileio.write_map_oitm(cfg.out, result, ident)
+    forward_chi2, inverse_chi2 = law_chi2(result.map, target)  # needs no sample, no bins
     print(f"density: {ident}")
     print(f"angle: {result.angle:.6f}")
     print(f"residual: {result.residual:.6e}")
     print(f"min_jacobian: {result.min_jacobian.min():.6f}")
+    print(f"forward_law_chi2: {forward_chi2:.3e}")
+    print(f"inverse_law_chi2: {'n/a' if inverse_chi2 is None else f'{inverse_chi2:.3e}'}")
     print(f"wall_time_s: {elapsed:.2f}")
     print(f"map: {cfg.out}")
     if result.residual_above_tol:  # the map is written and usable: a warning, not an exit code

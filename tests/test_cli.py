@@ -168,6 +168,16 @@ class TestBuild:
         assert np.all(mapping.disp.u_y.values == 0.0)
         assert meta.residual <= 1e-10
 
+    def test_prints_both_laws_chi2_after_min_jacobian(self, tmp_path, capsys):
+        """The two certificate lines follow ``min_jacobian``; the uniform
+        target's identity map reads 0 for both laws."""
+        assert run("build", "--density", "uniform", "--grid", "16", "--steps", "2",
+                   "--out", str(tmp_path / "u.oitm")) == 0
+        lines = capsys.readouterr().out.splitlines()
+        at = next(i for i, line in enumerate(lines) if line.startswith("min_jacobian: "))
+        assert lines[at + 1:at + 3] == ["forward_law_chi2: 0.000e+00",
+                                        "inverse_law_chi2: 0.000e+00"]
+
     def test_zero_steps_is_usage_error(self, tmp_path):
         code = run("build", "--density", "uniform", "--grid", "32", "--steps", "0",
                    "--out", str(tmp_path / "x.oitm"))

@@ -18,6 +18,7 @@ from oitsample.grid import (
     _central_diff,
     _compose_disp_arrays,
     _corner_det,
+    _corner_dets,
     _corner_mean,
     _index_frac,
     _jacobian_det_arrays,
@@ -519,7 +520,7 @@ class TestJacobianDet:
 
     @pytest.mark.parametrize("shape, rows", ROW_CASES)
     def test_row_range_gives_those_rows_of_the_whole_grid(self, rng, shape, rows):
-        """Both reductions of the cell-corner kernel, the minimum as the
+        """The cell-corner kernel and both its reductions, the minimum as the
         build loop's fold check reads it block by block and the mean."""
         g = PeriodicGrid(*shape)
         assert g.n_x % rows
@@ -533,6 +534,9 @@ class TestJacobianDet:
             whole = kernel(g, *pads)
             for r in ranges:
                 assert np.array_equal(kernel(g, *pads, r), whole[r]), (kernel, r)
+        whole = np.stack(list(_corner_dets(g, *pads, slice(None))))
+        for r in ranges:
+            assert np.array_equal(np.stack(list(_corner_dets(g, *pads, r))), whole[:, r]), r
         # the blocks' minima are the whole grid's, as the build loop reads them
         whole = _corner_det(g, *pads)
         assert min(_corner_det(g, *pads, r).min() for r in ranges[3:]) == whole.min()
@@ -565,6 +569,29 @@ class TestJacobianDet:
         assert np.abs(mean - lattice.mean(axis=(2, 3))).max() <= 1e-13 * np.abs(lattice).max()
         if amp == 1.0:
             assert got.min() < 0.0
+
+    def test_corner_interpolant_is_the_bilinear_det_inside_the_cell(self, rng):
+        """At random points of every cell, the bilinear interpolant of the
+        four corner determinants, in the kernel's order, is det D(x + d_h)
+        formed from the cell's four corner displacements."""
+        g = PeriodicGrid(24, 20)
+        dx, dy = smooth_disp(rng, g, 0.3, 4), smooth_disp(rng, g, 0.3, 4)
+        c00, c10, c01, c11 = _corner_dets(g, _pad(dx), _pad(dy), slice(None))
+        s, t = rng.uniform(0.0, 1.0, (2,) + g.shape)
+        interpolant = ((1 - s) * (1 - t) * c00 + s * (1 - t) * c10
+                       + (1 - s) * t * c01 + s * t * c11)
+
+        def corner(v, a, b):  # v at cell (i, j)'s corner (i + a, j + b)
+            return np.roll(v, (-a, -b), axis=(0, 1))
+
+        x00, x10, x01, x11 = (corner(dx, a, b) for a, b in ((0, 0), (1, 0), (0, 1), (1, 1)))
+        y00, y10, y01, y11 = (corner(dy, a, b) for a, b in ((0, 0), (1, 0), (0, 1), (1, 1)))
+        j11 = 1.0 + ((1 - t) * (x10 - x00) + t * (x11 - x01)) / g.h_x
+        j12 = ((1 - s) * (x01 - x00) + s * (x11 - x10)) / g.h_y
+        j21 = ((1 - t) * (y10 - y00) + t * (y11 - y01)) / g.h_x
+        j22 = 1.0 + ((1 - s) * (y01 - y00) + s * (y11 - y10)) / g.h_y
+        det = j11 * j22 - j12 * j21
+        assert np.abs(interpolant - det).max() <= 1e-12 * np.abs(det).max()
 
     def test_alternating_fold_is_seen_only_by_the_corners(self):
         """The nodal determinant reads 1.0 everywhere; the cell corners read
@@ -721,6 +748,25 @@ class TestDiffeoMapInvariants:
         disp = VectorField(ScalarField.constant(g, 6.5), ScalarField.constant(g, 0.0))
         with pytest.raises(InvalidInputError):
             DiffeoMap(disp)
+
+    @pytest.mark.parametrize("shift, refused", [
+        (TWO_PI, True),  # the torus identity, which one wrap shift cannot bring into range
+        (np.nextafter(_SHIFT_BOUND - np.pi, 10.0), True),
+        (_SHIFT_BOUND - np.pi, False),
+    ], ids=["two-pi", "past-the-bound", "at-the-bound"])
+    def test_displacement_bound_is_one_wrap_shift(self, shift, refused):
+        """A point of [-pi, pi) moved by at most ``_SHIFT_BOUND - pi`` takes
+        one wrap shift into range, as the sampler applies it; a larger
+        displacement is refused, the constant 2*pi shift included."""
+        g = PeriodicGrid(8, 8)
+        zero = ScalarField.constant(g, 0.0)
+        for disp in (VectorField(ScalarField.constant(g, shift), zero),
+                     VectorField(zero, ScalarField.constant(g, -shift))):
+            if not refused:
+                DiffeoMap(disp)
+                continue
+            with pytest.raises(InvalidInputError, match="exceeds _SHIFT_BOUND - pi"):
+                DiffeoMap(disp)
 
     def test_rejects_inconsistent_inverse(self):
         g = PeriodicGrid(32, 32)

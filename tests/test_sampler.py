@@ -16,7 +16,7 @@ from oitsample import (
     make_density,
     sample_target,
 )
-from oitsample.grid import _POINT_BLOCK, _pad
+from oitsample.grid import _POINT_BLOCK, _SHIFT_BOUND, _pad
 from conftest import identity_map
 from oitsample.sampler import _transform_chunk, draw_uniform
 
@@ -90,14 +90,21 @@ class TestTransformSamples:
         assert out.points[0, 1] == 0.0
 
     def test_boundary_inputs_stay_in_range(self):
+        """At the largest displacement a map may have, +-(``_SHIFT_BOUND -
+        pi``), each edge point's image takes one wrap shift into range and
+        equals ``apply``'s."""
         g = PeriodicGrid(16, 16)
-        mapping = DiffeoMap(VectorField(ScalarField.constant(g, 2 * np.pi - 1e-9),
-                                           ScalarField.constant(g, -2 * np.pi + 1e-9)))
+        bound = _SHIFT_BOUND - np.pi
         edge = np.nextafter(np.pi, -1)
-        batch = SampleBatch(np.array([[-np.pi, -np.pi], [edge, edge], [0.0, 0.0]]))
-        out = transform(mapping, batch)
-        assert np.all(out.points >= -np.pi)
-        assert np.all(out.points < np.pi)
+        batch = SampleBatch(np.array([[-np.pi, -np.pi], [edge, edge], [0.0, 0.0],
+                                      [edge, -np.pi], [-np.pi, edge]]))
+        for shift in (bound, -bound):
+            mapping = DiffeoMap(VectorField(ScalarField.constant(g, shift),
+                                            ScalarField.constant(g, -shift)))
+            out = transform(mapping, batch)
+            assert np.all(out.points >= -np.pi)
+            assert np.all(out.points < np.pi)
+            assert np.array_equal(out.points, mapping.apply(batch.points))
 
     def test_matches_componentwise_interp(self):
         from conftest import smooth_test_map

@@ -7,6 +7,7 @@ from oitsample import (
     BinnedHistogram,
     DegenerateInputError,
     DiffeoMap,
+    GridMismatchError,
     InvalidInputError,
     PeriodicGrid,
     SampleBatch,
@@ -31,8 +32,10 @@ from oitsample.validate import (
     _half_power_noncentrality,
     _increasing_root,
     _noncentral_survival,
+    _MIN_EXPECTED,
     inverse_law_mass,
     law_certificate,
+    law_chi2,
     regularized_gamma_q,
 )
 from conftest import alternating_fold, draw_inverse_law, identity_map, smooth_test_map
@@ -273,6 +276,13 @@ class TestCertificatePower:
             hist = histogram(SampleBatch(draw_inverse_law(mapping, round(10 * n50), seed)), 16, 16)
             assert chi_squared_gof(hist, inverse)[2] > SIGNIFICANCE
 
+    def test_no_bin_merges_at_n50(self, law):
+        """``law_certificate`` counts one degree of freedom fewer than bins,
+        which is the GOF test's only when it merges no bin: at N50 every
+        bin's expected count is at least 5."""
+        _, _, expected, n50 = law
+        assert (round(n50) * expected).min() >= _MIN_EXPECTED
+
     def test_half_of_the_runs_reject_at_n50(self, law):
         """40 seeds at N = N50 against the target's masses: the rejections
         lie in [10, 30], the central 99.9% range of binomial(40, 1/2)
@@ -288,6 +298,70 @@ class TestCertificatePower:
         power = _noncentral_survival(_chi_squared_critical(255, SIGNIFICANCE), 255, nc)
         assert power == pytest.approx(0.0227, abs=5e-4)
         assert self.rejections(law, round(n50 / 8), range(40)) <= 5
+
+
+class TestLawChi2:
+    """Both laws' pointwise chi-squared against mu_h, with no sample and no
+    bins, from the corner kernel at 2x2 Gauss points per cell."""
+
+    @pytest.fixture(scope="class")
+    def coarse(self):
+        """Two-bump 64x64, 12 steps: a map far enough from its target that
+        each law's bias shows at 16x16 bins."""
+        g = PeriodicGrid(64, 64)
+        target = make_density("two-bump", g)
+        return build_transport_map(target, TransportConfig(steps=12, grid=g)).map, target
+
+    def test_identity_map_with_the_uniform_target_is_zero(self):
+        g = PeriodicGrid(20, 12)
+        assert law_chi2(identity_map(g), uniform_density(g)) == (0.0, 0.0)
+
+    def test_inverse_bounds_the_binned_noncentrality(self, coarse):
+        """Jensen: no partition's sum((p - q)^2 / q) exceeds the pointwise
+        chi-squared, here against ``inverse_law_mass``'s exact 16x16 bins."""
+        mapping, target = coarse
+        p, q = inverse_law_mass(mapping, 16, 16), expected_bin_mass(target, 16, 16)
+        assert law_chi2(mapping, target)[1] >= float(((p - q) ** 2 / q).sum()) > 0.0
+
+    def test_forward_bounds_the_binned_noncentrality(self, coarse):
+        """The same for the forward law, whose 8x8 bin masses a 512x512
+        midpoint lattice pushed through ``DiffeoMap.apply`` gives."""
+        mapping, target = coarse
+        u = -np.pi + (np.arange(512) + 0.5) * (2.0 * np.pi / 512)
+        lattice = np.stack(np.meshgrid(u, u, indexing="ij"), axis=-1).reshape(-1, 2)
+        p = histogram(SampleBatch(mapping.apply(lattice)), 8, 8).counts / lattice.shape[0]
+        q = expected_bin_mass(target, 8, 8)
+        assert law_chi2(mapping, target)[0] >= float(((p - q) ** 2 / q).sum()) > 0.0
+
+    def test_row_blocks_give_the_whole_grid_result(self, coarse, monkeypatch):
+        """One grid row per block, against the one block a 64x64 grid
+        fits in."""
+        import oitsample.validate as validate
+
+        mapping, target = coarse
+        whole = law_chi2(mapping, target)
+        monkeypatch.setattr(validate, "_POINT_BLOCK", mapping.grid.n_y)
+        assert law_chi2(mapping, target) == pytest.approx(whole, rel=1e-12, abs=0.0)
+
+    def test_no_inverse_law_when_the_inverse_folds(self):
+        """As for ``inverse_law_mass``: an inverse 0.6 h_x off the identity
+        passes the round-trip check but folds; the forward law is still
+        certified."""
+        g = PeriodicGrid(16, 12)
+        zero = np.zeros(g.shape)
+        mapping = DiffeoMap(VectorField.from_arrays(g, zero, zero),
+                            VectorField.from_arrays(g, *alternating_fold(g)))
+        assert law_chi2(mapping, uniform_density(g)) == (0.0, None)
+
+    def test_no_inverse_law_without_a_stored_inverse(self):
+        g = PeriodicGrid(32, 32)
+        forward, inverse = law_chi2(smooth_test_map(g), uniform_density(g))
+        assert forward > 0.0
+        assert inverse is None
+
+    def test_target_on_another_grid_is_refused(self):
+        with pytest.raises(GridMismatchError):
+            law_chi2(identity_map(PeriodicGrid(16, 16)), uniform_density(PeriodicGrid(32, 32)))
 
 
 class TestChiSquaredGof:
